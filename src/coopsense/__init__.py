@@ -9,7 +9,8 @@ Library layout:
 * :mod:`coopsense.detector` - energy statistic, threshold test and the
   closed-form single-detector probabilities.
 * :mod:`coopsense.threshold_schemes` - fixed, two-step interval,
-  expectation-normalized and convex-weighted threshold strategies.
+  expectation-normalized and convex-weighted threshold strategies, decided
+  by one vectorized kernel.
 * :mod:`coopsense.fusion` - n-out-of-K voting, cooperative error rates,
   optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
@@ -70,19 +71,12 @@ from .specfun import (
     reg_upper_gamma,
 )
 from .threshold_schemes import (
-    EnhancedDecision,
-    IntervalDecision,
-    IntervalOutcome,
-    ObservationContext,
     SchemeConfig,
     SchemeKind,
     convex_normalizer,
-    convex_weighted_statistic,
-    decide_enhanced,
+    decide_scheme,
     default_weights,
-    expectation_statistic,
-    statistic_interval,
-    two_step_decide,
+    scheme_normalizer,
 )
 
 __version__ = "0.1.0"

@@ -87,6 +87,8 @@ class ExperimentSpec:
     schemes: tuple[SchemeConfig, ...]
     base: Scenario
     output: str
+    # set when the spec counts votes as K - n; resolved per swept K
+    vote_complement: int | None = None
 
 
 def resolve_spec_path(spec_arg: str) -> Path:
@@ -233,6 +235,7 @@ def _parse_fusion(block, diagnostics, sweep_axis, sweep_values):
         return None
     if num_sus is None:
         return None
+    complement = None
     if has_direct:
         vote_threshold = _get(
             block, "vote_threshold", int, diagnostics, "scenario.fusion."
@@ -255,14 +258,19 @@ def _parse_fusion(block, diagnostics, sweep_axis, sweep_values):
         diagnostics.append(f"scenario.fusion: {exc}")
         return None
     if sweep_axis == "num_sus":
-        bad = [v for v in sweep_values if not vote_threshold <= v]
+        if complement is None:
+            bad = [v for v in sweep_values if not vote_threshold <= v]
+            field, rule = "vote_threshold", "stay within [1, K]"
+        else:
+            bad = [v for v in sweep_values if v - complement < 1]
+            field, rule = "vote_threshold_complement", "leave K - complement >= 1"
         if bad:
             diagnostics.append(
-                "scenario.fusion.vote_threshold: must stay within [1, K] for "
+                f"scenario.fusion.{field}: must {rule} for "
                 f"every swept num_sus value (violated at {bad[:3]})"
             )
             return None
-    return config
+    return config, complement
 
 
 def _parse_schemes(raw, scheme_options, sample_count, diagnostics):
@@ -397,11 +405,11 @@ def _parse_spec(document, spec_name, diagnostics):
 
     detector = _parse_detector(detector_block, diagnostics) if detector_block else None
     noise = _parse_noise(noise_block, diagnostics) if noise_block else None
-    fusion = (
+    fusion, vote_complement = (
         _parse_fusion(fusion_block, diagnostics, sweep_axis, sweep_values)
         if fusion_block
         else None
-    )
+    ) or (None, None)  # _parse_fusion returns None after a diagnostic
     schemes = _parse_schemes(
         schemes_raw,
         options_block,
@@ -442,6 +450,7 @@ def _parse_spec(document, spec_name, diagnostics):
         schemes=schemes,
         base=base,
         output=output,
+        vote_complement=vote_complement,
     )
 
 
@@ -477,7 +486,13 @@ def _scenario_for(spec: ExperimentSpec, value, scheme: SchemeConfig) -> Scenario
     if spec.sweep_axis == "snr_db":
         return replace(base, scheme=scheme, snr_db=float(value))
     if spec.sweep_axis == "num_sus":
-        fusion = replace(base.fusion, num_sus=int(value))
+        num_sus = int(value)
+        vote_threshold = (
+            base.fusion.vote_threshold
+            if spec.vote_complement is None
+            else num_sus - spec.vote_complement
+        )
+        fusion = replace(base.fusion, num_sus=num_sus, vote_threshold=vote_threshold)
         return replace(base, scheme=scheme, fusion=fusion)
     detector = replace(base.detector, threshold=float(value))
     return replace(base, scheme=scheme, detector=detector)

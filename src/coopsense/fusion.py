@@ -17,6 +17,7 @@ from .detector import Hypothesis
 __all__ = [
     "FusionConfig",
     "CooperativeRates",
+    "cooperative_rates",
     "probability",
     "vote",
     "coop_qf",

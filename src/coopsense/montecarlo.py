@@ -16,6 +16,10 @@ These identities are exercised against direct waveform simulation in the
 test suite. Receivers are simulated i.i.d.: signal draws are per-receiver,
 matching the independence assumed by the binomial fusion model.
 
+The trial loop holds no scheme logic: each scenario's normalizer and
+two-step bracket are computed once, and every trial hands its receivers'
+energies to ``threshold_schemes.decide_scheme``.
+
 A scenario declares which analytic family its closed-form columns use:
 
 * ``chi_square`` - the configured threshold lives on the accumulated
@@ -36,9 +40,14 @@ import numpy as np
 
 from .detector import DetectorConfig, Hypothesis, analytic_pd, analytic_pf
 from .fusion import FusionConfig, cooperative_rates
-from .noise_model import NoiseUncertaintyModel
+from .noise_model import NoiseUncertaintyModel, VarianceBracket
 from .specfun import reg_upper_gamma
-from .threshold_schemes import SchemeConfig, SchemeKind, convex_normalizer
+from .threshold_schemes import (
+    SchemeConfig,
+    SchemeKind,
+    decide_scheme,
+    scheme_normalizer,
+)
 
 __all__ = [
     "TruthMode",
@@ -131,7 +140,6 @@ class ScenarioEstimate:
     q_m: RateEstimate
     q_e: RateEstimate
     analytic: AnalyticRates
-    analytic_exponential: AnalyticRates
     steps_mean: float
     trials: int
     seed: int
@@ -185,11 +193,9 @@ class _Runtime:
     report_error: float
     truth: TruthMode
     family: AnalyticFamily
-    kind: SchemeKind
-    bracket_low: float
-    bracket_high: float
+    bracket: VarianceBracket
     normalizer: float
-    second_step_normalizer: float
+    step_bracket: VarianceBracket | None  # two-step interval, else None
     signal_power: float  # received per-sample power (exponential family)
     signal_energy: float  # received whole-window energy (chi-square family)
 
@@ -212,19 +218,6 @@ def _runtime(scenario: Scenario) -> _Runtime:
         per_sample = scenario.snr_linear * noise.nominal_variance
         window = scenario.snr_linear * noise.nominal_variance
 
-    kind = scenario.scheme.kind
-    if kind == SchemeKind.FIXED:
-        normalizer = noise.nominal_variance
-    elif kind == SchemeKind.CONVEX:
-        expectations = np.full(k, noise.expected_variance)
-        normalizer = convex_normalizer(
-            expectations,
-            weights=scenario.scheme.weights,
-            exponent=scenario.scheme.exponent,
-        )
-    else:
-        normalizer = noise.expected_variance
-
     return _Runtime(
         k=k,
         num_sus=fus.num_sus,
@@ -234,11 +227,11 @@ def _runtime(scenario: Scenario) -> _Runtime:
         report_error=fus.report_error,
         truth=scenario.truth,
         family=scenario.family,
-        kind=kind,
-        bracket_low=noise.bracket.low,
-        bracket_high=noise.bracket.high,
-        normalizer=normalizer,
-        second_step_normalizer=noise.expected_variance,
+        bracket=noise.bracket,
+        normalizer=scheme_normalizer(scenario.scheme, noise),
+        step_bracket=(
+            noise.bracket if scenario.scheme.kind == SchemeKind.TWO_STEP else None
+        ),
         signal_power=per_sample,
         signal_energy=window,
     )
@@ -280,7 +273,7 @@ def _simulate_trial(rt: _Runtime, rng: np.random.Generator):
     else:
         truth = Hypothesis.H0 if rt.truth == TruthMode.H0 else Hypothesis.H1
 
-    variances = rng.uniform(rt.bracket_low, rt.bracket_high, size=rt.num_sus)
+    variances = rng.uniform(rt.bracket.low, rt.bracket.high, size=rt.num_sus)
 
     if truth == Hypothesis.H0:
         energies = variances * rng.standard_gamma(rt.k, size=rt.num_sus)
@@ -294,34 +287,21 @@ def _simulate_trial(rt: _Runtime, rng: np.random.Generator):
             rt.k, size=rt.num_sus
         )
 
-    thr = rt.threshold_norm
-    k = rt.k
-    if rt.kind == SchemeKind.TWO_STEP:
-        stats_low = energies / (k * rt.bracket_high)
-        stats_high = energies / (k * rt.bracket_low)
-        second = energies / (k * rt.second_step_normalizer)
-        undecided = (stats_low < thr) & (stats_high >= thr)
-        decisions = np.where(
-            stats_low >= thr, 1, np.where(stats_high < thr, 0, second >= thr)
-        ).astype(int)
-        steps = rt.num_sus + int(undecided.sum())
-    else:
-        stats = energies / (k * rt.normalizer)
-        decisions = (stats >= thr).astype(int)
-        steps = rt.num_sus
+    decisions, steps = decide_scheme(
+        energies, rt.k, rt.threshold_norm, rt.normalizer, rt.step_bracket
+    )
 
     if rt.report_error > 0.0:
-        flips = rng.random(rt.num_sus) < rt.report_error
-        reported = np.where(flips, 1 - decisions, decisions)
+        reported = decisions ^ (rng.random(rt.num_sus) < rt.report_error)
     else:
         reported = decisions
 
     fused = (
         Hypothesis.H1
-        if int(reported.sum()) >= rt.vote_threshold
+        if int(np.count_nonzero(reported)) >= rt.vote_threshold
         else Hypothesis.H0
     )
-    return truth, decisions, reported, fused, steps
+    return truth, decisions, reported, fused, int(steps.sum())
 
 
 def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
@@ -373,7 +353,7 @@ def _run_range(scenario: Scenario, start: int, stop: int) -> _Tally:
         truth, decisions, _, fused, steps = _simulate_trial(
             rt, streams.for_trial(index)
         )
-        positives = int(decisions.sum())
+        positives = int(np.count_nonzero(decisions))
         tally.steps_total += steps
         if truth == Hypothesis.H0:
             tally.trials_h0 += 1
@@ -398,7 +378,6 @@ def _analytic_rates(scenario: Scenario) -> AnalyticRates:
     """Family-matched closed forms at the configured operating point
     (nominal normalization, no uncertainty)."""
     det = scenario.detector
-    fus = scenario.fusion
     snr = scenario.snr_linear
     if scenario.family == AnalyticFamily.CHI_SQUARE:
         p_f = analytic_pf(det.time_bandwidth, det.threshold)
@@ -407,34 +386,8 @@ def _analytic_rates(scenario: Scenario) -> AnalyticRates:
         u = det.time_bandwidth
         p_f = reg_upper_gamma(u, u * det.threshold)
         p_d = reg_upper_gamma(u, u * det.threshold / (1.0 + snr))
-    return _fuse_rates(p_f, p_d, fus)
-
-
-def _analytic_exponential(scenario: Scenario, normalizer: float) -> AnalyticRates:
-    """Single-sample exponential-model reference with w the expected noise
-    power and the scheme's own normalizer setting the absolute threshold."""
-    det = scenario.detector
-    fus = scenario.fusion
-    w = scenario.noise.expected_variance
-    if scenario.family == AnalyticFamily.CHI_SQUARE:
-        threshold_norm = det.threshold / (2.0 * det.sample_count)
-    else:
-        threshold_norm = det.threshold
-    absolute_threshold = threshold_norm * normalizer
-    p_f = math.exp(-absolute_threshold / w)
-    p_d = math.exp(-absolute_threshold / (w * (1.0 + scenario.snr_linear)))
-    return _fuse_rates(p_f, p_d, fus)
-
-
-def _fuse_rates(p_f: float, p_d: float, fus: FusionConfig) -> AnalyticRates:
-    fused = cooperative_rates(fus, p_f, p_d)
-    return AnalyticRates(
-        p_f=p_f,
-        p_d=p_d,
-        q_f=fused.q_f,
-        q_m=fused.q_m,
-        q_e=fused.q_e,
-    )
+    fused = cooperative_rates(scenario.fusion, p_f, p_d)
+    return AnalyticRates(p_f=p_f, p_d=p_d, q_f=fused.q_f, q_m=fused.q_m, q_e=fused.q_e)
 
 
 def _split_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
@@ -490,7 +443,6 @@ def estimate(
         # single-truth runs cannot observe the prior-weighted error directly
         q_e = RateEstimate(math.nan, 0.0, 1.0, tally.fused_errors, 0)
 
-    rt = _runtime(scenario)
     return ScenarioEstimate(
         p_d=p_d,
         p_f=p_f,
@@ -498,7 +450,6 @@ def estimate(
         q_m=q_m,
         q_e=q_e,
         analytic=_analytic_rates(scenario),
-        analytic_exponential=_analytic_exponential(scenario, rt.normalizer),
         steps_mean=tally.steps_total / (scenario.trials * num_sus),
         trials=scenario.trials,
         seed=scenario.seed,

@@ -1,7 +1,9 @@
 """Enhanced energy-detection threshold strategies under noise uncertainty.
 
-Four strategies share one normalized-statistic convention (energy divided
-by sample count times a noise-power normalizer):
+Every strategy tests one normalized statistic, the window energy divided by
+sample count times a noise-power normalizer, against the threshold. The
+strategies differ only in that normalizer (``scheme_normalizer``) and in
+whether a first interval step is counted (``decide_scheme``):
 
 fixed
     Normalize by the nominal noise power and threshold once. Miscalibrated
@@ -21,15 +23,16 @@ expectation
 convex
     Normalize by the smallest cyclically-aligned weighted average of the
     per-component expected noise powers. Weight alignments wrap around so
-    every alignment spans all components; with unit weights every aligned
-    average equals the plain mean and the scheme reduces exactly to
-    ``expectation``.
+    every alignment spans all components; when every component expects the
+    same power the normalizer is that power exactly, so with the model's
+    constant expectations the scheme is ``expectation`` by construction.
 
-Because the interval endpoints and the expectation statistic are ordered
-(low <= expectation <= high whenever the bracket contains its own mean),
-the two-step strategy always lands on the same decision as ``expectation``;
-what it buys is that most rounds resolve in a single step, which the step
-metadata records.
+The two-step interval endpoints and the expectation statistic are ordered
+(low <= expectation <= high whenever the bracket contains its own mean, and
+IEEE division is monotone), so whichever step settles a receiver, its
+decision is the expectation decision. ``decide_scheme`` therefore computes
+the expectation decision once and only counts the receivers whose interval
+straddles the threshold as taking a second step.
 """
 
 import enum
@@ -39,23 +42,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import Hypothesis, decide
-from .noise_model import VarianceBracket
+from .noise_model import NoiseUncertaintyModel, VarianceBracket
 
 __all__ = [
     "SchemeKind",
     "SchemeConfig",
-    "IntervalOutcome",
-    "IntervalDecision",
-    "ObservationContext",
-    "EnhancedDecision",
     "default_weights",
-    "statistic_interval",
-    "two_step_decide",
-    "expectation_statistic",
     "convex_normalizer",
-    "convex_weighted_statistic",
-    "decide_enhanced",
+    "scheme_normalizer",
+    "decide_scheme",
 ]
 
 
@@ -115,79 +110,6 @@ class SchemeConfig:
         return cls(kind=SchemeKind.CONVEX, weights=weights, exponent=exponent)
 
 
-class IntervalOutcome(enum.Enum):
-    H0 = "h0"
-    H1 = "h1"
-    UNDECIDED = "undecided"
-
-
-@dataclass(frozen=True)
-class IntervalDecision:
-    outcome: IntervalOutcome
-    statistic_low: float
-    statistic_high: float
-
-    def __post_init__(self):
-        if self.statistic_low > self.statistic_high:
-            raise ValueError("statistic_low must not exceed statistic_high")
-
-
-def _total_energy(energy) -> float:
-    total = float(np.sum(np.asarray(energy, dtype=float)))
-    if not math.isfinite(total) or total < 0.0:
-        raise ValueError(f"energy must be finite and >= 0, got {total!r}")
-    return total
-
-
-def statistic_interval(
-    energy, bracket: VarianceBracket, sample_count: int
-) -> tuple[float, float]:
-    """Range of the normalized statistic over the variance bracket.
-
-    The low end normalizes by the highest admissible variance, the high
-    end by the lowest, so the value computed with any in-bracket variance
-    lies inside the returned interval.
-    """
-    total = _total_energy(energy)
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count!r}")
-    if bracket.low <= 0.0:
-        raise ValueError("bracket endpoints must be positive")
-    low = total / (sample_count * bracket.high)
-    high = total / (sample_count * bracket.low)
-    return low, high
-
-
-def two_step_decide(interval: tuple[float, float], threshold: float) -> IntervalDecision:
-    """First-stage interval test against the threshold.
-
-    H1 when even the pessimistic (low) statistic reaches the threshold, H0
-    when even the optimistic (high) one falls short, undecided otherwise.
-    """
-    low, high = float(interval[0]), float(interval[1])
-    if low > high:
-        raise ValueError(f"invalid interval ({low!r}, {high!r})")
-    if low >= threshold:
-        outcome = IntervalOutcome.H1
-    elif high < threshold:
-        outcome = IntervalOutcome.H0
-    else:
-        outcome = IntervalOutcome.UNDECIDED
-    return IntervalDecision(outcome=outcome, statistic_low=low, statistic_high=high)
-
-
-def expectation_statistic(energy, expected_variance: float, sample_count: int) -> float:
-    """Normalized statistic with the expected noise power as normalizer."""
-    expected_variance = float(expected_variance)
-    if not math.isfinite(expected_variance) or expected_variance <= 0.0:
-        raise ValueError(
-            f"expected_variance must be > 0, got {expected_variance!r}"
-        )
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count!r}")
-    return _total_energy(energy) / (sample_count * expected_variance)
-
-
 def convex_normalizer(
     expectations: Sequence[float],
     weights: Sequence[float] | None = None,
@@ -198,7 +120,9 @@ def convex_normalizer(
     For alignment ``i`` the weight applied to component ``t`` is
     ``weights[(t - i) % len]`` raised to ``exponent``; each alignment spans
     all components, so with unit weights every alignment yields the plain
-    mean and the minimum equals it.
+    mean and the minimum equals it. Constant expectations are returned
+    exactly: every weighted mean of a constant is that constant, while
+    evaluating the alignments would round it.
     """
     exps = np.asarray(expectations, dtype=float)
     if exps.ndim != 1 or exps.size == 0:
@@ -216,6 +140,8 @@ def convex_normalizer(
         raise ValueError("weights must be finite and positive")
     if int(exponent) != exponent or exponent < 1:
         raise ValueError(f"exponent must be an integer >= 1, got {exponent!r}")
+    if np.all(exps == exps[0]):
+        return float(exps[0])
     wg = w**exponent
     best = math.inf
     for i in range(exps.size):
@@ -224,97 +150,57 @@ def convex_normalizer(
     return best
 
 
-def convex_weighted_statistic(
-    energy,
-    expectations: Sequence[float],
-    sample_count: int,
-    weights: Sequence[float] | None = None,
-    exponent: int = 1,
+def scheme_normalizer(
+    scheme: SchemeConfig,
+    noise: NoiseUncertaintyModel,
+    expectations: Sequence[float] | None = None,
 ) -> float:
-    """Normalized statistic using the convex-minimized noise power."""
-    normalizer = convex_normalizer(expectations, weights, exponent)
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count!r}")
-    return _total_energy(energy) / (sample_count * normalizer)
+    """Noise power the scheme divides the window energy by.
+
+    ``expectations`` are the per-component expected powers the convex
+    scheme minimizes over; ``None`` means every component expects the
+    bracket mean, the model's case, for which the convex normalizer is the
+    bracket mean exactly. The other schemes ignore ``expectations``.
+    """
+    if scheme.kind == SchemeKind.FIXED:
+        return noise.nominal_variance
+    if scheme.kind == SchemeKind.CONVEX and expectations is not None:
+        return convex_normalizer(expectations, scheme.weights, scheme.exponent)
+    return noise.expected_variance
 
 
-@dataclass(frozen=True)
-class ObservationContext:
-    """Everything a scheme may need to turn one energy sum into a decision."""
+def decide_scheme(
+    energies,
+    sample_count: int,
+    threshold: float,
+    normalizer: float,
+    bracket: VarianceBracket | None = None,
+):
+    """Decisions and step counts for window energies of any shape.
 
-    energy: float
-    sample_count: int
-    nominal_variance: float | None = None
-    variance_bracket: VarianceBracket | None = None
-    expected_variance: float | None = None
-    component_expectations: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class EnhancedDecision:
-    decision: Hypothesis
-    steps: int
-    statistic: float
-    interval: IntervalDecision | None = None
-
-
-def _require_context(context: ObservationContext, field: str):
-    value = getattr(context, field)
-    if value is None:
-        raise ValueError(f"scheme requires context field {field!r}")
-    return value
-
-
-def decide_enhanced(
-    scheme: SchemeConfig, context: ObservationContext, threshold: float
-) -> EnhancedDecision:
-    """Run one scheme on one observation; never more than two steps."""
-    kind = scheme.kind
-    if kind == SchemeKind.FIXED:
-        nominal = _require_context(context, "nominal_variance")
-        stat = expectation_statistic(context.energy, nominal, context.sample_count)
-        return EnhancedDecision(decide(stat, threshold), steps=1, statistic=stat)
-
-    if kind == SchemeKind.EXPECTATION:
-        expected = _require_context(context, "expected_variance")
-        stat = expectation_statistic(context.energy, expected, context.sample_count)
-        return EnhancedDecision(decide(stat, threshold), steps=1, statistic=stat)
-
-    if kind == SchemeKind.CONVEX:
-        exps = _require_context(context, "component_expectations")
-        stat = convex_weighted_statistic(
-            context.energy,
-            exps,
-            context.sample_count,
-            weights=scheme.weights,
-            exponent=scheme.exponent,
-        )
-        return EnhancedDecision(decide(stat, threshold), steps=1, statistic=stat)
-
-    if kind == SchemeKind.TWO_STEP:
-        bracket = _require_context(context, "variance_bracket")
-        interval = two_step_decide(
-            statistic_interval(context.energy, bracket, context.sample_count),
-            threshold,
-        )
-        if interval.outcome == IntervalOutcome.H1:
-            return EnhancedDecision(
-                Hypothesis.H1, steps=1, statistic=interval.statistic_low,
-                interval=interval,
+    A receiver decides H1 (``True``) when ``energy / (sample_count *
+    normalizer) >= threshold``. With a ``bracket`` (the two-step scheme,
+    whose ``normalizer`` must be the bracket mean or another value inside
+    it) a receiver takes a second step exactly when its interval
+    ``[energy / (sample_count * high), energy / (sample_count * low)]``
+    straddles the threshold; its decision is the same either way. Returns
+    boolean decisions and integer steps (1 or 2), both shaped like
+    ``energies``.
+    """
+    if int(sample_count) != sample_count or sample_count < 1:
+        raise ValueError(f"sample_count must be an integer >= 1, got {sample_count!r}")
+    if not math.isfinite(normalizer) or normalizer <= 0.0:
+        raise ValueError(f"normalizer must be finite and > 0, got {normalizer!r}")
+    energies = np.asarray(energies, dtype=float)
+    decisions = energies / (sample_count * normalizer) >= threshold
+    steps = np.ones(energies.shape, dtype=int)
+    if bracket is not None:
+        if not bracket.contains(normalizer):
+            raise ValueError(
+                f"normalizer {normalizer!r} outside bracket "
+                f"[{bracket.low!r}, {bracket.high!r}]"
             )
-        if interval.outcome == IntervalOutcome.H0:
-            return EnhancedDecision(
-                Hypothesis.H0, steps=1, statistic=interval.statistic_high,
-                interval=interval,
-            )
-        expected = (
-            context.expected_variance
-            if context.expected_variance is not None
-            else bracket.mean
+        steps += (energies / (sample_count * bracket.high) < threshold) & (
+            energies / (sample_count * bracket.low) >= threshold
         )
-        stat = expectation_statistic(context.energy, expected, context.sample_count)
-        return EnhancedDecision(
-            decide(stat, threshold), steps=2, statistic=stat, interval=interval
-        )
-
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    return decisions, steps

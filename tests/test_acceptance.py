@@ -18,11 +18,7 @@ from coopsense.fusion import FusionConfig, coop_qf, coop_qm, optimize_vote_count
 from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, estimate
 from coopsense.noise_model import NoiseUncertaintyModel, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
-from coopsense.threshold_schemes import (
-    SchemeConfig,
-    convex_weighted_statistic,
-    expectation_statistic,
-)
+from coopsense.threshold_schemes import SchemeConfig, convex_normalizer, decide_scheme
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -169,12 +165,16 @@ def test_criterion_4_reduction_identity():
         k = int(rng.integers(1, 40))
         exponent = int(rng.integers(1, 4))
         threshold = float(rng.uniform(0.05, 6.0))
-        convex = convex_weighted_statistic(
-            energy, expectations, k, weights=np.ones(size), exponent=exponent
-        )
-        expectation = expectation_statistic(energy, float(np.mean(expectations)), k)
+        convex_norm = convex_normalizer(expectations, np.ones(size), exponent)
+        expectation_norm = float(np.mean(expectations))
+        # the statistic every scheme thresholds: energy / (k * normalizer)
+        convex = energy / (k * convex_norm)
+        expectation = energy / (k * expectation_norm)
         worst = max(worst, abs(convex - expectation))
-        if (convex >= threshold) != (expectation >= threshold):
+        if (
+            decide_scheme(energy, k, threshold, convex_norm)[0]
+            != decide_scheme(energy, k, threshold, expectation_norm)[0]
+        ):
             decisions_match = False
     report(
         4,

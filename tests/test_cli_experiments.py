@@ -9,6 +9,7 @@ from coopsense.cli_experiments import (
     CSV_COLUMNS,
     ENV_OUTPUT_DIR,
     SpecValidationError,
+    _scenario_for,
     load_spec,
     main,
     resolve_spec_path,
@@ -114,6 +115,40 @@ class TestValidation:
         document["scenario"]["fusion"]["vote_threshold_complement"] = 2
         spec = load_spec(write_spec(document))
         assert spec.base.fusion.vote_threshold == 1
+
+    def test_complement_resolved_per_swept_receiver_count(self, write_spec):
+        document = spec_document(
+            **{
+                "sweep.axis": "num_sus",
+                "sweep.values": [6, 10, 20],
+                "scenario.snr_db": -10.0,
+                "scenario.fusion.num_sus": 6,
+                "scenario.fusion.vote_threshold": ...,
+            }
+        )
+        document["scenario"]["fusion"]["vote_threshold_complement"] = 5
+        spec = load_spec(write_spec(document))
+        votes = [
+            _scenario_for(spec, value, spec.schemes[0]).fusion.vote_threshold
+            for value in spec.sweep_values
+        ]
+        assert votes == [1, 5, 15]
+
+    def test_complement_checked_against_swept_receivers(self, write_spec):
+        document = spec_document(
+            **{
+                "sweep.axis": "num_sus",
+                "sweep.values": [5, 6, 10],
+                "scenario.snr_db": -10.0,
+                "scenario.fusion.num_sus": 6,
+                "scenario.fusion.vote_threshold": ...,
+            }
+        )
+        document["scenario"]["fusion"]["vote_threshold_complement"] = 5
+        diagnostics = validate_spec(write_spec(document))
+        assert any(
+            "vote_threshold_complement" in d and "[5]" in d for d in diagnostics
+        )
 
     def test_both_vote_conventions_rejected(self, write_spec):
         document = spec_document()

@@ -17,11 +17,7 @@ from coopsense.montecarlo import (
     wilson_interval,
 )
 from coopsense.noise_model import NoiseUncertaintyModel
-from coopsense.threshold_schemes import (
-    ObservationContext,
-    SchemeConfig,
-    decide_enhanced,
-)
+from coopsense.threshold_schemes import SchemeConfig, SchemeKind
 
 
 def chi_square_scenario(**overrides):
@@ -98,9 +94,9 @@ class TestRunTrial:
         for i in range(200):
             assert run_trial(h1, i).su_decisions == run_trial(h0, i).su_decisions
 
-    def test_su_decisions_match_public_scheme_api(self):
-        # replays each trial's documented draw order and checks the inline
-        # vectorized scheme logic against decide_enhanced per receiver
+    def test_su_decisions_match_inline_oracle(self):
+        # replays each trial's documented draw order and checks the engine's
+        # per-receiver decisions against each scheme's rule written out here
         from coopsense.montecarlo import _trial_rng
 
         for scheme in [
@@ -136,18 +132,22 @@ class TestRunTrial:
                         k, scenario.fusion.num_sus
                     )
                 for su, energy in enumerate(energies):
-                    context = ObservationContext(
-                        energy=float(energy),
-                        sample_count=k,
-                        nominal_variance=noise.nominal_variance,
-                        variance_bracket=noise.bracket,
-                        expected_variance=noise.expected_variance,
-                        component_expectations=tuple(
-                            [noise.expected_variance] * k
-                        ),
-                    )
-                    expected = decide_enhanced(scheme, context, threshold)
-                    assert result.su_decisions[su] == int(expected.decision)
+                    energy = float(energy)
+                    if scheme.kind == SchemeKind.FIXED:
+                        expected = energy / (k * noise.nominal_variance) >= threshold
+                    elif scheme.kind == SchemeKind.TWO_STEP:
+                        low = energy / (k * noise.bracket.high)
+                        high = energy / (k * noise.bracket.low)
+                        if low >= threshold:
+                            expected = True
+                        elif high < threshold:
+                            expected = False
+                        else:
+                            expected = energy / (k * noise.bracket.mean) >= threshold
+                    else:
+                        # convex over constant expectations is their value
+                        expected = energy / (k * noise.expected_variance) >= threshold
+                    assert result.su_decisions[su] == int(expected)
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
