@@ -14,7 +14,7 @@ Library layout:
 * :mod:`coopsense.fusion` - n-out-of-K voting, cooperative error rates,
   optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
-  trial engine.
+  block-batched Monte Carlo engine.
 * :mod:`coopsense.cli_experiments` - command-line sweep runner over JSON
   experiment specs, CSV output.
 """
@@ -48,10 +48,8 @@ from .montecarlo import (
     RateEstimate,
     Scenario,
     ScenarioEstimate,
-    TrialResult,
     TruthMode,
     estimate,
-    run_trial,
     wilson_interval,
 )
 from .noise_model import (

@@ -235,41 +235,43 @@ def _parse_fusion(block, diagnostics, sweep_axis, sweep_values):
         return None
     if num_sus is None:
         return None
-    complement = None
-    if has_direct:
-        vote_threshold = _get(
-            block, "vote_threshold", int, diagnostics, "scenario.fusion."
+    field = "vote_threshold" if has_direct else "vote_threshold_complement"
+    given = _get(block, field, int, diagnostics, "scenario.fusion.")
+    if given is None:
+        return None
+    complement = None if has_direct else given
+    # a num_sus sweep checks the rule, and builds the base, at the swept
+    # receiver counts; the spec's own num_sus is then not used
+    swept = sweep_axis == "num_sus"
+    counts = list(sweep_values) if swept else [num_sus]
+    if not counts:
+        return None  # the sweep's own diagnostic is already recorded
+    if counts[0] < 1:
+        diagnostics.append(f"scenario.fusion.num_sus: must be >= 1, got {num_sus}")
+        return None
+    votes = [given if complement is None else k - given for k in counts]
+    bad = [k for k, n in zip(counts, votes) if not 1 <= n <= k]
+    if bad:
+        rule = "[1, K]" if complement is None else "[0, K - 1]"
+        where = (
+            f"every swept num_sus value K (violated at {bad[:3]})"
+            if swept
+            else f"K = num_sus = {num_sus}"
         )
-    else:
-        complement = _get(
-            block, "vote_threshold_complement", int, diagnostics, "scenario.fusion."
+        diagnostics.append(
+            f"scenario.fusion.{field}: must lie in {rule} for {where}, got {given}"
         )
-        vote_threshold = None if complement is None else num_sus - complement
-    if vote_threshold is None:
         return None
     try:
         config = FusionConfig(
-            num_sus=num_sus,
-            vote_threshold=vote_threshold,
+            num_sus=counts[0],
+            vote_threshold=votes[0],
             prior_h0=prior_h0,
             report_error=report_error,
         )
     except ValueError as exc:
         diagnostics.append(f"scenario.fusion: {exc}")
         return None
-    if sweep_axis == "num_sus":
-        if complement is None:
-            bad = [v for v in sweep_values if not vote_threshold <= v]
-            field, rule = "vote_threshold", "stay within [1, K]"
-        else:
-            bad = [v for v in sweep_values if v - complement < 1]
-            field, rule = "vote_threshold_complement", "leave K - complement >= 1"
-        if bad:
-            diagnostics.append(
-                f"scenario.fusion.{field}: must {rule} for "
-                f"every swept num_sus value (violated at {bad[:3]})"
-            )
-            return None
     return config, complement
 
 

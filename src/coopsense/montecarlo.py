@@ -1,11 +1,18 @@
-"""Monte Carlo trial engine for cooperative sensing scenarios.
+"""Monte Carlo engine for cooperative sensing scenarios.
 
-Reproducibility contract: every trial owns a counter-derived random stream
-keyed by (scenario seed, trial index), so a trial's outcome never depends
-on execution order, chunking, or worker count. Within a trial the draw
-order is fixed: truth coin (mixed mode only), per-receiver noise variances,
-per-receiver window energies, reporting-channel flips (only when the flip
-probability is positive).
+Reproducibility contract (``STREAM_VERSION`` 1): a scenario's trials are
+cut into blocks of ``BLOCK_TRIALS`` consecutive trials, and only a cell's
+last block may be shorter. Block ``b`` draws from its own counter-mode
+stream, ``Philox(key=seed, counter=[0, 0, STREAM_VERSION, b])``, so a
+block's outcome never depends on execution order or worker count, and
+workers split a cell on block boundaries only. Within a block of n trials
+and K receivers the draw order is fixed: n truth coins (mixed truth
+only), n x K noise variances, n x K window energies (one Gamma draw each,
+or under the ``chi_square`` family one noncentral chi-square draw each,
+with noncentrality 0 on H0 trials), n x K reporting flips (only when the
+flip probability is positive). No draw depends on the threshold scheme,
+so every scheme at one sweep value sees the same random numbers. The
+block size is part of the contract, not a setting.
 
 Window energies are drawn from their exact sampling laws instead of being
 accumulated sample by sample: for k complex Gaussian samples the energy is
@@ -16,9 +23,10 @@ These identities are exercised against direct waveform simulation in the
 test suite. Receivers are simulated i.i.d.: signal draws are per-receiver,
 matching the independence assumed by the binomial fusion model.
 
-The trial loop holds no scheme logic: each scenario's normalizer and
-two-step bracket are computed once, and every trial hands its receivers'
-energies to ``threshold_schemes.decide_scheme``.
+The engine holds no scheme logic: each scenario's normalizer and two-step
+bracket are computed once, and every block hands its n x K energies to
+``threshold_schemes.decide_scheme`` and tallies the result with numpy
+reductions.
 
 A scenario declares which analytic family its closed-form columns use:
 
@@ -31,6 +39,7 @@ A scenario declares which analytic family its closed-form columns use:
 """
 
 import enum
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +47,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .detector import DetectorConfig, Hypothesis, analytic_pd, analytic_pf
+from .detector import DetectorConfig, analytic_pd, analytic_pf
 from .fusion import FusionConfig, cooperative_rates
 from .noise_model import NoiseUncertaintyModel, VarianceBracket
 from .specfun import reg_upper_gamma
@@ -52,15 +61,20 @@ from .threshold_schemes import (
 __all__ = [
     "TruthMode",
     "AnalyticFamily",
+    "BLOCK_TRIALS",
+    "STREAM_VERSION",
     "Scenario",
-    "TrialResult",
     "RateEstimate",
     "AnalyticRates",
     "ScenarioEstimate",
     "wilson_interval",
-    "run_trial",
     "estimate",
 ]
+
+# Trials per block and the version of the stream contract above; changing
+# either changes every estimate, so neither is configurable.
+BLOCK_TRIALS = 512
+STREAM_VERSION = 1
 
 
 class TruthMode(str, enum.Enum):
@@ -101,15 +115,6 @@ class Scenario:
     @property
     def snr_linear(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    truth: Hypothesis
-    su_decisions: tuple[int, ...]
-    reported: tuple[int, ...]
-    fused: Hypothesis
-    steps: int
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,8 @@ def _rate(successes: int, observations: int) -> RateEstimate:
 
 @dataclass(frozen=True)
 class _Runtime:
-    """Scenario constants hoisted out of the trial loop."""
+    """Scenario constants hoisted out of the block loop; pool tasks carry
+    this, not the ``Scenario``."""
 
     k: int
     num_sus: int
@@ -237,88 +243,13 @@ def _runtime(scenario: Scenario) -> _Runtime:
     )
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-mode stream for one trial: key is the seed, the trial index
-    selects a disjoint counter block."""
-    bits = np.random.Philox(key=seed, counter=[0, 0, 0, trial_index])
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """Counter-mode stream of one block: the key is the seed, and the two
+    top counter words hold the contract version and the block index."""
+    if block < 0:
+        raise ValueError(f"block must be >= 0, got {block!r}")
+    bits = np.random.Philox(key=seed, counter=[0, 0, STREAM_VERSION, block])
     return np.random.Generator(bits)
-
-
-class _TrialStreams:
-    """Reusable per-trial streams: one Philox instance whose counter block
-    is reset for every trial index, yielding streams bit-identical to fresh
-    construction at a fraction of the cost."""
-
-    def __init__(self, seed: int):
-        self._bits = np.random.Philox(key=seed, counter=[0, 0, 0, 0])
-        self.generator = np.random.Generator(self._bits)
-        self._state = self._bits.state
-
-    def for_trial(self, trial_index: int) -> np.random.Generator:
-        state = self._state
-        counter = state["state"]["counter"]
-        counter[:] = 0
-        counter[3] = trial_index
-        state["buffer_pos"] = 4  # discard any buffered words
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bits.state = state
-        return self.generator
-
-
-def _simulate_trial(rt: _Runtime, rng: np.random.Generator):
-    """One trial; returns (truth, decisions, reported, fused, steps)."""
-    if rt.truth == TruthMode.MIXED:
-        truth = Hypothesis.H0 if rng.random() < rt.prior_h0 else Hypothesis.H1
-    else:
-        truth = Hypothesis.H0 if rt.truth == TruthMode.H0 else Hypothesis.H1
-
-    variances = rng.uniform(rt.bracket.low, rt.bracket.high, size=rt.num_sus)
-
-    if truth == Hypothesis.H0:
-        energies = variances * rng.standard_gamma(rt.k, size=rt.num_sus)
-    elif rt.family == AnalyticFamily.CHI_SQUARE:
-        noncentrality = 2.0 * rt.signal_energy / variances
-        energies = 0.5 * variances * rng.noncentral_chisquare(
-            2.0 * rt.k, noncentrality, size=rt.num_sus
-        )
-    else:
-        energies = (variances + rt.signal_power) * rng.standard_gamma(
-            rt.k, size=rt.num_sus
-        )
-
-    decisions, steps = decide_scheme(
-        energies, rt.k, rt.threshold_norm, rt.normalizer, rt.step_bracket
-    )
-
-    if rt.report_error > 0.0:
-        reported = decisions ^ (rng.random(rt.num_sus) < rt.report_error)
-    else:
-        reported = decisions
-
-    fused = (
-        Hypothesis.H1
-        if int(np.count_nonzero(reported)) >= rt.vote_threshold
-        else Hypothesis.H0
-    )
-    return truth, decisions, reported, fused, int(steps.sum())
-
-
-def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
-    """Simulate one trial; a pure function of (scenario.seed, trial_index)."""
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
-    rt = _runtime(scenario)
-    truth, decisions, reported, fused, steps = _simulate_trial(
-        rt, _trial_rng(scenario.seed, trial_index)
-    )
-    return TrialResult(
-        truth=truth,
-        su_decisions=tuple(int(d) for d in decisions),
-        reported=tuple(int(r) for r in reported),
-        fused=fused,
-        steps=steps,
-    )
 
 
 @dataclass
@@ -345,33 +276,58 @@ class _Tally:
         )
 
 
-def _run_range(scenario: Scenario, start: int, stop: int) -> _Tally:
-    rt = _runtime(scenario)
-    streams = _TrialStreams(scenario.seed)
+def _simulate_block(rt: _Runtime, rng: np.random.Generator, n: int) -> _Tally:
+    """Tally of ``n`` trials drawn from ``rng`` in the documented order."""
+    shape = (n, rt.num_sus)
+    if rt.truth == TruthMode.MIXED:
+        h1 = rng.random(n) >= rt.prior_h0
+    else:
+        h1 = np.full(n, rt.truth == TruthMode.H1)
+    variances = rng.uniform(rt.bracket.low, rt.bracket.high, size=shape)
+    if rt.family == AnalyticFamily.CHI_SQUARE:
+        # noncentrality 0 is the central law: 0.5 * v * chi2(2k) = v * Gamma(k)
+        noncentrality = 2.0 * rt.signal_energy * h1[:, None] / variances
+        energies = 0.5 * variances * rng.noncentral_chisquare(2.0 * rt.k, noncentrality)
+    else:
+        scale = variances + rt.signal_power * h1[:, None]
+        energies = scale * rng.standard_gamma(rt.k, size=shape)
+
+    decisions, steps = decide_scheme(
+        energies, rt.k, rt.threshold_norm, rt.normalizer, rt.step_bracket
+    )
+    reported = decisions
+    if rt.report_error > 0.0:
+        reported = decisions ^ (rng.random(shape) < rt.report_error)
+
+    fused = np.count_nonzero(reported, axis=1) >= rt.vote_threshold
+    positives = np.count_nonzero(decisions, axis=1)
+    trials_h1 = int(np.count_nonzero(h1))
+    su_detections = int(positives[h1].sum())
+    false_alarms = int(np.count_nonzero(fused & ~h1))
+    misses = int(np.count_nonzero(h1 & ~fused))
+    return _Tally(
+        trials_h0=n - trials_h1,
+        trials_h1=trials_h1,
+        su_false_alarms=int(positives.sum()) - su_detections,
+        su_detections=su_detections,
+        fused_false_alarms=false_alarms,
+        fused_misses=misses,
+        fused_errors=false_alarms + misses,
+        steps_total=int(steps.sum()),
+    )
+
+
+def _run_blocks(rt: _Runtime, seed: int, trials: int, first: int, stop: int) -> _Tally:
+    """Tally of blocks ``first`` up to ``stop`` of a ``trials``-trial cell."""
     tally = _Tally()
-    for index in range(start, stop):
-        truth, decisions, _, fused, steps = _simulate_trial(
-            rt, streams.for_trial(index)
-        )
-        positives = int(np.count_nonzero(decisions))
-        tally.steps_total += steps
-        if truth == Hypothesis.H0:
-            tally.trials_h0 += 1
-            tally.su_false_alarms += positives
-            if fused == Hypothesis.H1:
-                tally.fused_false_alarms += 1
-                tally.fused_errors += 1
-        else:
-            tally.trials_h1 += 1
-            tally.su_detections += positives
-            if fused == Hypothesis.H0:
-                tally.fused_misses += 1
-                tally.fused_errors += 1
+    for block in range(first, stop):
+        n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+        tally = tally.merge(_simulate_block(rt, _block_rng(seed, block), n))
     return tally
 
 
-def _range_worker(args) -> _Tally:
-    return _run_range(*args)
+def _blocks_worker(args) -> _Tally:
+    return _run_blocks(*args)
 
 
 def _analytic_rates(scenario: Scenario) -> AnalyticRates:
@@ -390,10 +346,10 @@ def _analytic_rates(scenario: Scenario) -> AnalyticRates:
     return AnalyticRates(p_f=p_f, p_d=p_d, q_f=fused.q_f, q_m=fused.q_m, q_e=fused.q_e)
 
 
-def _split_ranges(trials: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, trials))
-    step = trials // parts
-    extra = trials % parts
+def _split_ranges(count: int, parts: int) -> list[tuple[int, int]]:
+    parts = max(1, min(parts, count))
+    step = count // parts
+    extra = count % parts
     ranges = []
     start = 0
     for i in range(parts):
@@ -410,25 +366,28 @@ def estimate(
 ) -> ScenarioEstimate:
     """Aggregate all trials of a scenario into rate estimates.
 
-    ``workers`` > 1 splits the trial range across processes; because each
-    trial derives its own stream, the tallies (and therefore every estimate)
-    are bit-identical for any worker count.
+    ``workers`` > 1 splits the cell's blocks into contiguous ranges, one
+    pool task each (run on ``executor`` when given); a cell that yields one
+    range runs in this process. Because each block derives its own stream,
+    the tallies (and therefore every estimate) are bit-identical for any
+    worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    if executor is not None or workers > 1:
-        ranges = _split_ranges(scenario.trials, workers)
-        args = [(scenario, start, stop) for start, stop in ranges]
-        if executor is not None:
-            tallies = list(executor.map(_range_worker, args))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                tallies = list(pool.map(_range_worker, args))
-        tally = _Tally()
-        for part in tallies:
-            tally = tally.merge(part)
+    blocks = -(-scenario.trials // BLOCK_TRIALS)
+    rt = _runtime(scenario)
+    args = [
+        (rt, scenario.seed, scenario.trials, first, stop)
+        for first, stop in _split_ranges(blocks, workers)
+    ]
+    if len(args) == 1:
+        tallies = [_run_blocks(*args[0])]
+    elif executor is not None:
+        tallies = list(executor.map(_blocks_worker, args))
     else:
-        tally = _run_range(scenario, 0, scenario.trials)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tallies = list(pool.map(_blocks_worker, args))
+    tally = functools.reduce(_Tally.merge, tallies)
 
     num_sus = scenario.fusion.num_sus
     su_obs_h0 = tally.trials_h0 * num_sus

@@ -1,8 +1,8 @@
 """Acceptance suite: every release criterion with its pinned tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion. The figure sweeps dominate the runtime (a few minutes
-each at 1e5 trials per point); everything else runs in seconds.
+line per criterion. The figure sweeps dominate the runtime (seconds each
+at 1e5 trials per point); everything else runs in seconds too.
 """
 
 import itertools

@@ -150,6 +150,32 @@ class TestValidation:
             "vote_threshold_complement" in d and "[5]" in d for d in diagnostics
         )
 
+    @pytest.mark.parametrize(
+        "field, given, votes",
+        [
+            ("vote_threshold_complement", 5, [1, 5, 15]),
+            ("vote_threshold", 5, [5, 5, 5]),
+        ],
+    )
+    def test_swept_receivers_checked_at_swept_values(
+        self, write_spec, field, given, votes
+    ):
+        # base num_sus 3 cannot hold the rule, but every swept K can
+        document = json.loads(resolve_spec_path("fig3").read_text(encoding="utf-8"))
+        document["sweep"] = {"axis": "num_sus", "values": [6, 10, 20]}
+        document["scenario"]["snr_db"] = -10.0
+        fusion = document["scenario"]["fusion"]
+        del fusion["vote_threshold_complement"]
+        fusion["num_sus"] = 3
+        fusion[field] = given
+        path = write_spec(document)
+        assert validate_spec(path) == []
+        spec = load_spec(path)
+        assert [
+            _scenario_for(spec, value, spec.schemes[0]).fusion.vote_threshold
+            for value in spec.sweep_values
+        ] == votes
+
     def test_both_vote_conventions_rejected(self, write_spec):
         document = spec_document()
         document["scenario"]["fusion"]["vote_threshold_complement"] = 2

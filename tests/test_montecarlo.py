@@ -1,19 +1,25 @@
 """Tests for the Monte Carlo trial engine."""
 
 import math
-from dataclasses import replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from coopsense.detector import DetectorConfig, Hypothesis, analytic_pf
+from coopsense.detector import DetectorConfig, analytic_pf
 from coopsense.fusion import FusionConfig
 from coopsense.montecarlo import (
+    BLOCK_TRIALS,
     AnalyticFamily,
     Scenario,
     TruthMode,
+    _block_rng,
+    _run_blocks,
+    _runtime,
+    _simulate_block,
+    _Tally,
     estimate,
-    run_trial,
     wilson_interval,
 )
 from coopsense.noise_model import NoiseUncertaintyModel
@@ -62,96 +68,120 @@ def uncertain_scenario(**overrides):
     return Scenario(**base)
 
 
+def block_tallies(scenario, blocks, n=BLOCK_TRIALS):
+    rt = _runtime(scenario)
+    return [
+        _simulate_block(rt, _block_rng(scenario.seed, block), n) for block in blocks
+    ]
+
+
 class TestRunTrial:
+    """The block kernel: one block of trials from its (seed, block) stream."""
+
     def test_deterministic_in_seed_and_index(self):
         scenario = uncertain_scenario(scheme=SchemeConfig.two_step())
-        for index in [0, 1, 17, 999]:
-            assert run_trial(scenario, index) == run_trial(scenario, index)
+        for block in [0, 1, 17, 999]:
+            assert block_tallies(scenario, [block]) == block_tallies(scenario, [block])
 
     def test_different_indices_differ(self):
         scenario = uncertain_scenario(trials=200)
-        outcomes = {run_trial(scenario, i).su_decisions for i in range(50)}
+        outcomes = {astuple(t) for t in block_tallies(scenario, range(50), n=200)}
         assert len(outcomes) > 1
 
     def test_overwhelming_signal_always_detected(self):
         scenario = uncertain_scenario(
             snr_db=40.0, truth=TruthMode.H1, trials=10**4
         )
-        fused = [run_trial(scenario, i).fused for i in range(10**4)]
-        assert np.mean([f == Hypothesis.H1 for f in fused]) >= 0.999
+        tally = _run_blocks(_runtime(scenario), scenario.seed, 10**4, 0, 20)
+        assert tally.trials_h1 == 10**4
+        assert 1.0 - tally.fused_misses / tally.trials_h1 >= 0.999
 
     def test_zero_signal_variance_matches_noise_only(self):
         # a degenerate H1 consumes the same draws as H0, so outcomes match
         # trial for trial, not just in distribution
-        detector = DetectorConfig(
-            sample_count=2000,
-            time_bandwidth=2000.0,
-            threshold=1.062,
-            signal_variance=0.0,
-        )
-        h1 = uncertain_scenario(detector=detector, truth=TruthMode.H1)
-        h0 = uncertain_scenario(detector=detector, truth=TruthMode.H0)
-        for i in range(200):
-            assert run_trial(h1, i).su_decisions == run_trial(h0, i).su_decisions
+        for make in [uncertain_scenario, chi_square_scenario]:
+            detector = replace(make().detector, signal_variance=0.0)
+            h1 = make(detector=detector, truth=TruthMode.H1)
+            h0 = make(detector=detector, truth=TruthMode.H0)
+            for on, off in zip(
+                block_tallies(h1, range(4)), block_tallies(h0, range(4))
+            ):
+                assert on.trials_h1 == off.trials_h0 == BLOCK_TRIALS
+                assert on.su_detections == off.su_false_alarms
+                assert on.fused_misses == BLOCK_TRIALS - off.fused_false_alarms
+                assert on.steps_total == off.steps_total
 
     def test_su_decisions_match_inline_oracle(self):
-        # replays each trial's documented draw order and checks the engine's
-        # per-receiver decisions against each scheme's rule written out here
-        from coopsense.montecarlo import _trial_rng
-
+        # replays one block's documented draw order and checks the kernel's
+        # tally against each scheme's rule written out here, trial by trial
+        block = 3
         for scheme in [
             SchemeConfig.fixed(),
             SchemeConfig.two_step(),
             SchemeConfig.expectation(),
             SchemeConfig.convex(),
         ]:
-            scenario = uncertain_scenario(scheme=scheme, trials=50)
+            # flips frequent enough to change fused outcomes within a block
+            fusion = FusionConfig(
+                num_sus=5, vote_threshold=2, prior_h0=0.5, report_error=0.05
+            )
+            scenario = uncertain_scenario(scheme=scheme, fusion=fusion)
+            (result,) = block_tallies(scenario, [block])
             noise = scenario.noise
             k = scenario.detector.sample_count
             threshold = scenario.detector.threshold
-            for index in range(50):
-                result = run_trial(scenario, index)
-                rng = _trial_rng(scenario.seed, index)
-                truth_roll = rng.random()
-                truth = (
-                    Hypothesis.H0
-                    if truth_roll < scenario.fusion.prior_h0
-                    else Hypothesis.H1
-                )
-                assert truth == result.truth
-                variances = rng.uniform(
-                    noise.bracket.low, noise.bracket.high, scenario.fusion.num_sus
-                )
-                if truth == Hypothesis.H0:
-                    energies = variances * rng.standard_gamma(
-                        k, scenario.fusion.num_sus
+            shape = (BLOCK_TRIALS, fusion.num_sus)
+            rng = _block_rng(scenario.seed, block)
+            truth_rolls = rng.random(BLOCK_TRIALS)
+            variances = rng.uniform(noise.bracket.low, noise.bracket.high, shape)
+            gammas = rng.standard_gamma(k, shape)
+            flips = rng.random(shape) < fusion.report_error
+            power = scenario.snr_linear * noise.nominal_variance
+
+            expected = _Tally()
+            for trial in range(BLOCK_TRIALS):
+                is_h0 = truth_rolls[trial] < fusion.prior_h0
+                votes = positives = 0
+                for su in range(fusion.num_sus):
+                    variance = float(variances[trial, su])
+                    energy = (variance if is_h0 else variance + power) * float(
+                        gammas[trial, su]
                     )
-                else:
-                    power = scenario.snr_linear * noise.nominal_variance
-                    energies = (variances + power) * rng.standard_gamma(
-                        k, scenario.fusion.num_sus
-                    )
-                for su, energy in enumerate(energies):
-                    energy = float(energy)
+                    steps = 1
                     if scheme.kind == SchemeKind.FIXED:
-                        expected = energy / (k * noise.nominal_variance) >= threshold
+                        decision = energy / (k * noise.nominal_variance) >= threshold
                     elif scheme.kind == SchemeKind.TWO_STEP:
                         low = energy / (k * noise.bracket.high)
                         high = energy / (k * noise.bracket.low)
                         if low >= threshold:
-                            expected = True
+                            decision = True
                         elif high < threshold:
-                            expected = False
+                            decision = False
                         else:
-                            expected = energy / (k * noise.bracket.mean) >= threshold
+                            steps = 2
+                            decision = energy / (k * noise.bracket.mean) >= threshold
                     else:
                         # convex over constant expectations is their value
-                        expected = energy / (k * noise.expected_variance) >= threshold
-                    assert result.su_decisions[su] == int(expected)
+                        decision = energy / (k * noise.expected_variance) >= threshold
+                    positives += decision
+                    votes += decision != flips[trial, su]
+                    expected.steps_total += steps
+                fused_h1 = votes >= fusion.vote_threshold
+                if is_h0:
+                    expected.trials_h0 += 1
+                    expected.su_false_alarms += positives
+                    expected.fused_false_alarms += fused_h1
+                    expected.fused_errors += fused_h1
+                else:
+                    expected.trials_h1 += 1
+                    expected.su_detections += positives
+                    expected.fused_misses += not fused_h1
+                    expected.fused_errors += not fused_h1
+            assert result == expected, scheme.kind
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            run_trial(chi_square_scenario(), -1)
+            _block_rng(chi_square_scenario().seed, -1)
 
 
 class TestEnergyLawSampling:
@@ -262,6 +292,42 @@ class TestEstimate:
         serial = estimate(scenario, workers=1)
         parallel = estimate(scenario, workers=3)
         assert serial == parallel
+
+    def test_block_boundaries_do_not_change_estimates(self):
+        # workers split cells on block boundaries only, including the short
+        # last block, so the estimate is the same for any worker count
+        scenario = uncertain_scenario(scheme=SchemeConfig.two_step())
+        B = BLOCK_TRIALS
+        with ProcessPoolExecutor(max_workers=3) as shared:
+            for trials in [1, B - 1, B, B + 1, 3 * B + 7]:
+                cell = replace(scenario, trials=trials)
+                serial = estimate(cell)
+                assert serial.trials == trials
+                assert serial.q_f.observations + serial.q_m.observations == trials
+                for workers in [1, 2, 3]:
+                    assert estimate(cell, workers, executor=shared) == serial
+
+    def test_schemes_share_random_numbers(self):
+        # draws never depend on the scheme: convex is expectation exactly,
+        # and two_step decides like expectation while counting second steps
+        results = {
+            scheme.kind: estimate(uncertain_scenario(scheme=scheme, trials=5000))
+            for scheme in [
+                SchemeConfig.fixed(),
+                SchemeConfig.two_step(),
+                SchemeConfig.expectation(),
+                SchemeConfig.convex(),
+            ]
+        }
+        expectation = results[SchemeKind.EXPECTATION]
+        for result in results.values():
+            assert result.q_f.observations == expectation.q_f.observations
+            assert result.q_m.observations == expectation.q_m.observations
+        assert results[SchemeKind.CONVEX] == expectation
+        two_step = results[SchemeKind.TWO_STEP]
+        for rate in ["p_f", "p_d", "q_f", "q_m", "q_e"]:
+            assert getattr(two_step, rate) == getattr(expectation, rate)
+        assert two_step.steps_mean >= 1.0
 
     def test_wilson_coverage_across_seeds(self):
         # the 95% interval for P_f must cover the closed form in >= 90% of
