@@ -107,24 +107,32 @@ def vote(decisions: Sequence[int], threshold: int) -> Hypothesis:
     return Hypothesis.H1 if int(votes.sum()) >= threshold else Hypothesis.H0
 
 
-def _binomial_sum(num_sus: int, support: range, p: float) -> float:
-    """Sum of C(K, l) p^l (1-p)^(K-l) over l in ``support``, via log terms."""
+def _binomial_terms(num_sus: int, support: range, p: float) -> list[float]:
+    """C(K, l) p^l (1-p)^(K-l) for each l in ``support``, via log terms."""
     if p == 0.0:
-        return 1.0 if 0 in support else 0.0
+        return [1.0 if l == 0 else 0.0 for l in support]
     if p == 1.0:
-        return 1.0 if num_sus in support else 0.0
+        return [1.0 if l == num_sus else 0.0 for l in support]
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    total = 0.0
-    for l in support:
-        log_term = (
-            math.lgamma(num_sus + 1)
+    log_k_factorial = math.lgamma(num_sus + 1)
+    return [
+        math.exp(
+            log_k_factorial
             - math.lgamma(l + 1)
             - math.lgamma(num_sus - l + 1)
             + l * log_p
             + (num_sus - l) * log_q
         )
-        total += math.exp(log_term)
+        for l in support
+    ]
+
+
+def _binomial_sum(num_sus: int, support: range, p: float) -> float:
+    """Sum of C(K, l) p^l (1-p)^(K-l) over l in ``support``, in order."""
+    total = 0.0
+    for term in _binomial_terms(num_sus, support, p):
+        total += term
     return min(total, 1.0)
 
 
@@ -190,13 +198,28 @@ def optimize_vote_count(
 ) -> tuple[int, float]:
     """Exhaustive argmin of the total error over vote thresholds 1..K.
 
-    Ties break toward the smaller threshold (the OR-leaning rule).
+    The K + 1 binomial terms of each rate are computed once: Q_f(n) is the
+    suffix sum from l = K down to n and Q_m(n) the prefix sum over l < n,
+    each the directly summed side as in :func:`coop_qf` and
+    :func:`coop_qm`. Ties break toward the smaller threshold (the
+    OR-leaning rule).
     """
     if num_sus < 1:
         raise ValueError(f"num_sus must be >= 1, got {num_sus!r}")
+    p_f = probability(p_f, "p_f")
+    p_d = probability(p_d, "p_d")
+    prior_h0 = probability(prior_h0, "prior_h0")
+    outcomes = range(num_sus + 1)
+    false_alarm_terms = _binomial_terms(num_sus, outcomes, p_f)
+    detect_terms = _binomial_terms(num_sus, outcomes, p_d)
+    q_f = [0.0] * (num_sus + 2)
+    for l in reversed(outcomes):
+        q_f[l] = q_f[l + 1] + false_alarm_terms[l]
     best_n, best_qe = 1, math.inf
+    q_m = 0.0
     for n in range(1, num_sus + 1):
-        qe = total_error(prior_h0, coop_qf(num_sus, n, p_f), coop_qm(num_sus, n, p_d))
+        q_m += detect_terms[n - 1]
+        qe = total_error(prior_h0, min(q_f[n], 1.0), min(q_m, 1.0))
         if qe < best_qe:
             best_n, best_qe = n, qe
     return best_n, best_qe

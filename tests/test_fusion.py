@@ -209,6 +209,22 @@ class TestOptimizeVoteCount:
                 )
                 assert qe_star <= qe + 1e-15
 
+    def test_one_pass_matches_per_rule_scan_at_large_k(self):
+        # the per-rule scan sums each tail afresh; the one-pass prefix and
+        # suffix sums add the same terms in another order
+        rng = np.random.default_rng(709)
+        for _ in range(20):
+            num_sus = int(rng.integers(16, 121))
+            p_f, p_d, alpha = (float(v) for v in rng.random(3))
+            n_star, qe_star = optimize_vote_count(num_sus, p_f, p_d, alpha)
+            scan = [
+                total_error(alpha, coop_qf(num_sus, n, p_f), coop_qm(num_sus, n, p_d))
+                for n in range(1, num_sus + 1)
+            ]
+            best = min(scan)
+            assert abs(qe_star - best) <= 1e-14 * best + 1e-300
+            assert abs(scan[n_star - 1] - best) <= 1e-14 * best + 1e-300
+
 
 class TestReportingErrors:
     def test_zero_probability_is_identity(self):
