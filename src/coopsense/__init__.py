@@ -6,15 +6,15 @@ Library layout:
   generalized Marcum Q.
 * :mod:`coopsense.noise_model` - complex Gaussian noise generation,
   variance estimation, confidence brackets.
-* :mod:`coopsense.detector` - energy statistic, threshold test and the
-  closed-form single-detector probabilities.
+* :mod:`coopsense.detector` - detector configuration, energy statistic and
+  the closed-form single-detector probabilities.
 * :mod:`coopsense.threshold_schemes` - fixed, two-step interval,
-  expectation-normalized and convex-weighted threshold strategies, decided
-  by one vectorized kernel.
-* :mod:`coopsense.fusion` - n-out-of-K voting, cooperative error rates,
+  expectation-normalized and convex-weighted threshold strategies, named
+  by ``SchemeKind`` and decided by one vectorized kernel.
+* :mod:`coopsense.fusion` - cooperative error rates of n-out-of-K voting,
   optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
-  block-batched Monte Carlo engine.
+  block-batched Monte Carlo engine and the nominal closed-form rates.
 * :mod:`coopsense.cli_experiments` - command-line sweep runner over JSON
   experiment specs, CSV output.
 """
@@ -24,7 +24,6 @@ from .detector import (
     Hypothesis,
     analytic_pd,
     analytic_pf,
-    decide,
     energy_statistic,
     pdf_normalized,
     pf_pm_from_pdf,
@@ -32,7 +31,6 @@ from .detector import (
 from .fusion import (
     CooperativeRates,
     FusionConfig,
-    apply_reporting_errors,
     coop_qf,
     coop_qm,
     cooperative_rates,
@@ -40,7 +38,6 @@ from .fusion import (
     optimize_vote_count,
     total_error,
     total_error_over_noise_states,
-    vote,
 )
 from .montecarlo import (
     AnalyticFamily,
@@ -50,6 +47,7 @@ from .montecarlo import (
     ScenarioEstimate,
     TruthMode,
     estimate,
+    nominal_rates,
     wilson_interval,
 )
 from .noise_model import (
@@ -69,7 +67,6 @@ from .specfun import (
     reg_upper_gamma,
 )
 from .threshold_schemes import (
-    SchemeConfig,
     SchemeKind,
     convex_normalizer,
     decide_scheme,

@@ -4,8 +4,9 @@ Reads a JSON experiment spec, sweeps one axis (``snr_db``, ``num_sus`` or
 ``threshold``) across a list of values for each requested scheme, and
 writes one CSV row per (sweep value, scheme). Output is written to a
 temporary file and atomically renamed, so a crashed run never leaves a
-partial table. Results are byte-identical for a given seed regardless of
-``--workers``.
+partial table, and a cell that fails stops the run with a diagnostic
+naming its sweep value and scheme. Results are byte-identical for a given
+seed regardless of ``--workers``.
 
 Usage:
     coopsense run SPEC [--out PATH] [--seed N] [--workers N]
@@ -31,9 +32,18 @@ from pathlib import Path
 
 from .detector import DetectorConfig
 from .fusion import FusionConfig, optimize_vote_count
-from .montecarlo import AnalyticFamily, Scenario, ScenarioEstimate, TruthMode, estimate
+from .montecarlo import (
+    AnalyticFamily,
+    AnalyticRates,
+    Scenario,
+    ScenarioEstimate,
+    TruthMode,
+    estimate,
+    nominal_rates,
+)
 from .noise_model import NoiseUncertaintyModel, VarianceBracket
-from .threshold_schemes import SchemeConfig, SchemeKind, default_weights
+from .specfun import ConvergenceError
+from .threshold_schemes import SchemeKind
 
 __all__ = [
     "CSV_COLUMNS",
@@ -84,7 +94,7 @@ class ExperimentSpec:
     name: str
     sweep_axis: str
     sweep_values: tuple
-    schemes: tuple[SchemeConfig, ...]
+    schemes: tuple[SchemeKind, ...]
     base: Scenario
     output: str
     # set when the spec counts votes as K - n; resolved per swept K
@@ -275,44 +285,22 @@ def _parse_fusion(block, diagnostics, sweep_axis, sweep_values):
     return config, complement
 
 
-def _parse_schemes(raw, scheme_options, sample_count, diagnostics):
+def _parse_schemes(raw, diagnostics):
     if raw is None:
         return None
     if not raw:
         diagnostics.append("schemes: must list at least one scheme")
         return None
-    options = scheme_options or {}
-    ratio = _get(
-        options, "weights_ratio", float, diagnostics, "scenario.scheme_options.",
-        required=False, default=0.5,
-    )
-    exponent = _get(
-        options, "exponent", int, diagnostics, "scenario.scheme_options.",
-        required=False, default=1,
-    )
     schemes = []
     for entry in raw:
         try:
-            kind = SchemeKind(entry)
+            schemes.append(SchemeKind(entry))
         except ValueError:
             diagnostics.append(
                 f"schemes: unknown scheme {entry!r} "
                 f"(choose from {[k.value for k in SchemeKind]})"
             )
             return None
-        if kind == SchemeKind.CONVEX:
-            try:
-                weights = (
-                    None
-                    if sample_count is None
-                    else default_weights(sample_count, ratio)
-                )
-                schemes.append(SchemeConfig.convex(weights=weights, exponent=exponent))
-            except ValueError as exc:
-                diagnostics.append(f"scenario.scheme_options: {exc}")
-                return None
-        else:
-            schemes.append(SchemeConfig(kind=kind))
     return tuple(schemes)
 
 
@@ -350,8 +338,10 @@ def _parse_spec(document, spec_name, diagnostics):
                 diagnostics.append(
                     "sweep.values: num_sus values must be integers >= 1"
                 )
-            elif sweep_axis == "threshold" and any(v < 0 for v in values):
-                diagnostics.append("sweep.values: thresholds must be >= 0")
+            elif sweep_axis == "threshold" and any(
+                not math.isfinite(v) or v < 0 for v in values
+            ):
+                diagnostics.append("sweep.values: thresholds must be finite and >= 0")
             elif sweep_axis == "snr_db" and any(not math.isfinite(v) for v in values):
                 diagnostics.append("sweep.values: snr_db values must be finite")
             else:
@@ -400,10 +390,12 @@ def _parse_spec(document, spec_name, diagnostics):
     detector_block = _get(scenario_block, "detector", dict, diagnostics, "scenario.")
     noise_block = _get(scenario_block, "noise", dict, diagnostics, "scenario.")
     fusion_block = _get(scenario_block, "fusion", dict, diagnostics, "scenario.")
-    options_block = _get(
-        scenario_block, "scheme_options", dict, diagnostics, "scenario.",
-        required=False,
-    )
+    if "scheme_options" in scenario_block:
+        diagnostics.append(
+            "scenario.scheme_options: has no effect, remove it (every noise "
+            "component expects the bracket mean, so the convex normalizer is "
+            "that mean whatever the weights or exponent)"
+        )
 
     detector = _parse_detector(detector_block, diagnostics) if detector_block else None
     noise = _parse_noise(noise_block, diagnostics) if noise_block else None
@@ -412,12 +404,7 @@ def _parse_spec(document, spec_name, diagnostics):
         if fusion_block
         else None
     ) or (None, None)  # _parse_fusion returns None after a diagnostic
-    schemes = _parse_schemes(
-        schemes_raw,
-        options_block,
-        detector.sample_count if detector else None,
-        diagnostics,
-    )
+    schemes = _parse_schemes(schemes_raw, diagnostics)
 
     if trials is not None and trials < 1:
         diagnostics.append(f"scenario.trials: must be >= 1, got {trials}")
@@ -483,7 +470,7 @@ def validate_spec(path) -> list[str]:
     return []
 
 
-def _scenario_for(spec: ExperimentSpec, value, scheme: SchemeConfig) -> Scenario:
+def _scenario_for(spec: ExperimentSpec, value, scheme: SchemeKind) -> Scenario:
     base = spec.base
     if spec.sweep_axis == "snr_db":
         return replace(base, scheme=scheme, snr_db=float(value))
@@ -506,10 +493,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _csv_row(value, scheme: SchemeConfig, result: ScenarioEstimate) -> str:
+def _csv_row(
+    value, scheme: SchemeKind, result: ScenarioEstimate, nominal: AnalyticRates
+) -> str:
     cells = [
         _format_value(value),
-        scheme.kind.value,
+        scheme.value,
         repr(float(result.p_d.value)),
         repr(float(result.p_d.lower)),
         repr(float(result.p_d.upper)),
@@ -519,9 +508,9 @@ def _csv_row(value, scheme: SchemeConfig, result: ScenarioEstimate) -> str:
         repr(float(result.q_f.value)),
         repr(float(result.q_m.value)),
         repr(float(result.q_e.value)),
-        repr(float(result.analytic.p_d)),
-        repr(float(result.analytic.p_f)),
-        repr(float(result.analytic.q_e)),
+        repr(float(nominal.p_d)),
+        repr(float(nominal.p_f)),
+        repr(float(nominal.q_e)),
         repr(float(result.steps_mean)),
         str(result.trials),
         str(result.seed),
@@ -543,7 +532,12 @@ def run_experiment(
     workers: int | None = None,
     quiet: bool = False,
 ) -> Path:
-    """Run every (sweep value, scheme) cell and write the CSV atomically."""
+    """Run every (sweep value, scheme) cell and write the CSV atomically.
+
+    The nominal closed forms are evaluated once per sweep value, in its
+    first cell. A cell that fails raises ``SpecValidationError`` naming the
+    sweep value, the scheme and the reason, and no CSV is written.
+    """
     spec = load_spec(spec_path)
     if seed is not None:
         if not 0 <= seed < 2**64:
@@ -563,14 +557,23 @@ def run_experiment(
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for value in spec.sweep_values:
+            nominal = None
             for scheme in spec.schemes:
-                scenario = _scenario_for(spec, value, scheme)
-                result = estimate(scenario, workers=workers, executor=executor)
-                rows.append(_csv_row(value, scheme, result))
+                try:
+                    scenario = _scenario_for(spec, value, scheme)
+                    if nominal is None:
+                        nominal = nominal_rates(scenario)
+                    result = estimate(scenario, workers=workers, executor=executor)
+                except (ArithmeticError, ConvergenceError, ValueError) as exc:
+                    raise SpecValidationError([
+                        f"cell {spec.sweep_axis}={_format_value(value)} "
+                        f"{scheme.value}: {type(exc).__name__}: {exc}"
+                    ]) from exc
+                rows.append(_csv_row(value, scheme, result, nominal))
                 if not quiet:
                     print(
                         f"{spec.name} {spec.sweep_axis}={value} "
-                        f"{scheme.kind.value}: qe={result.q_e.value:.6f} "
+                        f"{scheme.value}: qe={result.q_e.value:.6f} "
                         f"pf={result.p_f.value:.6f} pd={result.p_d.value:.6f}"
                     )
     finally:

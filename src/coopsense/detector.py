@@ -1,4 +1,7 @@
-"""Single-receiver energy detector: statistic, decision rule, closed forms.
+"""Single-receiver energy detector: configuration, statistic, closed forms.
+
+The threshold test itself (H1 when the statistic is >= the threshold) has
+one implementation, ``threshold_schemes.decide_scheme``.
 
 Two analytic families coexist and are both exposed:
 
@@ -24,7 +27,6 @@ __all__ = [
     "Hypothesis",
     "DetectorConfig",
     "energy_statistic",
-    "decide",
     "analytic_pf",
     "analytic_pd",
     "pdf_normalized",
@@ -62,17 +64,19 @@ class DetectorConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
-        if self.time_bandwidth <= 0.0:
+        if not math.isfinite(self.time_bandwidth) or self.time_bandwidth <= 0.0:
             raise ValueError(
-                f"time_bandwidth must be > 0, got {self.time_bandwidth!r}"
+                f"time_bandwidth must be finite and > 0, got {self.time_bandwidth!r}"
             )
         if self.threshold < 0.0 or not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold!r}")
         if not math.isfinite(self.channel_gain):
             raise ValueError("channel_gain must be finite")
-        if self.signal_variance is not None and self.signal_variance < 0.0:
+        if self.signal_variance is not None and not (
+            math.isfinite(self.signal_variance) and self.signal_variance >= 0.0
+        ):
             raise ValueError(
-                f"signal_variance must be >= 0, got {self.signal_variance!r}"
+                f"signal_variance must be finite and >= 0, got {self.signal_variance!r}"
             )
 
 
@@ -90,11 +94,6 @@ def energy_statistic(samples, noise_variance: float) -> float:
         raise ValueError("samples must be nonempty")
     energy = float(np.sum(np.abs(data) ** 2))
     return energy / (data.size * noise_variance)
-
-
-def decide(statistic: float, threshold: float) -> Hypothesis:
-    """Threshold test; the boundary counts as a detection (>= is H1)."""
-    return Hypothesis.H1 if statistic >= threshold else Hypothesis.H0
 
 
 def analytic_pf(order: float, threshold: float) -> float:

@@ -1,31 +1,27 @@
-"""Fusion-center logic: n-out-of-K voting and cooperative error rates.
+"""Fusion-center logic: cooperative error rates of n-out-of-K voting.
 
 Per-receiver decisions are assumed i.i.d., so the fused rates are binomial
-tails. Tail terms are accumulated in log space and the smaller side of the
-split is always the one summed directly, which keeps both rates accurate
-at the extremes.
+tails, and reporting-channel flips fold into the per-receiver rates
+(``effective_rate``). Tail terms are accumulated in log space and the
+smaller side of the split is always the one summed directly, which keeps
+both rates accurate at the extremes. The simulated vote count and report
+flips live in the Monte Carlo engine only.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .detector import Hypothesis
-
 __all__ = [
     "FusionConfig",
     "CooperativeRates",
     "cooperative_rates",
     "probability",
-    "vote",
     "coop_qf",
     "coop_qm",
     "total_error",
     "total_error_over_noise_states",
     "optimize_vote_count",
-    "apply_reporting_errors",
     "effective_rate",
 ]
 
@@ -90,21 +86,6 @@ def cooperative_rates(
     return CooperativeRates(
         q_f=q_f, q_m=q_m, q_e=total_error(config.prior_h0, q_f, q_m)
     )
-
-
-def vote(decisions: Sequence[int], threshold: int) -> Hypothesis:
-    """H1 when at least ``threshold`` of the decisions are H1.
-
-    threshold=1 is the OR rule, threshold=len(decisions) the AND rule.
-    """
-    votes = np.asarray(decisions, dtype=int)
-    if votes.size == 0:
-        raise ValueError("decisions must be nonempty")
-    if not 1 <= threshold <= votes.size:
-        raise ValueError(
-            f"threshold must lie in [1, {votes.size}], got {threshold!r}"
-        )
-    return Hypothesis.H1 if int(votes.sum()) >= threshold else Hypothesis.H0
 
 
 def _binomial_terms(num_sus: int, support: range, p: float) -> list[float]:
@@ -223,22 +204,6 @@ def optimize_vote_count(
         if qe < best_qe:
             best_n, best_qe = n, qe
     return best_n, best_qe
-
-
-def apply_reporting_errors(
-    decisions: Sequence[int], flip_probability: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Flip each reported bit independently with the given probability."""
-    flip_probability = float(flip_probability)
-    if not 0.0 <= flip_probability <= 0.5:
-        raise ValueError(
-            f"flip_probability must lie in [0, 0.5], got {flip_probability!r}"
-        )
-    bits = np.asarray(decisions, dtype=int)
-    if flip_probability == 0.0:
-        return bits.copy()
-    flips = rng.random(bits.shape) < flip_probability
-    return np.where(flips, 1 - bits, bits)
 
 
 def effective_rate(p: float, flip_probability: float) -> float:

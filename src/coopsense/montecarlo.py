@@ -28,7 +28,10 @@ bracket are computed once, and every block hands its n x K energies to
 ``threshold_schemes.decide_scheme`` and tallies the result with numpy
 reductions.
 
-A scenario declares which analytic family its closed-form columns use:
+``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
+closed forms at the nominal operating point; they depend on neither the
+scheme nor the draws, so a sweep evaluates them once per sweep value. A
+scenario declares which analytic family both use:
 
 * ``chi_square`` - the configured threshold lives on the accumulated
   energy scale (2 * sum|y|^2 / power), signaling is constant-envelope, and
@@ -51,12 +54,7 @@ from .detector import DetectorConfig, analytic_pd, analytic_pf
 from .fusion import FusionConfig, cooperative_rates
 from .noise_model import NoiseUncertaintyModel, VarianceBracket
 from .specfun import reg_upper_gamma
-from .threshold_schemes import (
-    SchemeConfig,
-    SchemeKind,
-    decide_scheme,
-    scheme_normalizer,
-)
+from .threshold_schemes import SchemeKind, decide_scheme, scheme_normalizer
 
 __all__ = [
     "TruthMode",
@@ -68,6 +66,7 @@ __all__ = [
     "AnalyticRates",
     "ScenarioEstimate",
     "wilson_interval",
+    "nominal_rates",
     "estimate",
 ]
 
@@ -94,7 +93,7 @@ class Scenario:
 
     detector: DetectorConfig
     noise: NoiseUncertaintyModel
-    scheme: SchemeConfig
+    scheme: SchemeKind
     fusion: FusionConfig
     snr_db: float
     trials: int
@@ -103,6 +102,7 @@ class Scenario:
     family: AnalyticFamily = AnalyticFamily.EXPONENTIAL
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", SchemeKind(self.scheme))
         object.__setattr__(self, "truth", TruthMode(self.truth))
         object.__setattr__(self, "family", AnalyticFamily(self.family))
         if not math.isfinite(self.snr_db):
@@ -144,7 +144,6 @@ class ScenarioEstimate:
     q_f: RateEstimate
     q_m: RateEstimate
     q_e: RateEstimate
-    analytic: AnalyticRates
     steps_mean: float
     trials: int
     seed: int
@@ -236,7 +235,7 @@ def _runtime(scenario: Scenario) -> _Runtime:
         bracket=noise.bracket,
         normalizer=scheme_normalizer(scenario.scheme, noise),
         step_bracket=(
-            noise.bracket if scenario.scheme.kind == SchemeKind.TWO_STEP else None
+            noise.bracket if scenario.scheme == SchemeKind.TWO_STEP else None
         ),
         signal_power=per_sample,
         signal_energy=window,
@@ -330,9 +329,10 @@ def _blocks_worker(args) -> _Tally:
     return _run_blocks(*args)
 
 
-def _analytic_rates(scenario: Scenario) -> AnalyticRates:
+def nominal_rates(scenario: Scenario) -> AnalyticRates:
     """Family-matched closed forms at the configured operating point
-    (nominal normalization, no uncertainty)."""
+    (nominal normalization, no uncertainty). They do not depend on the
+    scheme, the trial count or the seed."""
     det = scenario.detector
     snr = scenario.snr_linear
     if scenario.family == AnalyticFamily.CHI_SQUARE:
@@ -364,7 +364,7 @@ def estimate(
     workers: int = 1,
     executor: ProcessPoolExecutor | None = None,
 ) -> ScenarioEstimate:
-    """Aggregate all trials of a scenario into rate estimates.
+    """Aggregate all trials of a scenario into Monte Carlo rate estimates.
 
     ``workers`` > 1 splits the cell's blocks into contiguous ranges, one
     pool task each (run on ``executor`` when given); a cell that yields one
@@ -408,7 +408,6 @@ def estimate(
         q_f=q_f,
         q_m=q_m,
         q_e=q_e,
-        analytic=_analytic_rates(scenario),
         steps_mean=tally.steps_total / (scenario.trials * num_sus),
         trials=scenario.trials,
         seed=scenario.seed,

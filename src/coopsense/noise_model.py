@@ -49,8 +49,6 @@ class VarianceBracket:
 
     low: float
     high: float
-    kappa: float | None = None
-    confidence: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
@@ -102,16 +100,11 @@ def confidence_bracket(
     sample_sd: float,
     n: int,
     confidence: float,
-    rescale_from: float | None = None,
 ) -> VarianceBracket:
     """Two-sided normal confidence bracket for an estimated noise power.
 
     The half width is kappa * sample_sd / sqrt(n) with kappa the two-sided
-    quantile of ``confidence``. When ``rescale_from`` is given, the bracket
-    is formed at that level first and then shrunk/stretched by the quantile
-    ratio kappa(confidence) / kappa(rescale_from); since the ratio route is
-    algebraically the same as computing at the target level directly, the
-    two paths agree to floating precision. The low endpoint is clamped at
+    quantile of ``confidence``. The low endpoint is clamped at
     ``VARIANCE_FLOOR``.
     """
     sample_mean = float(sample_mean)
@@ -122,14 +115,10 @@ def confidence_bracket(
         raise ValueError(f"sample_sd must be >= 0, got {sample_sd!r}")
     if int(n) != n or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    kappa = two_sided_kappa(confidence)
-    half = kappa * sample_sd / math.sqrt(n)
-    if rescale_from is not None:
-        base = two_sided_kappa(rescale_from)
-        half = (base * sample_sd / math.sqrt(n)) * (kappa / base)
+    half = two_sided_kappa(confidence) * sample_sd / math.sqrt(n)
     low = max(sample_mean - half, VARIANCE_FLOOR)
     high = max(sample_mean + half, VARIANCE_FLOOR)
-    return VarianceBracket(low=low, high=high, kappa=kappa, confidence=confidence)
+    return VarianceBracket(low=low, high=high)
 
 
 @dataclass(frozen=True)

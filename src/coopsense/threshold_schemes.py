@@ -25,7 +25,8 @@ convex
     per-component expected noise powers. Weight alignments wrap around so
     every alignment spans all components; when every component expects the
     same power the normalizer is that power exactly, so with the model's
-    constant expectations the scheme is ``expectation`` by construction.
+    constant expectations the scheme is ``expectation`` by construction
+    and carries no weights or exponent: a scheme is its ``SchemeKind``.
 
 The two-step interval endpoints and the expectation statistic are ordered
 (low <= expectation <= high whenever the bracket contains its own mean, and
@@ -37,7 +38,6 @@ straddles the threshold as taking a second step.
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ from .noise_model import NoiseUncertaintyModel, VarianceBracket
 
 __all__ = [
     "SchemeKind",
-    "SchemeConfig",
     "default_weights",
     "convex_normalizer",
     "scheme_normalizer",
@@ -73,41 +72,6 @@ def default_weights(length: int, ratio: float = 0.5) -> tuple[float, ...]:
     if ratio <= 0.0:
         raise ValueError(f"ratio must be > 0, got {ratio!r}")
     return tuple(max(ratio**i, 1e-120) for i in range(length))
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Chosen strategy plus the convex scheme's weights and exponent."""
-
-    kind: SchemeKind
-    weights: tuple[float, ...] | None = None
-    exponent: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", SchemeKind(self.kind))
-        if self.weights is not None:
-            weights = tuple(float(w) for w in self.weights)
-            if not weights or any(w <= 0.0 for w in weights):
-                raise ValueError("weights must be a nonempty all-positive sequence")
-            object.__setattr__(self, "weights", weights)
-        if int(self.exponent) != self.exponent or self.exponent < 1:
-            raise ValueError(f"exponent must be an integer >= 1, got {self.exponent!r}")
-
-    @classmethod
-    def fixed(cls) -> "SchemeConfig":
-        return cls(kind=SchemeKind.FIXED)
-
-    @classmethod
-    def two_step(cls) -> "SchemeConfig":
-        return cls(kind=SchemeKind.TWO_STEP)
-
-    @classmethod
-    def expectation(cls) -> "SchemeConfig":
-        return cls(kind=SchemeKind.EXPECTATION)
-
-    @classmethod
-    def convex(cls, weights=None, exponent: int = 1) -> "SchemeConfig":
-        return cls(kind=SchemeKind.CONVEX, weights=weights, exponent=exponent)
 
 
 def convex_normalizer(
@@ -150,22 +114,16 @@ def convex_normalizer(
     return best
 
 
-def scheme_normalizer(
-    scheme: SchemeConfig,
-    noise: NoiseUncertaintyModel,
-    expectations: Sequence[float] | None = None,
-) -> float:
+def scheme_normalizer(kind: SchemeKind, noise: NoiseUncertaintyModel) -> float:
     """Noise power the scheme divides the window energy by.
 
-    ``expectations`` are the per-component expected powers the convex
-    scheme minimizes over; ``None`` means every component expects the
-    bracket mean, the model's case, for which the convex normalizer is the
-    bracket mean exactly. The other schemes ignore ``expectations``.
+    ``fixed`` divides by the nominal power and every other scheme by the
+    bracket mean. Every component expects that mean, so the convex
+    normalizer (``convex_normalizer`` over constant expectations) is the
+    mean exactly, whatever the weights or exponent.
     """
-    if scheme.kind == SchemeKind.FIXED:
+    if SchemeKind(kind) == SchemeKind.FIXED:
         return noise.nominal_variance
-    if scheme.kind == SchemeKind.CONVEX and expectations is not None:
-        return convex_normalizer(expectations, scheme.weights, scheme.exponent)
     return noise.expected_variance
 
 

@@ -18,7 +18,7 @@ from coopsense.fusion import FusionConfig, coop_qf, coop_qm, optimize_vote_count
 from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, estimate
 from coopsense.noise_model import NoiseUncertaintyModel, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
-from coopsense.threshold_schemes import SchemeConfig, convex_normalizer, decide_scheme
+from coopsense.threshold_schemes import SchemeKind, convex_normalizer, decide_scheme
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -104,7 +104,7 @@ def test_criterion_2_closed_form_vs_simulation():
     scenario = Scenario(
         detector=DetectorConfig(sample_count=5, time_bandwidth=5.0, threshold=30.0),
         noise=NoiseUncertaintyModel.exact(1.0),
-        scheme=SchemeConfig.fixed(),
+        scheme=SchemeKind.FIXED,
         fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),
         snr_db=-10.0,
         trials=10**6,

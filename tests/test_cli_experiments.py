@@ -1,9 +1,14 @@
 """Tests for the experiment spec loader, runner and CLI."""
 
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsense.cli_experiments import (
     CSV_COLUMNS,
@@ -16,7 +21,7 @@ from coopsense.cli_experiments import (
     run_experiment,
     validate_spec,
 )
-from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, _analytic_rates
+from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, nominal_rates
 from coopsense.threshold_schemes import SchemeKind
 
 
@@ -63,11 +68,24 @@ def spec_document(**overrides):
     return document
 
 
+def with_leaf(document, dotted, token):
+    """JSON text of ``document`` with the leaf at ``dotted`` (keys and list
+    indices) replaced by the raw JSON ``token``, e.g. ``NaN`` or ``1e400``."""
+    document = copy.deepcopy(document)
+    target = document
+    *parents, last = dotted
+    for key in parents:
+        target = target[key]
+    target[last] = "__leaf__"
+    return json.dumps(document).replace('"__leaf__"', token)
+
+
 @pytest.fixture
 def write_spec(tmp_path):
     def _write(document, name="spec.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(document), encoding="utf-8")
+        text = document if isinstance(document, str) else json.dumps(document)
+        path.write_text(text, encoding="utf-8")
         return path
 
     return _write
@@ -217,6 +235,42 @@ class TestValidation:
         spec = load_spec(write_spec(document))
         assert spec.base.noise.bracket.low == 0.98
 
+    def test_scheme_options_rejected_as_without_effect(self, write_spec):
+        document = spec_document()
+        document["scenario"]["scheme_options"] = {"weights_ratio": 0.5}
+        diagnostics = validate_spec(write_spec(document))
+        assert len(diagnostics) == 1
+        assert diagnostics[0].startswith("scenario.scheme_options: has no effect")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400"])
+    def test_nonfinite_threshold_sweep_rejected(self, write_spec, token):
+        document = spec_document(**{
+            "sweep.axis": "threshold",
+            "sweep.values": [1.0, 1.12],
+            "scenario.snr_db": -10.0,
+        })
+        assert validate_spec(write_spec(document)) == []
+        diagnostics = validate_spec(
+            write_spec(with_leaf(document, ("sweep", "values", 1), token))
+        )
+        assert diagnostics == ["sweep.values: thresholds must be finite and >= 0"]
+
+    @pytest.mark.parametrize(
+        "field, token",
+        [
+            ("time_bandwidth", "NaN"),
+            ("time_bandwidth", "Infinity"),
+            ("signal_variance", "NaN"),
+            ("signal_variance", "Infinity"),
+        ],
+    )
+    def test_nonfinite_detector_fields_rejected(self, write_spec, field, token):
+        leaf = ("scenario", "detector", field)
+        document = spec_document(**{".".join(leaf): 1.0})
+        diagnostics = validate_spec(write_spec(with_leaf(document, leaf, token)))
+        assert len(diagnostics) == 1
+        assert diagnostics[0].startswith(f"scenario.detector: {field} must be finite")
+
     def test_nominal_outside_bracket_diagnosed(self, write_spec):
         document = spec_document()
         document["scenario"]["noise"] = {
@@ -265,7 +319,7 @@ class TestRunExperiment:
                 truth=TruthMode.MIXED,
                 family=AnalyticFamily.EXPONENTIAL,
             )
-            reference = _analytic_rates(scenario)
+            reference = nominal_rates(scenario)
             assert float(row["pf_analytic"]) == reference.p_f
             assert float(row["pd_analytic"]) == reference.p_d
             assert float(row["qe_analytic"]) == reference.q_e
@@ -334,6 +388,23 @@ class TestMainEntry:
         assert main(["run", str(path)]) == 2
         assert "num_sus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "snr_db, reason",
+        [(80, "ConvergenceError: marcum_q"), (400, "OverflowError")],
+    )
+    def test_failing_cell_named_and_no_csv(
+        self, write_spec, tmp_path, capsys, snr_db, reason
+    ):
+        document = json.loads(resolve_spec_path("fig3").read_text(encoding="utf-8"))
+        document["sweep"]["values"] = [-10, snr_db]
+        document["scenario"]["trials"] = 100
+        path = write_spec(document)
+        out = tmp_path / "fig3.csv"
+        assert main(["run", str(path), "--out", str(out), "--workers", "1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"cell snr_db={snr_db} fixed: {reason}")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_run_writes_csv(self, write_spec, tmp_path, capsys):
         document = spec_document(**{"scenario.trials": 200})
         path = write_spec(document)
@@ -390,3 +461,45 @@ class TestBundledSpecs:
         assert spec.base.snr_db == -10.0
         assert spec.base.fusion.vote_threshold == 1
         assert math.isclose(spec.base.trials, 100000)
+
+
+BUNDLED = {
+    name: json.loads(resolve_spec_path(name).read_text(encoding="utf-8"))
+    for name in ("fig2", "fig3", "fig4")
+}
+
+
+def leaf_paths(node, path=()):
+    """Key/index path of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in leaf_paths(child, (*path, key))]
+
+
+class TestMalformedSpecs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        leaf=st.sampled_from(
+            [(name, path) for name, doc in BUNDLED.items() for path in leaf_paths(doc)]
+        ),
+        token=st.sampled_from(
+            ["NaN", "Infinity", "-Infinity", "1e400", "-1", "0", "1.5", "true",
+             "null", '"x"', "[]", "{}"]
+        ),
+    )
+    def test_one_bad_leaf_is_diagnosed_or_every_cell_builds(self, leaf, token):
+        name, path = leaf
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = Path(tmp) / f"{name}.json"
+            spec_path.write_text(with_leaf(BUNDLED[name], path, token), encoding="utf-8")
+            diagnostics = validate_spec(spec_path)
+            if diagnostics:
+                return
+            spec = load_spec(spec_path)
+        for value in spec.sweep_values:
+            cells = [_scenario_for(spec, value, scheme) for scheme in spec.schemes]
+            nominal_rates(cells[0])

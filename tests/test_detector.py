@@ -20,13 +20,13 @@ from coopsense.detector import (
     Hypothesis,
     analytic_pd,
     analytic_pf,
-    decide,
     energy_statistic,
     pdf_normalized,
     pf_pm_from_pdf,
 )
 from coopsense.montecarlo import wilson_interval
 from coopsense.noise_model import generate_noise
+from coopsense.threshold_schemes import decide_scheme
 
 PF_ANCHOR_U5_G30 = 8.566412107825924e-4
 PD_ANCHOR_U5_SNR01_G30 = 0.00105520
@@ -53,17 +53,6 @@ class TestEnergyStatistic:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             energy_statistic(np.array([]), 1.0)
-
-
-class TestDecide:
-    def test_above(self):
-        assert decide(2.0, 1.0) == Hypothesis.H1
-
-    def test_boundary_is_detection(self):
-        assert decide(1.0, 1.0) == Hypothesis.H1
-
-    def test_below(self):
-        assert decide(0.5, 1.0) == Hypothesis.H0
 
 
 class TestAnalyticPf:
@@ -152,17 +141,18 @@ class TestPfPmFromPdf:
         assert p_m == pytest.approx(body_h1, abs=1e-10)
 
     def test_empirical_false_alarm_matches_model(self):
-        # decide(energy_statistic(noise-only)) at k=1, where the normalized
-        # statistic is exactly exponential with w the expected noise power
+        # the threshold test on energy_statistic(noise-only) at k=1, where the
+        # normalized statistic is exactly exponential with w the expected
+        # noise power
         variance, threshold, trials = 2.0, 0.7, 10**6
         rng = np.random.default_rng(404)
         samples = generate_noise(variance, trials, rng)
         statistics = np.abs(samples) ** 2 / variance  # per-sample k=1 chain
         spot = energy_statistic(samples[:1], variance)
         assert spot == pytest.approx(float(statistics[0]), rel=1e-12)
+        energies = np.abs(samples[:200]) ** 2
         hits = sum(
-            decide(float(s), threshold) == Hypothesis.H1
-            for s in statistics[:200]
+            bool(decide_scheme(float(e), 1, threshold, variance)[0]) for e in energies
         )
         assert hits == int(np.sum(statistics[:200] >= threshold))
         total_hits = int(np.sum(statistics >= threshold))

@@ -6,10 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from coopsense.detector import Hypothesis
 from coopsense.fusion import (
     FusionConfig,
-    apply_reporting_errors,
     coop_qf,
     coop_qm,
     cooperative_rates,
@@ -17,7 +15,6 @@ from coopsense.fusion import (
     optimize_vote_count,
     total_error,
     total_error_over_noise_states,
-    vote,
 )
 from coopsense.montecarlo import wilson_interval
 
@@ -49,23 +46,6 @@ def scan_vote_count_oracle(num_sus, p_f, p_d, prior_h0):
         if best is None or qe < best[1]:
             best = (n, qe)
     return best
-
-
-class TestVote:
-    def test_or_rule(self):
-        assert vote([1, 0, 0], 1) == Hypothesis.H1
-
-    def test_and_rule(self):
-        assert vote([1, 1, 0], 3) == Hypothesis.H0
-
-    def test_boundary(self):
-        assert vote([1, 1, 0, 1], 3) == Hypothesis.H1
-
-    def test_threshold_out_of_range(self):
-        with pytest.raises(ValueError):
-            vote([1, 0], 3)
-        with pytest.raises(ValueError):
-            vote([1, 0], 0)
 
 
 class TestCooperativeRates:
@@ -227,27 +207,6 @@ class TestOptimizeVoteCount:
 
 
 class TestReportingErrors:
-    def test_zero_probability_is_identity(self):
-        bits = np.array([1, 0, 1, 1, 0])
-        out = apply_reporting_errors(bits, 0.0, np.random.default_rng(0))
-        assert np.array_equal(out, bits)
-
-    def test_half_probability_flips_half(self):
-        rng = np.random.default_rng(909)
-        bits = np.zeros(10**6, dtype=int)
-        out = apply_reporting_errors(bits, 0.5, rng)
-        assert out.mean() == pytest.approx(0.5, abs=0.002)
-
-    def test_seeded_determinism(self):
-        bits = np.array([0, 1] * 500)
-        a = apply_reporting_errors(bits, 0.3, np.random.default_rng(11))
-        b = apply_reporting_errors(bits, 0.3, np.random.default_rng(11))
-        assert np.array_equal(a, b)
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            apply_reporting_errors([1, 0], 0.6, np.random.default_rng(0))
-
     def test_effective_rate(self):
         assert effective_rate(0.0, 0.001) == pytest.approx(0.001)
         assert effective_rate(1.0, 0.001) == pytest.approx(0.999)

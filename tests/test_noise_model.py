@@ -92,12 +92,6 @@ class TestConfidenceBracket:
         assert bracket.low == pytest.approx(5.0 - half)
         assert bracket.high == pytest.approx(5.0 + half)
 
-    def test_rescale_route_matches_direct(self):
-        direct = confidence_bracket(3.0, 0.5, 50, 0.8)
-        rescaled = confidence_bracket(3.0, 0.5, 50, 0.8, rescale_from=0.99)
-        assert rescaled.low == pytest.approx(direct.low, rel=1e-12)
-        assert rescaled.high == pytest.approx(direct.high, rel=1e-12)
-
     def test_low_endpoint_clamped_positive(self):
         bracket = confidence_bracket(0.001, 10.0, 4, 0.99)
         assert bracket.low == VARIANCE_FLOOR

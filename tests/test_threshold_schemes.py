@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from coopsense.detector import analytic_pf, energy_statistic
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, generate_noise
 from coopsense.threshold_schemes import (
-    SchemeConfig,
     SchemeKind,
     convex_normalizer,
     decide_scheme,
@@ -185,7 +184,7 @@ class TestConvexScheme:
         assert convex_normalizer(np.full(2000, 1.01), default_weights(2000)) == 1.01
         noise = uncertain_noise()
         expected = noise.expected_variance
-        assert scheme_normalizer(SchemeConfig.convex(), noise) == expected
+        assert scheme_normalizer(SchemeKind.CONVEX, noise) == expected
 
     def test_brute_force_offset_oracle(self):
         expectations = [1.0, 2.0, 4.0]
@@ -230,7 +229,7 @@ class TestDecideEnhanced:
     def test_two_step_clear_interval_single_step(self):
         # interval [25, 40], threshold 20
         noise = uncertain_noise()
-        normalizer = scheme_normalizer(SchemeConfig.two_step(), noise)
+        normalizer = scheme_normalizer(SchemeKind.TWO_STEP, noise)
         assert decide_scheme(self.energy, self.k, 20.0, normalizer, noise.bracket) == (
             True,
             1,
@@ -243,14 +242,14 @@ class TestDecideEnhanced:
             self.energy,
             self.k,
             threshold,
-            scheme_normalizer(SchemeConfig.two_step(), noise),
+            scheme_normalizer(SchemeKind.TWO_STEP, noise),
             noise.bracket,
         )
         expectation, _ = decide_scheme(
             self.energy,
             self.k,
             threshold,
-            scheme_normalizer(SchemeConfig.expectation(), noise),
+            scheme_normalizer(SchemeKind.EXPECTATION, noise),
         )
         assert steps == 2
         assert decision == expectation
@@ -263,9 +262,7 @@ class TestDecideEnhanced:
             energy = float(rng.uniform(0.0, 60.0))
             k = int(rng.integers(1, 10))
             threshold = float(rng.uniform(0.1, 20.0))
-            convex = scheme_normalizer(
-                SchemeConfig.convex(weights=np.ones(len(exps))), noise, exps
-            )
+            convex = convex_normalizer(exps, np.ones(len(exps)))
             convex_decision, _ = decide_scheme(energy, k, threshold, convex)
             expectation_decision, _ = decide_scheme(
                 energy, k, threshold, float(np.mean(exps))
@@ -274,7 +271,7 @@ class TestDecideEnhanced:
 
     def test_fixed_single_call(self):
         normalizer = scheme_normalizer(
-            SchemeConfig.fixed(), NoiseUncertaintyModel.exact(1.0)
+            SchemeKind.FIXED, NoiseUncertaintyModel.exact(1.0)
         )
         assert normalizer == 1.0
         assert decide_scheme(self.energy, self.k, 19.0, normalizer) == (True, 1)
@@ -288,15 +285,15 @@ class TestDecideEnhanced:
         rng = np.random.default_rng(7)
         noise = uncertain_noise()
         schemes = [
-            SchemeConfig.fixed(),
-            SchemeConfig.two_step(),
-            SchemeConfig.expectation(),
-            SchemeConfig.convex(),
+            SchemeKind.FIXED,
+            SchemeKind.TWO_STEP,
+            SchemeKind.EXPECTATION,
+            SchemeKind.CONVEX,
         ]
         for _ in range(400):
             energy = float(rng.uniform(0.0, 80.0))
             for scheme in schemes:
-                bracket = noise.bracket if scheme.kind == SchemeKind.TWO_STEP else None
+                bracket = noise.bracket if scheme == SchemeKind.TWO_STEP else None
                 _, steps = decide_scheme(
                     energy,
                     self.k,
@@ -390,15 +387,3 @@ class TestKernelProperties:
         assert scalar[0] == array[0][0] and scalar[1] == array[1][0]
         assert np.shape(scalar[0]) == np.shape(scalar[1]) == ()
 
-
-class TestSchemeConfig:
-    def test_kind_coercion_from_string(self):
-        assert SchemeConfig(kind="two_step").kind is SchemeKind.TWO_STEP
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(kind=SchemeKind.CONVEX, weights=(1.0, -1.0))
-
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(kind=SchemeKind.CONVEX, exponent=0)
