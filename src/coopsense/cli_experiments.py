@@ -196,14 +196,12 @@ def _parse_noise(block, diagnostics):
                     "scenario.noise.bracket: expected [low, high] numbers"
                 )
                 return None
+            if not 0.0 < confidence < 1.0:
+                # range-checked as for a calibration, though a bracket needs none
+                raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
             return NoiseUncertaintyModel(
                 nominal_variance=nominal,
-                confidence=confidence,
                 bracket=VarianceBracket(low=float(bracket[0]), high=float(bracket[1])),
-                sample_count=_get(
-                    block, "calibration_count", int, diagnostics,
-                    "scenario.noise.", required=False, default=1,
-                ),
             )
         mean = _get(block, "calibration_mean", float, diagnostics, "scenario.noise.")
         sd = _get(block, "calibration_sd", float, diagnostics, "scenario.noise.")
@@ -304,6 +302,14 @@ def _parse_schemes(raw, diagnostics):
     return tuple(schemes)
 
 
+def _linear_snr_finite(snr_db) -> bool:
+    """True when snr_db and the linear SNR 10^(snr_db / 10) are finite."""
+    try:
+        return math.isfinite(snr_db) and math.isfinite(10.0 ** (snr_db / 10.0))
+    except OverflowError:
+        return False
+
+
 def _parse_spec(document, spec_name, diagnostics):
     if not isinstance(document, dict):
         diagnostics.append("spec: top level must be a JSON object")
@@ -342,8 +348,11 @@ def _parse_spec(document, spec_name, diagnostics):
                 not math.isfinite(v) or v < 0 for v in values
             ):
                 diagnostics.append("sweep.values: thresholds must be finite and >= 0")
-            elif sweep_axis == "snr_db" and any(not math.isfinite(v) for v in values):
-                diagnostics.append("sweep.values: snr_db values must be finite")
+            elif sweep_axis == "snr_db" and not all(map(_linear_snr_finite, values)):
+                diagnostics.append(
+                    "sweep.values: snr_db values must be finite, with a finite "
+                    "linear SNR 10^(snr_db / 10)"
+                )
             else:
                 sweep_values = tuple(values)
 
@@ -412,8 +421,11 @@ def _parse_spec(document, spec_name, diagnostics):
     if seed is not None and not 0 <= seed < 2**64:
         diagnostics.append(f"scenario.seed: must be a 64-bit integer, got {seed}")
         seed = None
-    if snr_db is not None and not math.isfinite(snr_db):
-        diagnostics.append(f"scenario.snr_db: must be finite, got {snr_db}")
+    if snr_db is not None and not _linear_snr_finite(snr_db):
+        diagnostics.append(
+            "scenario.snr_db: must be finite, with a finite linear SNR "
+            f"10^(snr_db / 10), got {snr_db}"
+        )
         snr_db = None
 
     pieces = (detector, noise, fusion, schemes, trials, seed, snr_db, family,

@@ -126,7 +126,9 @@ def analytic_pd(order: float, snr: float, threshold: float) -> float:
         raise ValueError(f"snr must be >= 0, got {snr!r}")
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
-    return marcum_q(order, math.sqrt(2.0 * snr), math.sqrt(threshold))
+    # 2 * snr overflows above half the largest double; sqrt(2) sqrt(snr) does not
+    a = math.sqrt(2.0 * snr) if snr < 8e307 else math.sqrt(2.0) * math.sqrt(snr)
+    return marcum_q(order, a, math.sqrt(threshold))
 
 
 def pdf_normalized(

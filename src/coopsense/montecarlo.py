@@ -284,11 +284,14 @@ def _simulate_block(rt: _Runtime, rng: np.random.Generator, n: int) -> _Tally:
         h1 = np.full(n, rt.truth == TruthMode.H1)
     variances = rng.uniform(rt.bracket.low, rt.bracket.high, size=shape)
     if rt.family == AnalyticFamily.CHI_SQUARE:
-        # noncentrality 0 is the central law: 0.5 * v * chi2(2k) = v * Gamma(k)
-        noncentrality = 2.0 * rt.signal_energy * h1[:, None] / variances
+        # noncentrality 0 is the central law: 0.5 * v * chi2(2k) = v * Gamma(k);
+        # the signal is selected by h1, not multiplied by it, since inf * 0
+        # (a signal energy past half the largest double) is NaN
+        signal = np.where(h1, 2.0 * rt.signal_energy, 0.0)
+        noncentrality = signal[:, None] / variances
         energies = 0.5 * variances * rng.noncentral_chisquare(2.0 * rt.k, noncentrality)
     else:
-        scale = variances + rt.signal_power * h1[:, None]
+        scale = variances + np.where(h1, rt.signal_power, 0.0)[:, None]
         energies = scale * rng.standard_gamma(rt.k, size=shape)
 
     decisions, steps = decide_scheme(

@@ -126,30 +126,22 @@ class NoiseUncertaintyModel:
     """Nominal noise power plus the bracket its true value lives in.
 
     ``nominal_variance`` is the power the fixed-threshold detector assumes;
-    the bracket (from calibration at the given confidence) bounds the
-    variance actually in effect, which is drawn uniformly per sensing round.
-    The nominal value must lie inside the bracket but need not sit at its
-    center: an off-center nominal is exactly the miscalibration the
-    enhanced schemes are built to absorb.
+    the bracket (from calibration at a given confidence, or given directly)
+    bounds the variance actually in effect, which is drawn uniformly per
+    sensing round. The nominal value must lie inside the bracket but need
+    not sit at its center: an off-center nominal is exactly the
+    miscalibration the enhanced schemes are built to absorb.
     """
 
     nominal_variance: float
-    confidence: float
     bracket: VarianceBracket
-    sample_count: int
 
     def __post_init__(self):
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(
-                f"confidence must lie in (0, 1), got {self.confidence!r}"
-            )
         if not self.bracket.contains(self.nominal_variance):
             raise ValueError(
                 f"nominal_variance {self.nominal_variance!r} outside bracket "
                 f"[{self.bracket.low!r}, {self.bracket.high!r}]"
             )
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
 
     @classmethod
     def from_calibration(
@@ -163,22 +155,14 @@ class NoiseUncertaintyModel:
         bracket = confidence_bracket(
             calibration_mean, calibration_sd, sample_count, confidence
         )
-        return cls(
-            nominal_variance=nominal_variance,
-            confidence=confidence,
-            bracket=bracket,
-            sample_count=sample_count,
-        )
+        return cls(nominal_variance=nominal_variance, bracket=bracket)
 
     @classmethod
     def exact(cls, variance: float) -> "NoiseUncertaintyModel":
         """Degenerate model with no uncertainty (bracket collapsed)."""
-        bracket = VarianceBracket(low=variance, high=variance)
         return cls(
             nominal_variance=variance,
-            confidence=0.99,
-            bracket=bracket,
-            sample_count=1,
+            bracket=VarianceBracket(low=variance, high=variance),
         )
 
     @property

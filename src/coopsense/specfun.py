@@ -21,15 +21,26 @@ real work:
 ``marcum_q``
     Generalized Marcum Q-function Q_u(a, b), the tail of a noncentral
     chi-square law with 2u degrees of freedom and noncentrality a**2,
-    evaluated at b**2. It is summed as a Poisson mixture of central
-    chi-square tails: the summation starts at the Poisson mode and expands
-    outward in both directions with forward recurrences for the mixture
-    weights and the regularized gamma terms. When b**2 / 2 exceeds the
-    noncentrality-shifted mean u + a**2 / 2 the sum runs over the upper
-    (tail) gamma terms directly; otherwise it accumulates the lower terms
-    and returns the complement. Truncation error is bounded by the Poisson
-    mass left outside the summed window, so the loop stops once that mass
-    drops below ``TERM_TOLERANCE``.
+    evaluated at b**2. With x = a**2 / 2 and y = b**2 / 2 it is the Poisson
+    mixture sum_j e^-x x^j / j! Q(u + j, y). After Gil, Segura and Temme
+    (Algorithm 939, ACM TOMS 40(3), 2014) it picks a method by region, all
+    keyed to the saddle point s of the mixture's Laplace transform:
+
+    * decisive tail: when the Chernoff bound exp(psi*) on the small side
+      (Q above the mean u + x, P = 1 - Q below it) puts the answer within
+      rounding of 0 or 1, that answer, in O(1);
+    * series, where the summands peak at j = x s <= 400: the small side
+      summed in its stable direction only (Q terms upward, P terms
+      downward), from a start just past the summands' tail, at a few
+      flops per term, stopped relative to the sum itself; the gamma pair
+      at the start shares its log prefactor with the recurrence step;
+    * far field, x s > 400: the trapezoidal rule on the contour integral
+      through the saddle, a Gaussian of width 1/sqrt(2 x s + u) times a
+      slow phase, with a fixed number (about 20) of nodes;
+    * a or b above 1e150: the normal law of the chi-square.
+
+    The series runs only while x s <= 400, so no call's cost grows with x,
+    and no finite argument reaches a ``ConvergenceError``.
 
 ``MAX_ITERATIONS`` bounds every iterative loop; exceeding it raises
 :class:`ConvergenceError` rather than returning a silently wrong value.
@@ -333,15 +344,229 @@ def reg_upper_gamma(order: float, x: float) -> float:
     return min(max(q, 0.0), 1.0)
 
 
+# Marcum Q by region (Gil, Segura and Temme, "Algorithm 939: Computation of
+# the Marcum Q-function", ACM TOMS 40(3), 2014). With x = a^2/2 and
+# y = b^2/2, Q = sum_j e^-x x^j / j! Q(order + j, y). One saddle point
+# serves every region: s > 0 with x s^2 + order s = y, which minimizes
+# psi(s) = x (s - 1) + y (1/s - 1) + order log s. Its value psi* bounds the
+# small side (Q when y > x + order, else P = 1 - Q) by exp(psi*) (Chernoff),
+# x s is the index where the mixture's summands peak, and the contour of
+# the far field crosses the real axis next to s.
+
+# exp(t) rounds to 0 below this (half the least subnormal, 2^-1075) ...
+_LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
+# ... and 1 - exp(t) rounds to 1 below this (half an ulp under 1, 2^-54)
+_LOG_ROUNDS_TO_ONE = -54.0 * math.log(2.0)
+# The series stops once its remaining terms are bounded by this share of
+# its sum, well below the rounding of the result.
+_SERIES_TOLERANCE = 2.0**-56
+_SERIES_LOG_TOLERANCE = -math.log(_SERIES_TOLERANCE)
+# Summand peak x s beyond which the contour integral replaces the series.
+_FAR_FIELD_MODE = 400.0
+# Below this x or y the mixture reduces to its central term.
+_NEGLIGIBLE = 1e-280
+# Beyond this a or b the normal law of the chi-square is exact to rounding.
+_NORMAL_LIMIT = 1e150
+# The far-field contour keeps its crossing at least this many saddle
+# widths away from the pole at s = 1.
+_CONTOUR_MIN_ZETA = 3.0
+# log of the share of the result that the contour's truncation and
+# aliasing may each leave (e^-45 = 2^-65; a shifted crossing spends up to
+# e^4.5 of it).
+_CONTOUR_LOG_TOLERANCE = 45.0
+# 1/3!, 1/5!, ..., 1/15!: sinh w - w at |w| <= 0.4 to 1e-19 relative.
+_SINH_TAIL = tuple(1.0 / math.factorial(n) for n in range(15, 2, -2))
+
+
+def _scaled_gamma_side(order: float, x: float, log_pref: float, upper: bool) -> float:
+    """Q(order, x) if ``upper`` else P(order, x), divided by
+    exp(log_pref) = x^order e^-x / Gamma(order), the factor the series and
+    the continued fraction take out anyway."""
+    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+        g = _temme_pair(order, x)[1 if upper else 0]
+    elif x < order + 1.0:
+        p = _lower_series(order, x, 0.0)
+        if not upper:
+            return p
+        g = 1.0 - p * math.exp(log_pref)
+    else:
+        q = _upper_continued_fraction(order, x, 0.0)
+        if upper:
+            return q
+        g = 1.0 - q * math.exp(log_pref)
+    return math.exp(math.log(g) - log_pref) if g > 0.0 else 0.0
+
+
+def _marcum_series(order: float, x: float, y: float, mode: int, upper: bool,
+                   log_bound: float) -> float:
+    """sum_j e^-x x^j / j! G(order + j, y), G = Q if ``upper`` else P.
+
+    The summands are log-concave in j and peak near ``mode``. Each side is
+    marched in its stable direction only, where the recurrence
+    G(n + 1) = G(n) +- y^n e^-y / Gamma(n + 1) adds positive terms: Q
+    upward from a start below the peak, P downward from a start above it.
+    (Marching Q down from the peak subtracts nearly equal numbers and loses
+    a factor y / n per step.) The start lies where a tail bound on the
+    Poisson weights falls below the tolerance. The march stops once a term
+    t falls below ``_SERIES_TOLERANCE`` of the sum and so does the rest,
+    at most t r / (1 - r) with r the ratio of the next term to t
+    (log-concavity); the same bound checks the terms beyond the start,
+    which moves twice as far out if they could still matter.
+    """
+    tolerance = _SERIES_TOLERANCE
+    # Poisson(mode) tails: sub-Gaussian below the mode, Bernstein above it;
+    # and the summands fall at least geometrically away from the peak, by
+    # (j / x) (order + j - 1) / y per step down (Q) and by
+    # x / (j + 1) y / (order + j + 1) per step up (P), which keeps a start
+    # from sitting so far out that it underflows
+    reach = int(math.sqrt(2.0 * _SERIES_LOG_TOLERANCE * mode)) + 4
+    if upper:
+        ratio = mode * (order + mode - 1.0) / (x * y)
+    else:
+        reach += int(_SERIES_LOG_TOLERANCE / 3.0)
+        ratio = x * y / ((mode + 1.0) * (order + mode + 1.0))
+    if ratio < 1.0:
+        fall = -math.log(ratio) if ratio > 0.0 else math.inf
+        reach = min(reach, int(_SERIES_LOG_TOLERANCE / fall))
+    while reach <= MAX_ITERATIONS:
+        start = max(mode - reach, 0) if upper else mode + reach
+        # G(n, y) and D(n) are carried divided by y^n e^-y / Gamma(n), the
+        # weights times it over exp(log_bound), so no start can underflow
+        n = order + start
+        log_pref = _log_prefactor(n, y)
+        g = _scaled_gamma_side(n, y, log_pref, upper)
+        e = 1.0 / n
+        log_weight = -x if start == 0 else _log_prefactor(start, x) - math.log(start)
+        w = math.exp(log_weight + log_pref - log_bound)
+        j = float(start)
+
+        if upper:
+            first = total = w * g
+            # below the start: t_(m-1) / t_m = (m / x) (Q(n) - D(n - 1)) / Q(n)
+            r_beyond = j * (g - e * n / y) / (x * g) if start and g > 0.0 else 0.0
+            for _ in range(MAX_ITERATIONS):
+                g += e
+                j += 1.0
+                e *= y / (order + j)
+                w *= x / j
+                t = w * g
+                total += t
+                if t <= tolerance * total:
+                    if t <= 0.0:
+                        break
+                    r = x * (g + e) / ((j + 1.0) * g)
+                    if r < 1.0 and t * r <= tolerance * total * (1.0 - r):
+                        break
+            else:
+                break
+        else:
+            first = total = w * g
+            # above the start: t_(m+1) / t_m = x / (m + 1) (P(n) - D(n)) / P(n)
+            r_beyond = x * (g - e) / ((j + 1.0) * g) if g > 0.0 else 0.0
+            for _ in range(start):
+                e *= (order + j) / y
+                g += e
+                w *= j / x
+                j -= 1.0
+                t = w * g
+                total += t
+                if 0.0 < t <= tolerance * total:
+                    r = j * (g + e * (order + j) / y) / (x * g)
+                    if r < 1.0 and t * r <= tolerance * total * (1.0 - r):
+                        break
+
+        if r_beyond < 1.0 and first * r_beyond <= tolerance * total * (1.0 - r_beyond):
+            return total * math.exp(log_bound)
+        reach = 2 * reach + 1
+    raise ConvergenceError(
+        f"marcum_q series did not converge for order={order}, x={x}, y={y}"
+    )
+
+
+def _sinh_minus_identity(w: complex) -> complex:
+    """sinh(w) - w without cancellation, for |w| <= 0.4."""
+    c = w * w
+    acc = 0.0
+    for coefficient in _SINH_TAIL:
+        acc = acc * c + coefficient
+    return acc * c * w
+
+
+def _marcum_contour(order: float, x: float, delta: float, log_bound: float,
+                    upper: bool) -> float:
+    """The small side (Q if ``upper`` else P) by the trapezoidal rule on a
+    contour integral, at a cost that does not grow with x.
+
+    For s on a circle about the origin, Q = I when the circle encloses the
+    pole s = 1 and Q = 1 + I when it does not, where
+    I = (1/2 pi i) oint s^order exp(psi(s)) ds / (s (s - 1)) up to the
+    contribution of the cut along the negative axis, which is below
+    exp(psi* - 2 kappa) and negligible here (kappa > 2 x s > 800).
+    Write s = s* e^w, w = shift + i theta. Then
+    psi - psi* = 2 kappa sinh^2(w/2) - order (sinh w - w), kappa = 2 x s* + order,
+    so the integrand is a Gaussian of width 1/sqrt(kappa) in theta times a
+    slow phase. The crossing is the saddle, moved to at least
+    ``_CONTOUR_MIN_ZETA`` widths from the pole. The step resolves that
+    Gaussian and the nodes stop where it does, so every call takes the
+    same ~20 of them (with the symmetry theta -> -theta).
+    """
+    saddle = 1.0 + delta
+    kappa = 2.0 * x * saddle + order
+    root = math.sqrt(kappa)
+    zeta = math.sqrt(max(-2.0 * log_bound, 0.0))
+    shift = max(_CONTOUR_MIN_ZETA - zeta, 0.0) / root
+    if not upper:
+        shift = -shift
+    # the trapezoidal rule aliases the Gaussian, with the phase
+    # exp(i kappa shift theta) of a shifted crossing, by
+    # exp(-(2 pi / h - sqrt(kappa) zeta_min)^2 / (2 kappa)); this step
+    # keeps that at the tolerance
+    h = 2.0 * math.pi / (
+        root * (_CONTOUR_MIN_ZETA + math.sqrt(2.0 * _CONTOUR_LOG_TOLERANCE)))
+    half_width = min(1.0, math.sqrt(_CONTOUR_LOG_TOLERANCE / (2.0 * kappa)))
+    nodes = int(2.0 * math.asin(half_width) / h) + 1
+
+    # w / 2 = (shift + i theta) / 2: sinh and exp of it from real parts
+    sinh_p = math.sinh(0.5 * shift)
+    cosh_p = math.cosh(0.5 * shift)
+    exp_p = math.exp(0.5 * shift)
+
+    def term(theta):
+        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+        half = complex(0.5 * shift, 0.5 * theta)
+        sh = complex(sinh_p * c, cosh_p * s)
+        exponent = 2.0 * kappa * sh * sh - order * _sinh_minus_identity(2.0 * half) - half
+        size = math.exp(exponent.real)
+        numerator = complex(size * math.cos(exponent.imag), size * math.sin(exponent.imag))
+        return (numerator / (delta * complex(exp_p * c, exp_p * s) + 2.0 * sh)).real
+
+    total = 0.5 * term(0.0)
+    for k in range(1, nodes + 1):
+        total += term(k * h)
+    value = math.exp(log_bound) * h / math.pi * total
+    return value if upper else -value
+
+
 def marcum_q(order: float, a: float, b: float) -> float:
     """Generalized Marcum Q-function Q_order(a, b) in [0, 1].
 
     Equals the probability that the square root of a noncentral chi-square
     variate with 2*order degrees of freedom and noncentrality a**2 exceeds
-    b. Supports any real order > 0. Pinned against scipy.stats.ncx2.sf in
-    the test suite: absolute error below 1e-8 for order <= 50, a, b <= 30,
+    b. Supports any real order > 0 and any finite a, b >= 0; the module
+    docstring gives the regions (decisive tail, series, far field, normal
+    limit).
+
+    Pinned in the test suite: 40-digit mpmath values in every region
+    (fig3's 21 nominal points, a sample of the order-2000 grid, both sides
+    of the decisive bounds, the far field at orders 0.5 to 5000 and
+    x = 1e3, 3e4) within 1e-12 relative wherever they are at least 1e-290
+    (within 1e-290 absolute below); exactly 0 or 1 where a 40-digit
+    Chernoff bound puts the answer within rounding of it; absolute error
+    against scipy.stats.ncx2.sf below 1e-8 for order <= 50, a, b <= 30,
     and below 1e-10 for order in [0.5, 5000] with a**2 <= order + 50 and
-    b**2 within 8 standard deviations of the mean 2 * order + a**2.
+    b**2 within 8 standard deviations of the mean 2 * order + a**2; and
+    under 1 ms per call for orders 0.5 to 5000 with x up to the largest
+    double and y from 0 to 100 times the mean.
     """
     order = float(order)
     a = float(a)
@@ -356,65 +581,41 @@ def marcum_q(order: float, a: float, b: float) -> float:
 
     if b == 0.0:
         return 1.0
+    if a > _NORMAL_LIMIT or b > _NORMAL_LIMIT:
+        # b^2 against mean 2 order + a^2 and standard deviation
+        # 2 sqrt(order + a^2); the skewness is O(1/a)
+        z = (0.5 * (b - a) * (b + a) - order) / math.hypot(a, math.sqrt(order))
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
+    x = 0.5 * a * a
     y = 0.5 * b * b
-    if a == 0.0:
-        # zero noncentrality: the mixture collapses to its central term
+    if x < _NEGLIGIBLE:
+        # the mixture's central term; the others add x y / order relatively
         return reg_upper_gamma(order, y)
-
-    rate = 0.5 * a * a  # Poisson mixing rate
-    mode = int(rate)
-    log_weight = -rate - math.lgamma(mode + 1)
-    if mode > 0:
-        log_weight += mode * math.log(rate)
-    weight_mode = math.exp(log_weight)
-
-    tail_side = y > order + rate  # sum the small (upper) side directly
-    p_mode, q_mode = _reg_gamma_pair(order + mode, y)
-    g_mode = q_mode if tail_side else p_mode
-    # D_j = y^(order+j) e^-y / Gamma(order+j+1), the recurrence increment
-    log_d = _log_prefactor(order + mode, y) - math.log(order + mode)
-    d_mode = math.exp(log_d) if log_d > -745.0 else 0.0
-
-    total = weight_mode * g_mode
-    mass = weight_mode
-
-    # Expand outward from the mode, one step up and one step down per
-    # iteration. The Poisson mass outside the summed window bounds the
-    # truncation error; the mixture weights decay monotonically away from
-    # the mode, so a march is also finished once its weight underflows the
-    # term tolerance (floating drift can leave the accumulated mass a few
-    # ulp short of 1, which must not count as non-convergence).
-    w_up, g_up, d_up, j_up = weight_mode, g_mode, d_mode, mode
-    w_dn, g_dn, d_dn, j_dn = weight_mode, g_mode, d_mode, mode
-    up_active = True
-    dn_active = mode > 0
-    for _ in range(MAX_ITERATIONS):
-        if 1.0 - mass < TERM_TOLERANCE or not (up_active or dn_active):
-            break
-        if up_active:
-            g_up = g_up + d_up if tail_side else g_up - d_up
-            g_up = min(max(g_up, 0.0), 1.0)
-            d_up *= y / (order + j_up + 1.0)
-            w_up *= rate / (j_up + 1.0)
-            j_up += 1
-            total += w_up * g_up
-            mass += w_up
-            if w_up < TERM_TOLERANCE:
-                up_active = False
-        if dn_active:
-            d_dn *= (order + j_dn) / y
-            g_dn = g_dn - d_dn if tail_side else g_dn + d_dn
-            g_dn = min(max(g_dn, 0.0), 1.0)
-            w_dn *= j_dn / rate
-            j_dn -= 1
-            total += w_dn * g_dn
-            mass += w_dn
-            if w_dn < TERM_TOLERANCE or j_dn == 0:
-                dn_active = False
+    if y < _NEGLIGIBLE:
+        # P(order + j, y) <= y^j P(order, y): only the central term counts
+        return 1.0 - math.exp(-x) * reg_lower_gamma(order, y)
+    excess = 0.5 * (b - a) * (b + a) - order  # y - x - order, sign of the small side
+    half_root = math.hypot(0.5 * order, 0.5 * a * b)  # sqrt(order^2 + 4 x y) / 2
+    # s - 1 = excess / (sqrt(order^2 + 4 x y) / 2 + order / 2 + x), all
+    # digits kept near the mean
+    delta = excess / (half_root + 0.5 * order + x)
+    if delta > -0.5:
+        log_saddle = math.log1p(delta)
     else:
-        raise ConvergenceError(
-            f"marcum_q did not converge for order={order}, a={a}, b={b}"
-        )
+        saddle = y / (0.5 * order + half_root)
+        log_saddle = math.log(saddle) if saddle > 0.0 else -math.inf
+    log_bound = -0.5 * (a * delta) ** 2 - order * (delta - log_saddle)
+    upper = excess > 0.0
+    if upper:
+        if log_bound < _LOG_ROUNDS_TO_ZERO:
+            return 0.0
+    elif log_bound < _LOG_ROUNDS_TO_ONE:
+        return 1.0
 
-    result = total if tail_side else 1.0 - total
+    mode = x * (1.0 + delta)
+    if mode > _FAR_FIELD_MODE:
+        small = _marcum_contour(order, x, delta, log_bound, upper)
+    else:
+        small = _marcum_series(order, x, y, int(mode), upper, log_bound)
+    result = small if upper else 1.0 - small
     return min(max(result, 0.0), 1.0)

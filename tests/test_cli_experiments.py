@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsense import cli_experiments
 from coopsense.cli_experiments import (
     CSV_COLUMNS,
     ENV_OUTPUT_DIR,
@@ -22,6 +23,7 @@ from coopsense.cli_experiments import (
     validate_spec,
 )
 from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, nominal_rates
+from coopsense.specfun import ConvergenceError
 from coopsense.threshold_schemes import SchemeKind
 
 
@@ -271,6 +273,20 @@ class TestValidation:
         assert len(diagnostics) == 1
         assert diagnostics[0].startswith(f"scenario.detector: {field} must be finite")
 
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_overflowing_snr_sweep_rejected(self, write_spec, name):
+        # 10^(3100 / 10) is past the largest double
+        document = json.loads(resolve_spec_path(name).read_text(encoding="utf-8"))
+        document["sweep"]["values"] = [-10, 3100]
+        (diagnostic,) = validate_spec(write_spec(document))
+        assert diagnostic.startswith("sweep.values: snr_db values must be finite")
+
+    def test_overflowing_scenario_snr_rejected(self, write_spec):
+        document = spec_document(**{"scenario.snr_db": 3100})
+        document["sweep"] = {"axis": "num_sus", "values": [3, 5]}
+        (diagnostic,) = validate_spec(write_spec(document))
+        assert diagnostic.startswith("scenario.snr_db: must be finite")
+
     def test_nominal_outside_bracket_diagnosed(self, write_spec):
         document = spec_document()
         document["scenario"]["noise"] = {
@@ -388,22 +404,40 @@ class TestMainEntry:
         assert main(["run", str(path)]) == 2
         assert "num_sus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "snr_db, reason",
-        [(80, "ConvergenceError: marcum_q"), (400, "OverflowError")],
-    )
     def test_failing_cell_named_and_no_csv(
-        self, write_spec, tmp_path, capsys, snr_db, reason
+        self, write_spec, tmp_path, capsys, monkeypatch
     ):
+        def failing_at_seven_db(scenario):
+            if scenario.snr_db == 7.0:
+                raise ConvergenceError("did not converge")
+            return nominal_rates(scenario)
+
+        monkeypatch.setattr(cli_experiments, "nominal_rates", failing_at_seven_db)
         document = json.loads(resolve_spec_path("fig3").read_text(encoding="utf-8"))
-        document["sweep"]["values"] = [-10, snr_db]
+        document["sweep"]["values"] = [-10, 7]
         document["scenario"]["trials"] = 100
         path = write_spec(document)
         out = tmp_path / "fig3.csv"
         assert main(["run", str(path), "--out", str(out), "--workers", "1"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"cell snr_db={snr_db} fixed: {reason}")
+        assert line == "cell snr_db=7 fixed: ConvergenceError: did not converge"
         assert list(tmp_path.iterdir()) == [path]
+
+    # 3082 dB is the largest whole dB whose linear SNR is a finite double
+    @pytest.mark.parametrize("snr_db", [80, 400, 3082])
+    def test_high_snr_cells_run_with_certain_detection(
+        self, write_spec, tmp_path, capsys, snr_db
+    ):
+        document = json.loads(resolve_spec_path("fig3").read_text(encoding="utf-8"))
+        document["sweep"]["values"] = [snr_db]
+        document["scenario"]["trials"] = 100
+        path = write_spec(document)
+        out = tmp_path / "fig3.csv"
+        assert main(["run", str(path), "--out", str(out), "--workers", "1"]) == 0
+        rows = [dict(zip(CSV_COLUMNS, line.split(",")))
+                for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(row["pd_analytic"] == "1.0" for row in rows)
 
     def test_run_writes_csv(self, write_spec, tmp_path, capsys):
         document = spec_document(**{"scenario.trials": 200})
@@ -503,3 +537,35 @@ class TestMalformedSpecs:
         for value in spec.sweep_values:
             cells = [_scenario_for(spec, value, scheme) for scheme in spec.schemes]
             nominal_rates(cells[0])
+
+
+class TestNominalRange:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        snr_db=st.one_of(
+            st.floats(-300.0, 300.0),
+            st.floats(-4000.0, 4000.0),
+            st.sampled_from([3079.5, 3082.5, 3082.6]),
+        ),
+        threshold=st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e308)),
+    )
+    def test_every_validated_fig3_cell_evaluates(self, snr_db, threshold):
+        """No SNR or threshold that validation admits takes the closed forms
+        out of [0, 1] or into an error; it rejects only an overflowing
+        linear SNR."""
+        document = copy.deepcopy(BUNDLED["fig3"])
+        document["sweep"]["values"] = [snr_db]
+        document["scenario"]["detector"]["threshold"] = threshold
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = Path(tmp) / "fig3.json"
+            spec_path.write_text(json.dumps(document), encoding="utf-8")
+            diagnostics = validate_spec(spec_path)
+            if diagnostics:
+                assert snr_db > 3082.0
+                (diagnostic,) = diagnostics
+                assert diagnostic.startswith("sweep.values: snr_db")
+                return
+            spec = load_spec(spec_path)
+        rates = nominal_rates(_scenario_for(spec, snr_db, spec.schemes[0]))
+        for rate in (rates.p_f, rates.p_d, rates.q_f, rates.q_m, rates.q_e):
+            assert 0.0 <= rate <= 1.0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsense.fusion import (
     FusionConfig,
@@ -48,7 +50,28 @@ def scan_vote_count_oracle(num_sus, p_f, p_d, prior_h0):
     return best
 
 
-class TestCooperativeRates:
+def enumerate_fused_rates(config, p_f, p_d):
+    """Exhaustive oracle over the 2^K report vectors. A receiver reports 1
+    when it decides 1 and its report is not flipped, or decides 0 and it
+    is; each vector is weighted by the product of its reports' odds."""
+    k, n, flip = config.num_sus, config.vote_threshold, config.report_error
+    bits = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    reaches = bits.sum(axis=1) >= n
+
+    def vote_mass(p):
+        report = sum(
+            (p if decided else 1.0 - p) * (flip if flipped else 1.0 - flip)
+            for decided in (0, 1) for flipped in (0, 1) if decided != flipped
+        )
+        weights = np.where(bits == 1, report, 1.0 - report).prod(axis=1)
+        return weights[reaches].sum(), weights[~reaches].sum()
+
+    q_f = vote_mass(p_f)[0]
+    q_m = vote_mass(p_d)[1]
+    return q_f, q_m, config.prior_h0 * q_f + (1.0 - config.prior_h0) * q_m
+
+
+class TestVoteTails:
     def test_or_rule_closed_form(self):
         assert coop_qf(5, 1, 0.1) == pytest.approx(0.40951, abs=1e-12)
 
@@ -214,6 +237,25 @@ class TestReportingErrors:
 
 
 class TestCooperativeRates:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        num_sus=st.integers(1, 12),
+        p_f=st.floats(0.0, 1.0),
+        p_d=st.floats(0.0, 1.0),
+        prior_h0=st.floats(0.0, 1.0),
+        report_error=st.floats(0.0, 0.5),
+    )
+    def test_matches_enumeration_of_every_report_vector(
+        self, data, num_sus, p_f, p_d, prior_h0, report_error
+    ):
+        vote_threshold = data.draw(st.integers(1, num_sus), label="vote_threshold")
+        config = FusionConfig(num_sus, vote_threshold, prior_h0, report_error)
+        fused = cooperative_rates(config, p_f, p_d)
+        want = enumerate_fused_rates(config, p_f, p_d)
+        for got, expected in zip((fused.q_f, fused.q_m, fused.q_e), want):
+            assert got == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
     def test_total_error_holds_by_construction(self):
         config = FusionConfig(
             num_sus=8, vote_threshold=3, prior_h0=0.35, report_error=0.001

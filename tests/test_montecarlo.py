@@ -6,6 +6,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopsense.detector import DetectorConfig, analytic_pf
 from coopsense.fusion import FusionConfig
@@ -403,6 +405,13 @@ class TestWilsonInterval:
             s = int(rng.integers(0, n + 1))
             lower, upper = wilson_interval(s, n)
             assert 0.0 <= lower <= s / n <= upper <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), observations=st.integers(1, 2**53))
+    def test_contains_point_estimate_for_every_count(self, data, observations):
+        successes = data.draw(st.integers(0, observations), label="successes")
+        lower, upper = wilson_interval(successes, observations)
+        assert 0.0 <= lower <= successes / observations <= upper <= 1.0
 
     def test_no_observations(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)

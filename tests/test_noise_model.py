@@ -135,9 +135,7 @@ class TestSampleNoiseVariance:
 
     def test_uniform_mean(self):
         bracket = VarianceBracket(low=1.0, high=3.0)
-        model = NoiseUncertaintyModel(
-            nominal_variance=2.0, confidence=0.99, bracket=bracket, sample_count=10
-        )
+        model = NoiseUncertaintyModel(nominal_variance=2.0, bracket=bracket)
         rng = np.random.default_rng(5)
         draws = np.array(
             [sample_noise_variance(model, rng) for _ in range(10**6)]
@@ -147,9 +145,7 @@ class TestSampleNoiseVariance:
 
     def test_seeded_determinism(self):
         bracket = VarianceBracket(low=0.5, high=1.5)
-        model = NoiseUncertaintyModel(
-            nominal_variance=1.0, confidence=0.9, bracket=bracket, sample_count=10
-        )
+        model = NoiseUncertaintyModel(nominal_variance=1.0, bracket=bracket)
         a = [sample_noise_variance(model, np.random.default_rng(42)) for _ in range(1)]
         b = [sample_noise_variance(model, np.random.default_rng(42)) for _ in range(1)]
         assert a == b
@@ -189,9 +185,7 @@ class TestNoiseUncertaintyModel:
     def test_nominal_must_sit_inside_bracket(self):
         bracket = VarianceBracket(low=1.0, high=2.0)
         with pytest.raises(ValueError):
-            NoiseUncertaintyModel(
-                nominal_variance=0.5, confidence=0.99, bracket=bracket, sample_count=5
-            )
+            NoiseUncertaintyModel(nominal_variance=0.5, bracket=bracket)
 
     def test_from_calibration(self):
         model = NoiseUncertaintyModel.from_calibration(

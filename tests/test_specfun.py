@@ -15,16 +15,40 @@ Frozen oracle values and their provenance:
   x^a e^-x / Gamma(a) directly and loses up to ~2e-11 relative itself
   (scipy's Q at (9083.604651023614, 12851.202835207432) is 1.6e-11 off).
 
+* FROZEN_MARCUM_*: Q_order(a, b) from mpmath 1.3 at 40 significant digits,
+  rounded to double, at the exact doubles a and b listed: the Poisson
+  mixture sum_j e^-x x^j / j! Q(order + j, y), x = a^2/2, y = b^2/2, with
+  Q(order, y) from ``gammainc`` and each next term by the upward
+  recurrence, summed until the terms fall below 1e-50 of the sum past the
+  summands' peak (cross-checked at several points against mpmath
+  quadrature of the noncentral chi density, to 1e-38). The sets:
+
+  - FIG3: the bundled fig3's nominal p_d, order 5, b = sqrt(30) and
+    a = sqrt(2 * 10 ** (dB / 10)) for dB = -20..0;
+  - GRID: 16 points of the closed-form benchmark's order-2000 grid law,
+    numpy ``default_rng(2000)``: whole-window SNR S = 2 * 100 ** U,
+    a = sqrt(2 S), b^2 uniform over [2u - 3 sqrt(4u), 2 (u + 200) +
+    3 sqrt(4u + 1600)];
+  - TAILS: both sides of the decisive bounds, P near 2^-54 at 8, 9 and 11
+    standard deviations below the mean and Q with Chernoff exponent -600,
+    -660, -700 and -750 above it, at orders 0.5, 5, 2000 and 5000;
+  - FAR: orders 0.5, 5, 2000 and 5000 at x = 1e3 and 3e4 with y at -7,
+    -0.5, 0, 0.5, 6 and 30 standard deviations from the mean, and both
+    sides of the series/contour switch (x s = 400) at orders 5 and 2000.
+
 Temme's coefficients d_{k,n} are regenerated here in exact rational
 arithmetic (stdlib ``fractions`` only) and compared with the committed
 float literals.
 """
 
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
@@ -66,6 +90,119 @@ FROZEN_GAMMA_PAIRS = [
     (5000.0, 8000.0, 1.0, 4.890450098507124e-285),
     (9083.5, 12807.734999999999, 1.0, 1.0609511511155177e-264),
     (9083.604651023614, 12851.202835207432, 1.0, 3.3456334402022607e-270),
+]
+
+FROZEN_MARCUM_FIG3 = [
+    0.0008761447143417464, 0.0008812423152634403, 0.0008876878164769695,
+    0.0008958467340734416, 0.0009061890144630451, 0.0009193219314610849,
+    0.000936035059334626, 0.000957362662309409, 0.0009846716523579423,
+    0.0010197877775338072, 0.0010651800594508446, 0.0011242357013622804,
+    0.0012016782894541168, 0.0013042175286048234, 0.001441580800018471,
+    0.0016281876069617538, 0.001885929519377354, 0.0022488915298167576,
+    0.00277155326240317, 0.0035433470351988686, 0.004715016427349336,
+]
+FROZEN_MARCUM_GRID = [
+    (2000.0, 7.519107856355656, 66.05548829521967, 0.00046937222495882134),
+    (2000.0, 2.128470814874679, 64.95471584223804, 0.009080378205944258),
+    (2000.0, 8.87561532660676, 63.17096105147077, 0.8332044170404862),
+    (2000.0, 18.301560775296977, 64.23637132061977, 0.985623966599265),
+    (2000.0, 6.85953987924664, 61.574015119833845, 0.9980116393442411),
+    (2000.0, 2.549255683665527, 65.22552510140513, 0.0032728220064289167),
+    (2000.0, 3.504743651290599, 66.67815980997406, 1.4522568594066992e-06),
+    (2000.0, 2.010405691586326, 63.914486461989284, 0.18238212937622833),
+    (2000.0, 4.655931474034429, 61.58707106511629, 0.9951409343045665),
+    (2000.0, 2.6218601530473067, 66.93387051032008, 1.7446264921425287e-07),
+    (2000.0, 6.219366065815108, 63.15556189314718, 0.7085485021563838),
+    (2000.0, 14.758777208283528, 66.33852319658351, 0.027254949095062486),
+    (2000.0, 7.44788904522314, 64.57722714641619, 0.1036224452355662),
+    (2000.0, 3.9999608123784935, 64.85651109649419, 0.018097295254699906),
+    (2000.0, 2.832859423363319, 65.43049869029048, 0.0014024904039220553),
+    (2000.0, 8.04751771640175, 63.64736030252212, 0.5573701650523214),
+]
+FROZEN_MARCUM_TAILS = [
+    (5.0, 141.4213562373095, 5.477225575051661, 1.0),
+    (0.5, 4.47213595499958, 0.044721359549995794, 0.9999983697426323),
+    (0.5, 4.47213595499958, 39.14442984956518, 1.0306482155333723e-263),
+    (0.5, 4.47213595499958, 40.83434557442991, 8.42589168528563e-290),
+    (0.5, 4.47213595499958, 41.91858477949424, 3.4308103013692246e-307),
+    (0.5, 4.47213595499958, 43.23123042247186, 0.0),
+    (5.0, 14.142135623730951, 0.044721359549995794, 1.0),
+    (5.0, 14.142135623730951, 48.961421007511994, 1.645961111661871e-263),
+    (5.0, 14.142135623730951, 50.64860941246484, 1.351108262874261e-289),
+    (5.0, 14.142135623730951, 51.73116120866818, 5.514869313035408e-307),
+    (5.0, 14.142135623730951, 53.04182576614184, 0.0),
+    (2000.0, 20.0, 57.63874142601833, 1.0),
+    (2000.0, 20.0, 59.314278994168475, 1.0),
+    (2000.0, 20.0, 60.13454317037241, 1.0),
+    (2000.0, 20.0, 93.312788115791, 2.4078188065771292e-263),
+    (2000.0, 20.0, 94.69131824702707, 1.989374249109556e-289),
+    (2000.0, 20.0, 95.578330068825, 8.151997861886694e-307),
+    (2000.0, 20.0, 96.65483076769166, 0.0),
+    (5000.0, 77.45966692414834, 117.01547134471436, 1.0),
+    (5000.0, 77.45966692414834, 118.79454563781002, 1.0),
+    (5000.0, 77.45966692414834, 119.6741653111805, 0.9999999999999999),
+    (5000.0, 77.45966692414834, 155.89525902239512, 2.6785205698359344e-263),
+    (5000.0, 77.45966692414834, 157.3613411577673, 2.2234832179965496e-289),
+    (5000.0, 77.45966692414834, 158.3032793363433, 9.138687025031604e-307),
+    (5000.0, 77.45966692414834, 159.4449998897768, 0.0),
+]
+FROZEN_MARCUM_FAR = [
+    (0.5, 44.721359549995796, 37.07860176451687, 0.9999999999999893),
+    (0.5, 44.721359549995796, 44.22977561133905, 0.6884932500172881),
+    (0.5, 44.721359549995796, 44.73253849269008, 0.49554033999562125),
+    (0.5, 44.721359549995796, 45.22971312500885, 0.305602702139308),
+    (0.5, 44.721359549995796, 50.3758215064248, 7.816760955295765e-09),
+    (0.5, 44.721359549995796, 68.44426171883116, 1.0464038110105362e-124),
+    (0.5, 244.94897427831782, 237.84806089485605, 0.9999999999993803),
+    (0.5, 244.94897427831782, 244.45050624840826, 0.6909229013134917),
+    (0.5, 244.94897427831782, 244.95101551126504, 0.49918566643870993),
+    (0.5, 244.94897427831782, 245.4505041650901, 0.30799912480399805),
+    (0.5, 244.94897427831782, 250.8792537033762, 1.512097942949891e-09),
+    (0.5, 244.94897427831782, 273.30934798102874, 3.1173781433376535e-177),
+    (5.0, 44.721359549995796, 37.19030560559207, 0.9999999999999892),
+    (5.0, 44.721359549995796, 44.33083321623364, 0.6884988824632103),
+    (5.0, 44.721359549995796, 44.83302354291979, 0.4955486803089086),
+    (5.0, 44.721359549995796, 45.32965063128632, 0.3056081158682964),
+    (5.0, 44.721359549995796, 50.47104829755089, 7.791309084222762e-09),
+    (5.0, 44.721359549995796, 68.53198947403011, 8.848653759921169e-125),
+    (5.0, 244.94897427831782, 237.86670947439993, 0.9999999999993803),
+    (5.0, 244.94897427831782, 244.4688954033356, 0.6909229351197798),
+    (5.0, 244.94897427831782, 244.9693858423946, 0.4991857173301846),
+    (5.0, 244.94897427831782, 245.46885582548543, 0.30799915836621866),
+    (5.0, 244.94897427831782, 250.89740963843272, 1.512058954799997e-09),
+    (5.0, 244.94897427831782, 273.32682052147305, 3.1094351639423063e-177),
+    (2000.0, 44.721359549995796, 71.51616778849979, 0.9999999999998983),
+    (2000.0, 44.721359549995796, 77.05033709722906, 0.6897202365972015),
+    (2000.0, 44.721359549995796, 77.45966692414834, 0.49737169306102336),
+    (2000.0, 44.721359549995796, 77.86684501893836, 0.3068005286532699),
+    (2000.0, 44.721359549995796, 82.21281310380039, 3.6221950076558194e-09),
+    (2000.0, 44.721359549995796, 98.96834439456919, 9.669200904841966e-145),
+    (2000.0, 244.94897427831782, 245.99599206605615, 0.9999999999993676),
+    (2000.0, 244.94897427831782, 252.48960772285307, 0.6909374146935959),
+    (2000.0, 244.94897427831782, 252.98221281347034, 0.49920751697081767),
+    (2000.0, 244.94897427831782, 253.47386056940817, 0.3080135364408694),
+    (2000.0, 244.94897427831782, 258.82035450002246, 1.4954335582210118e-09),
+    (2000.0, 244.94897427831782, 280.9624165570664, 1.0374885109580223e-177),
+    (5000.0, 44.721359549995796, 104.06092428405724, 0.9999999999997623),
+    (5000.0, 44.721359549995796, 109.16196222744712, 0.690259479544214),
+    (5000.0, 44.721359549995796, 109.54451150103323, 0.49818350708850206),
+    (5000.0, 44.721359549995796, 109.92572948429047, 0.30733594685543797),
+    (5000.0, 44.721359549995796, 114.03504738386744, 2.4853584836703005e-09),
+    (5000.0, 44.721359549995796, 130.46056936563036, 3.586365285731295e-157),
+    (5000.0, 244.94897427831782, 257.7415107049795, 0.9999999999993497),
+    (5000.0, 244.94897427831782, 264.0928795411197, 0.6909574375071039),
+    (5000.0, 244.94897427831782, 264.5751311064591, 0.49923766968373556),
+    (5000.0, 244.94897427831782, 265.0565052506345, 0.30803342872076306),
+    (5000.0, 244.94897427831782, 270.2950456596563, 1.4726845980495478e-09),
+    (5000.0, 244.94897427831782, 292.0566016045149, 2.2372229103297476e-178),
+    (5.0, 28.24889378365107, 25.258196139398848, 0.9992087661361788),
+    (5.0, 28.24889378365107, 31.27336770774227, 0.002032233701904906),
+    (5.0, 28.319604517012593, 25.3289069535955, 0.9992075565046116),
+    (5.0, 28.319604517012593, 31.344002178026045, 0.0020304136391817887),
+    (2000.0, 28.24889378365107, 66.9374577667055, 0.9988939270062374),
+    (2000.0, 28.24889378365107, 71.52186202644977, 0.0016161683034204568),
+    (2000.0, 28.319604517012593, 66.9656365128505, 0.9988938657020517),
+    (2000.0, 28.319604517012593, 71.55140478305638, 0.0016160931787681959),
 ]
 
 
@@ -430,6 +567,93 @@ class TestMarcumQ:
     def test_domain(self, order, a, b):
         with pytest.raises(ValueError):
             marcum_q(order, a, b)
+
+
+def assert_marcum_matches(points):
+    """Within 1e-12 relative of the 40-digit value wherever that is at
+    least 1e-290; below it, within 1e-290 absolute."""
+    for order, a, b, want in points:
+        got = marcum_q(order, a, b)
+        if want >= 1e-290:
+            assert abs(got - want) <= 1e-12 * want, (order, a, b, got, want)
+        else:
+            assert abs(got - want) <= 1e-290, (order, a, b, got, want)
+
+
+def chernoff_exponent(order, a, b):
+    """log of the Chernoff bound on the small side, at 40 digits: the
+    minimum over s > 0 of x (s - 1) + y (1/s - 1) + order log s."""
+    with mpmath.workdps(40):
+        order, x, y = mpmath.mpf(order), mpmath.mpf(a) ** 2 / 2, mpmath.mpf(b) ** 2 / 2
+        s = (mpmath.sqrt(order**2 + 4 * x * y) - order) / (2 * x)
+        return float(x * (s - 1) + y * (1 / s - 1) + order * mpmath.log(s))
+
+
+class TestMarcumFrozen:
+    """Marcum Q against 40-digit values in every region."""
+
+    def test_fig3_nominal_points(self):
+        points = [(5.0, math.sqrt(2.0 * 10.0 ** (db / 10.0)), math.sqrt(30.0), want)
+                  for db, want in zip(range(-20, 1), FROZEN_MARCUM_FIG3)]
+        assert len(points) == 21
+        assert_marcum_matches(points)
+
+    def test_order_2000_grid_sample(self):
+        assert_marcum_matches(FROZEN_MARCUM_GRID)
+
+    def test_around_the_decisive_tails(self):
+        assert_marcum_matches(FROZEN_MARCUM_TAILS)
+
+    def test_far_field(self):
+        assert specfun._FAR_FIELD_MODE == 400.0
+        assert_marcum_matches(FROZEN_MARCUM_FAR)
+
+    @pytest.mark.parametrize(
+        "order, a, b, want",
+        [
+            # fig3's nominal p_d at 60, 80 and 400 dB
+            (5.0, math.sqrt(2e6), math.sqrt(30.0), 1.0),
+            (5.0, math.sqrt(2e8), math.sqrt(30.0), 1.0),
+            (5.0, math.sqrt(2e40), math.sqrt(30.0), 1.0),
+            (0.5, 3.0, 50.0, 0.0),
+            (2000.0, 20.0, 100.0, 0.0),
+            (5000.0, 1e4, 9.9e3, 1.0),
+        ],
+    )
+    def test_decisive_answers_are_exact(self, order, a, b, want):
+        # the 40-digit Chernoff bound on the small side is below half an
+        # ulp of the answer: 2^-54 under 1, 2^-1075 above 0
+        limit = -54 if want == 1.0 else -1075
+        assert chernoff_exponent(order, a, b) < limit * math.log(2.0)
+        assert marcum_q(order, a, b) == want
+
+
+class TestMarcumCost:
+    def test_every_call_under_a_millisecond(self):
+        """Orders 0.5 to 5000, x log-spaced up to the largest double (a
+        spec's linear SNR), y from 0 to 100 times the mean: the slowest
+        call, best of three, stays under 1 ms."""
+        largest = sys.float_info.max
+        slowest = 0.0
+        for order in (0.5, 5.0, 2000.0, 5000.0):
+            step = (math.log(largest) - math.log(1e-3)) / 47
+            for k in range(48):
+                lam = largest * math.exp((k - 47) * step)
+                mean = min(order + lam, largest / 100.0)
+                sd = math.sqrt(order + 2.0 * min(lam, largest / 4.0))
+                ys = [mean * f for f in (0.0, 1e-6, 0.5, 0.99, 1.0, 1.01, 2.0, 100.0)]
+                ys += [mean + z * sd for z in (-40.0, -9.0, -1.0, 0.0, 1.0, 9.0, 40.0)]
+                a = math.sqrt(2.0) * math.sqrt(lam)
+                for y in ys:
+                    b = math.sqrt(2.0) * math.sqrt(max(y, 0.0))
+                    best = math.inf
+                    for _ in range(3):
+                        start = time.perf_counter()
+                        value = marcum_q(order, a, b)
+                        best = min(best, time.perf_counter() - start)
+                    assert 0.0 <= value <= 1.0
+                    slowest = max(slowest, best)
+        assert slowest < 1e-3
 
 
 def test_budget_constants_documented():

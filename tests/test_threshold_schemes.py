@@ -59,9 +59,7 @@ def assert_statistic(energy, k, normalizer, expected, rel=1e-12, abs=0.0):
 def uncertain_noise():
     return NoiseUncertaintyModel(
         nominal_variance=0.65,
-        confidence=0.99,
         bracket=VarianceBracket(low=0.5, high=0.8),
-        sample_count=1,
     )
 
 
