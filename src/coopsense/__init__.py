@@ -14,7 +14,8 @@ Library layout:
 * :mod:`coopsense.fusion` - cooperative error rates of n-out-of-K voting,
   optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
-  block-batched Monte Carlo engine and the nominal closed-form rates.
+  block-batched Monte Carlo engine that draws each sweep value once for
+  every scheme, and the nominal closed-form rates.
 * :mod:`coopsense.cli_experiments` - command-line sweep runner over JSON
   experiment specs, CSV output.
 """
@@ -45,6 +46,7 @@ from .montecarlo import (
     RateEstimate,
     Scenario,
     ScenarioEstimate,
+    SweepDraws,
     TruthMode,
     estimate,
     nominal_rates,

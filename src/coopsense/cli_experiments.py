@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -37,6 +36,7 @@ from .montecarlo import (
     AnalyticRates,
     Scenario,
     ScenarioEstimate,
+    SweepDraws,
     TruthMode,
     estimate,
     nominal_rates,
@@ -176,38 +176,49 @@ def _parse_detector(block, diagnostics):
         return None
 
 
+# calibration fields; beside an explicit bracket none of them has an effect
+_CALIBRATION_FIELDS = (
+    "confidence", "calibration_mean", "calibration_sd", "calibration_count"
+)
+
+
 def _parse_noise(block, diagnostics):
     nominal = _get(block, "nominal_variance", float, diagnostics, "scenario.noise.")
-    confidence = _get(
-        block, "confidence", float, diagnostics, "scenario.noise.",
-        required=False, default=0.99,
-    )
-    if nominal is None:
-        return None
-    try:
-        if "bracket" in block:
-            bracket = block["bracket"]
-            if (
-                not isinstance(bracket, list)
-                or len(bracket) != 2
-                or not all(isinstance(v, (int, float)) for v in bracket)
-            ):
-                diagnostics.append(
-                    "scenario.noise.bracket: expected [low, high] numbers"
-                )
-                return None
-            if not 0.0 < confidence < 1.0:
-                # range-checked as for a calibration, though a bracket needs none
-                raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    if "bracket" in block:
+        bracket = block["bracket"]
+        if (
+            not isinstance(bracket, list)
+            or len(bracket) != 2
+            or not all(isinstance(v, (int, float)) for v in bracket)
+        ):
+            diagnostics.append("scenario.noise.bracket: expected [low, high] numbers")
+            return None
+        unused = [field for field in _CALIBRATION_FIELDS if field in block]
+        for field in unused:
+            diagnostics.append(
+                f"scenario.noise.{field}: has no effect, remove it (an explicit "
+                "bracket replaces the calibration)"
+            )
+        if nominal is None or unused:
+            return None
+        try:
             return NoiseUncertaintyModel(
                 nominal_variance=nominal,
                 bracket=VarianceBracket(low=float(bracket[0]), high=float(bracket[1])),
             )
-        mean = _get(block, "calibration_mean", float, diagnostics, "scenario.noise.")
-        sd = _get(block, "calibration_sd", float, diagnostics, "scenario.noise.")
-        count = _get(block, "calibration_count", int, diagnostics, "scenario.noise.")
-        if None in (mean, sd, count):
+        except ValueError as exc:
+            diagnostics.append(f"scenario.noise: {exc}")
             return None
+    confidence = _get(
+        block, "confidence", float, diagnostics, "scenario.noise.",
+        required=False, default=0.99,
+    )
+    mean = _get(block, "calibration_mean", float, diagnostics, "scenario.noise.")
+    sd = _get(block, "calibration_sd", float, diagnostics, "scenario.noise.")
+    count = _get(block, "calibration_count", int, diagnostics, "scenario.noise.")
+    if None in (nominal, confidence, mean, sd, count):
+        return None
+    try:
         return NoiseUncertaintyModel.from_calibration(
             nominal_variance=nominal,
             calibration_mean=mean,
@@ -537,6 +548,19 @@ def _resolve_output(spec: ExperimentSpec, out_arg) -> Path:
     return base_dir / spec.output
 
 
+# a cell failing with one of these stops the run with a diagnostic naming it
+_CELL_ERRORS = (ArithmeticError, ConvergenceError, ValueError)
+
+
+def _cell_failure(
+    spec: ExperimentSpec, value, scheme: SchemeKind, exc: Exception
+) -> SpecValidationError:
+    return SpecValidationError([
+        f"cell {spec.sweep_axis}={_format_value(value)} "
+        f"{scheme.value}: {type(exc).__name__}: {exc}"
+    ])
+
+
 def run_experiment(
     spec_path,
     out_path=None,
@@ -546,9 +570,14 @@ def run_experiment(
 ) -> Path:
     """Run every (sweep value, scheme) cell and write the CSV atomically.
 
-    The nominal closed forms are evaluated once per sweep value, in its
-    first cell. A cell that fails raises ``SpecValidationError`` naming the
-    sweep value, the scheme and the reason, and no CSV is written.
+    A sweep value is drawn once: its cells share one ``SweepDraws`` handle,
+    simulated in the value's first ``estimate`` call, or, with more than one
+    worker, queued on the pool for every value before the first cell runs
+    and waited for in each value's first ``estimate`` call. The nominal
+    closed forms are evaluated once per sweep value, in its first cell. A
+    cell that fails raises ``SpecValidationError`` naming the sweep value,
+    the scheme and the reason; queued work is cancelled and no CSV is
+    written.
     """
     spec = load_spec(spec_path)
     if seed is not None:
@@ -566,21 +595,31 @@ def run_experiment(
     target.parent.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=workers)
     try:
+        # one handle per sweep value, shared by its schemes' cells; with a
+        # pool, every value's block ranges are queued before any is read
+        draws = []
         for value in spec.sweep_values:
+            try:
+                scenario = _scenario_for(spec, value, spec.schemes[0])
+                draws.append(SweepDraws(scenario, workers, executor))
+            except _CELL_ERRORS as exc:
+                raise _cell_failure(spec, value, spec.schemes[0], exc) from exc
+        for value, shared in zip(spec.sweep_values, draws):
             nominal = None
             for scheme in spec.schemes:
                 try:
                     scenario = _scenario_for(spec, value, scheme)
                     if nominal is None:
                         nominal = nominal_rates(scenario)
-                    result = estimate(scenario, workers=workers, executor=executor)
-                except (ArithmeticError, ConvergenceError, ValueError) as exc:
-                    raise SpecValidationError([
-                        f"cell {spec.sweep_axis}={_format_value(value)} "
-                        f"{scheme.value}: {type(exc).__name__}: {exc}"
-                    ]) from exc
+                    result = estimate(scenario, draws=shared)
+                except _CELL_ERRORS as exc:
+                    raise _cell_failure(spec, value, scheme, exc) from exc
                 rows.append(_csv_row(value, scheme, result, nominal))
                 if not quiet:
                     print(
@@ -590,7 +629,7 @@ def run_experiment(
                     )
     finally:
         if executor is not None:
-            executor.shutdown()
+            executor.shutdown(cancel_futures=True)
 
     payload = "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
     fd, tmp_name = tempfile.mkstemp(

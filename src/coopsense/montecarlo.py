@@ -23,10 +23,21 @@ These identities are exercised against direct waveform simulation in the
 test suite. Receivers are simulated i.i.d.: signal draws are per-receiver,
 matching the independence assumed by the binomial fusion model.
 
-The engine holds no scheme logic: each scenario's normalizer and two-step
-bracket are computed once, and every block hands its n x K energies to
-``threshold_schemes.decide_scheme`` and tallies the result with numpy
-reductions.
+The engine holds no scheme logic, and its unit of work is a sweep value
+(a scenario up to its scheme), not a cell. Every scheme tests the same
+window energy against the same threshold and differs only in the noise
+power it divides by (``scheme_normalizer``): the nominal power for
+``fixed`` and the bracket mean for every other scheme. So a sweep value is
+drawn once, each block is decided once per distinct normalizer by
+``threshold_schemes.decide_scheme`` and tallied for both with numpy
+reductions, and the bracket-mean tally also counts the receivers whose
+two-step interval straddles the threshold. ``estimate`` reads the tally
+of its scenario's scheme. A ``SweepDraws`` handle carries one sweep
+value's tallies from the first scheme's ``estimate`` call to the others:
+it runs the blocks in that first call, or, given an executor, queues its
+block ranges on the pool as soon as it is made and the first call waits
+for them, so that a runner can queue every sweep value before reading
+any. A handle keeps nothing beyond its own lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -41,11 +52,13 @@ scenario declares which analytic family both use:
   per sample.
 """
 
+from __future__ import annotations
+
 import enum
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Executor
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -67,6 +80,7 @@ __all__ = [
     "ScenarioEstimate",
     "wilson_interval",
     "nominal_rates",
+    "SweepDraws",
     "estimate",
 ]
 
@@ -187,8 +201,8 @@ def _rate(successes: int, observations: int) -> RateEstimate:
 
 @dataclass(frozen=True)
 class _Runtime:
-    """Scenario constants hoisted out of the block loop; pool tasks carry
-    this, not the ``Scenario``."""
+    """Scheme-free constants of a scenario, hoisted out of the block loop;
+    pool tasks carry this, not the ``Scenario``."""
 
     k: int
     num_sus: int
@@ -199,8 +213,8 @@ class _Runtime:
     truth: TruthMode
     family: AnalyticFamily
     bracket: VarianceBracket
-    normalizer: float
-    step_bracket: VarianceBracket | None  # two-step interval, else None
+    nominal: float  # the fixed scheme's normalizer
+    mean: float  # every other scheme's normalizer, inside the bracket
     signal_power: float  # received per-sample power (exponential family)
     signal_energy: float  # received whole-window energy (chi-square family)
 
@@ -233,10 +247,8 @@ def _runtime(scenario: Scenario) -> _Runtime:
         truth=scenario.truth,
         family=scenario.family,
         bracket=noise.bracket,
-        normalizer=scheme_normalizer(scenario.scheme, noise),
-        step_bracket=(
-            noise.bracket if scenario.scheme == SchemeKind.TWO_STEP else None
-        ),
+        nominal=scheme_normalizer(SchemeKind.FIXED, noise),
+        mean=scheme_normalizer(SchemeKind.EXPECTATION, noise),
         signal_power=per_sample,
         signal_energy=window,
     )
@@ -260,9 +272,9 @@ class _Tally:
     fused_false_alarms: int = 0
     fused_misses: int = 0
     fused_errors: int = 0
-    steps_total: int = 0
+    second_steps: int = 0  # receivers whose two-step interval straddles
 
-    def merge(self, other: "_Tally") -> "_Tally":
+    def merge(self, other: _Tally) -> _Tally:
         return _Tally(
             trials_h0=self.trials_h0 + other.trials_h0,
             trials_h1=self.trials_h1 + other.trials_h1,
@@ -271,12 +283,22 @@ class _Tally:
             fused_false_alarms=self.fused_false_alarms + other.fused_false_alarms,
             fused_misses=self.fused_misses + other.fused_misses,
             fused_errors=self.fused_errors + other.fused_errors,
-            steps_total=self.steps_total + other.steps_total,
+            second_steps=self.second_steps + other.second_steps,
         )
 
 
-def _simulate_block(rt: _Runtime, rng: np.random.Generator, n: int) -> _Tally:
-    """Tally of ``n`` trials drawn from ``rng`` in the documented order."""
+def _merge(
+    a: tuple[_Tally, _Tally], b: tuple[_Tally, _Tally]
+) -> tuple[_Tally, _Tally]:
+    return a[0].merge(b[0]), a[1].merge(b[1])
+
+
+def _simulate_block(
+    rt: _Runtime, rng: np.random.Generator, n: int
+) -> tuple[_Tally, _Tally]:
+    """Tallies of ``n`` trials drawn from ``rng`` in the documented order:
+    decided on the nominal power, then on the bracket mean with the
+    two-step second steps counted."""
     shape = (n, rt.num_sus)
     if rt.truth == TruthMode.MIXED:
         h1 = rng.random(n) >= rt.prior_h0
@@ -294,42 +316,60 @@ def _simulate_block(rt: _Runtime, rng: np.random.Generator, n: int) -> _Tally:
         scale = variances + np.where(h1, rt.signal_power, 0.0)[:, None]
         energies = scale * rng.standard_gamma(rt.k, size=shape)
 
-    decisions, steps = decide_scheme(
-        energies, rt.k, rt.threshold_norm, rt.normalizer, rt.step_bracket
-    )
+    nominal, _ = decide_scheme(energies, rt.k, rt.threshold_norm, rt.nominal)
+    mean, steps = decide_scheme(energies, rt.k, rt.threshold_norm, rt.mean, rt.bracket)
+    # one row per normalizer; both rows see the same report flips
+    decisions = np.stack((nominal, mean))
     reported = decisions
     if rt.report_error > 0.0:
         reported = decisions ^ (rng.random(shape) < rt.report_error)
 
-    fused = np.count_nonzero(reported, axis=1) >= rt.vote_threshold
-    positives = np.count_nonzero(decisions, axis=1)
+    fused = np.count_nonzero(reported, axis=2) >= rt.vote_threshold
+    positives = np.count_nonzero(decisions, axis=2)
+    counts = zip(
+        positives.sum(axis=1).tolist(),
+        positives[:, h1].sum(axis=1).tolist(),
+        np.count_nonzero(fused & ~h1, axis=1).tolist(),
+        np.count_nonzero(h1 & ~fused, axis=1).tolist(),
+        (0, int(steps.sum()) - steps.size),
+    )
     trials_h1 = int(np.count_nonzero(h1))
-    su_detections = int(positives[h1].sum())
-    false_alarms = int(np.count_nonzero(fused & ~h1))
-    misses = int(np.count_nonzero(h1 & ~fused))
-    return _Tally(
-        trials_h0=n - trials_h1,
-        trials_h1=trials_h1,
-        su_false_alarms=int(positives.sum()) - su_detections,
-        su_detections=su_detections,
-        fused_false_alarms=false_alarms,
-        fused_misses=misses,
-        fused_errors=false_alarms + misses,
-        steps_total=int(steps.sum()),
+    return tuple(
+        _Tally(
+            trials_h0=n - trials_h1,
+            trials_h1=trials_h1,
+            su_false_alarms=positive - detections,
+            su_detections=detections,
+            fused_false_alarms=false_alarms,
+            fused_misses=misses,
+            fused_errors=false_alarms + misses,
+            second_steps=second_steps,
+        )
+        for positive, detections, false_alarms, misses, second_steps in counts
     )
 
 
-def _run_blocks(rt: _Runtime, seed: int, trials: int, first: int, stop: int) -> _Tally:
-    """Tally of blocks ``first`` up to ``stop`` of a ``trials``-trial cell."""
-    tally = _Tally()
+def _run_blocks(
+    rt: _Runtime, seed: int, trials: int, first: int, stop: int
+) -> tuple[_Tally, _Tally]:
+    """Tallies of blocks ``first`` up to ``stop`` of a ``trials``-trial
+    sweep value."""
+    tallies = (_Tally(), _Tally())
     for block in range(first, stop):
         n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-        tally = tally.merge(_simulate_block(rt, _block_rng(seed, block), n))
-    return tally
+        tallies = _merge(tallies, _simulate_block(rt, _block_rng(seed, block), n))
+    return tallies
 
 
-def _blocks_worker(args) -> _Tally:
-    return _run_blocks(*args)
+def _scheme_tally(scheme: SchemeKind, nominal: _Tally, mean: _Tally) -> _Tally:
+    """The tally a scheme's cell reads: ``fixed`` decides on the nominal
+    power, every other scheme on the bracket mean (``scheme_normalizer``),
+    and only ``two_step`` takes second steps."""
+    if scheme == SchemeKind.FIXED:
+        return nominal
+    if scheme == SchemeKind.TWO_STEP:
+        return mean
+    return replace(mean, second_steps=0)
 
 
 def nominal_rates(scenario: Scenario) -> AnalyticRates:
@@ -362,35 +402,83 @@ def _split_ranges(count: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
+class SweepDraws:
+    """The tallies of one sweep value, shared by the ``estimate`` calls of
+    every scheme at that value.
+
+    A sweep value is a scenario up to its scheme: the scheme-free runtime,
+    the seed and the trial count. Its blocks are split into ``workers``
+    contiguous ranges. Given an ``executor``, every range is queued on it
+    when the handle is made; otherwise the ranges run in the first
+    ``tallies`` call, in this process when there is one range and on a
+    pool made for that call when there are more.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        workers: int = 1,
+        executor: Executor | None = None,
+    ):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers!r}")
+        self._key = (_runtime(scenario), scenario.seed, scenario.trials)
+        blocks = -(-scenario.trials // BLOCK_TRIALS)
+        self._tasks = [
+            (*self._key, first, stop) for first, stop in _split_ranges(blocks, workers)
+        ]
+        self._futures = (
+            None
+            if executor is None
+            else [executor.submit(_run_blocks, *task) for task in self._tasks]
+        )
+        self._tallies = None
+
+    def tallies(self, scenario: Scenario) -> tuple[_Tally, _Tally]:
+        """Nominal-power and bracket-mean tallies over every block; runs or
+        waits for the blocks on the first call. Raises ``ValueError`` for a
+        scenario of another sweep value."""
+        if (_runtime(scenario), scenario.seed, scenario.trials) != self._key:
+            raise ValueError(
+                "these draws belong to another sweep value: the scenario "
+                "differs in more than its scheme"
+            )
+        if self._tallies is None:
+            if self._futures is not None:
+                parts = [future.result() for future in self._futures]
+            elif len(self._tasks) == 1:
+                parts = [_run_blocks(*self._tasks[0])]
+            else:
+                from concurrent.futures import ProcessPoolExecutor
+
+                with ProcessPoolExecutor(max_workers=len(self._tasks)) as pool:
+                    parts = list(pool.map(_run_blocks, *zip(*self._tasks)))
+            self._tallies = functools.reduce(_merge, parts)
+        return self._tallies
+
+
 def estimate(
     scenario: Scenario,
     workers: int = 1,
-    executor: ProcessPoolExecutor | None = None,
+    executor: Executor | None = None,
+    draws: SweepDraws | None = None,
 ) -> ScenarioEstimate:
     """Aggregate all trials of a scenario into Monte Carlo rate estimates.
 
-    ``workers`` > 1 splits the cell's blocks into contiguous ranges, one
-    pool task each (run on ``executor`` when given); a cell that yields one
-    range runs in this process. Because each block derives its own stream,
-    the tallies (and therefore every estimate) are bit-identical for any
-    worker count.
+    ``draws`` is the ``SweepDraws`` handle of the scenario's sweep value,
+    shared by the cells of every scheme at that value; it must have been
+    made for this scenario up to the scheme, else ``ValueError``. Without
+    it the call makes its own handle from ``workers`` and ``executor``
+    (``workers`` > 1 splits the blocks into contiguous ranges, one pool
+    task each) and keeps nothing. The scheme picks the tally it reads:
+    ``fixed`` the nominal-power decisions, every other scheme the
+    bracket-mean ones, and only ``two_step`` counts second steps. Because
+    each block derives its own stream, every estimate is bit-identical for
+    any worker count, shared draws or not.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    blocks = -(-scenario.trials // BLOCK_TRIALS)
-    rt = _runtime(scenario)
-    args = [
-        (rt, scenario.seed, scenario.trials, first, stop)
-        for first, stop in _split_ranges(blocks, workers)
-    ]
-    if len(args) == 1:
-        tallies = [_run_blocks(*args[0])]
-    elif executor is not None:
-        tallies = list(executor.map(_blocks_worker, args))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_blocks_worker, args))
-    tally = functools.reduce(_Tally.merge, tallies)
+    if draws is None:
+        draws = SweepDraws(scenario, workers, executor)
+    tally = _scheme_tally(scenario.scheme, *draws.tallies(scenario))
 
     num_sus = scenario.fusion.num_sus
     su_obs_h0 = tally.trials_h0 * num_sus
@@ -405,13 +493,14 @@ def estimate(
         # single-truth runs cannot observe the prior-weighted error directly
         q_e = RateEstimate(math.nan, 0.0, 1.0, tally.fused_errors, 0)
 
+    decisions = scenario.trials * num_sus
     return ScenarioEstimate(
         p_d=p_d,
         p_f=p_f,
         q_f=q_f,
         q_m=q_m,
         q_e=q_e,
-        steps_mean=tally.steps_total / (scenario.trials * num_sus),
+        steps_mean=(decisions + tally.second_steps) / decisions,
         trials=scenario.trials,
         seed=scenario.seed,
     )

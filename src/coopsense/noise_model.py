@@ -8,6 +8,8 @@ is drawn uniformly from that bracket, which is what makes a fixed-threshold
 detector miscalibrated while the expectation-normalized schemes stay honest.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from statistics import NormalDist

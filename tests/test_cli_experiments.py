@@ -1,19 +1,24 @@
 """Tests for the experiment spec loader, runner and CLI."""
 
+import concurrent.futures
 import copy
 import json
 import math
+import multiprocessing
 import tempfile
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsense import cli_experiments
+from coopsense import cli_experiments, montecarlo
 from coopsense.cli_experiments import (
     CSV_COLUMNS,
     ENV_OUTPUT_DIR,
+    ExperimentSpec,
     SpecValidationError,
     _scenario_for,
     load_spec,
@@ -22,6 +27,7 @@ from coopsense.cli_experiments import (
     run_experiment,
     validate_spec,
 )
+from coopsense.fusion import FusionConfig
 from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, nominal_rates
 from coopsense.specfun import ConvergenceError
 from coopsense.threshold_schemes import SchemeKind
@@ -237,6 +243,28 @@ class TestValidation:
         spec = load_spec(write_spec(document))
         assert spec.base.noise.bracket.low == 0.98
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("confidence", 0.99),
+            ("calibration_mean", 1.01),
+            ("calibration_sd", 0.03883),
+            ("calibration_count", 100),
+        ],
+    )
+    def test_calibration_field_beside_bracket_rejected(self, write_spec, field, value):
+        document = spec_document()
+        document["scenario"]["noise"] = {
+            "nominal_variance": 1.0,
+            "bracket": [0.98, 1.04],
+            field: value,
+        }
+        diagnostics = validate_spec(write_spec(document))
+        assert diagnostics == [
+            f"scenario.noise.{field}: has no effect, remove it (an explicit "
+            "bracket replaces the calibration)"
+        ]
+
     def test_scheme_options_rejected_as_without_effect(self, write_spec):
         document = spec_document()
         document["scenario"]["scheme_options"] = {"weights_ratio": 0.5}
@@ -379,6 +407,26 @@ class TestRunExperiment:
             run_experiment(path, quiet=True)
         assert any("trials" in d for d in excinfo.value.diagnostics)
 
+    def test_each_sweep_value_drawn_once(self, write_spec, tmp_path, monkeypatch):
+        # every block of a sweep value is simulated once for all four
+        # schemes, and a second run reuses nothing from the first
+        calls = []
+        simulate = montecarlo._simulate_block
+
+        def counting(rt, rng, n):
+            calls.append(n)
+            return simulate(rt, rng, n)
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", counting)
+        path = write_spec(spec_document(
+            schemes=["fixed", "two_step", "expectation", "convex"]
+        ))
+        for out in ["a.csv", "b.csv"]:
+            calls.clear()
+            run_experiment(path, out_path=tmp_path / out, workers=1, quiet=True)
+            assert calls == [512, 512, 476] * 2  # sweep values x blocks
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_no_partial_file_on_bad_target(self, write_spec, tmp_path):
         path = write_spec(spec_document())
         target_dir = tmp_path / "somewhere"
@@ -422,6 +470,41 @@ class TestMainEntry:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "cell snr_db=7 fixed: ConvergenceError: did not converge"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the patched block function only when forked",
+    )
+    def test_failing_pooled_value_named_and_queue_cancelled(
+        self, write_spec, tmp_path, capsys, monkeypatch
+    ):
+        simulate = montecarlo._simulate_block
+
+        def failing_at_minus_ten_db(rt, rng, n):
+            if rt.signal_power == 0.1:
+                raise ValueError("block failed")
+            time.sleep(0.05)
+            return simulate(rt, rng, n)
+
+        futures = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", failing_at_minus_ten_db)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        values = [-12.0, -10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0]
+        path = write_spec(spec_document(**{"sweep.values": values}))
+        out = tmp_path / "pooled.csv"
+        assert main(["run", str(path), "--out", str(out), "--workers", "2"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "cell snr_db=-10.0 fixed: ValueError: block failed"
+        assert list(tmp_path.iterdir()) == [path]
+        assert len(futures) == 2 * len(values)  # every range queued up front
+        assert all(future.done() for future in futures)
+        assert any(future.cancelled() for future in futures)
 
     # 3082 dB is the largest whole dB whose linear SNR is a finite double
     @pytest.mark.parametrize("snr_db", [80, 400, 3082])
@@ -569,3 +652,66 @@ class TestNominalRange:
         rates = nominal_rates(_scenario_for(spec, snr_db, spec.schemes[0]))
         for rate in (rates.p_f, rates.p_d, rates.q_f, rates.q_m, rates.q_e):
             assert 0.0 <= rate <= 1.0
+
+
+def load_document(document) -> ExperimentSpec:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return load_spec(path)
+
+
+class TestReceiverSweep:
+    """A num_sus sweep validates exactly when every cell it names builds."""
+
+    TEMPLATE = spec_document(**{
+        "sweep.axis": "num_sus",
+        "sweep.values": [1],
+        "scenario.snr_db": -10.0,
+    })
+
+    @staticmethod
+    def build_every_cell(spec: ExperimentSpec):
+        for value in spec.sweep_values:
+            for scheme in spec.schemes:
+                _scenario_for(spec, value, scheme)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+        complement=st.booleans(),
+        given=st.integers(-2, 14),
+    )
+    def test_validates_iff_every_cell_builds(self, values, complement, given):
+        document = copy.deepcopy(self.TEMPLATE)
+        document["sweep"]["values"] = values
+        fusion = document["scenario"]["fusion"]
+        del fusion["vote_threshold"]
+        fusion["vote_threshold_complement" if complement else "vote_threshold"] = given
+        try:
+            spec = load_document(document)
+        except SpecValidationError:
+            spec = None
+        else:
+            self.build_every_cell(spec)
+
+        # the same cells from a spec assembled directly, bypassing validation
+        template = load_document(self.TEMPLATE)
+        try:
+            base_fusion = (
+                template.base.fusion
+                if complement
+                else FusionConfig(num_sus=max(given, 1), vote_threshold=given)
+            )
+            assembled = replace(
+                template,
+                sweep_values=tuple(values),
+                vote_complement=given if complement else None,
+                base=replace(template.base, fusion=base_fusion),
+            )
+            self.build_every_cell(assembled)
+        except ValueError:
+            builds = False
+        else:
+            builds = True
+        assert (spec is not None) == builds

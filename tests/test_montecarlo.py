@@ -1,24 +1,29 @@
 """Tests for the Monte Carlo trial engine."""
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, replace
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsense.cli_experiments import _scenario_for, load_spec, resolve_spec_path
 from coopsense.detector import DetectorConfig, analytic_pf
 from coopsense.fusion import FusionConfig
 from coopsense.montecarlo import (
     BLOCK_TRIALS,
     AnalyticFamily,
     Scenario,
+    SweepDraws,
     TruthMode,
     _block_rng,
     _run_blocks,
     _runtime,
+    _scheme_tally,
     _simulate_block,
     _Tally,
     estimate,
@@ -72,9 +77,14 @@ def uncertain_scenario(**overrides):
 
 
 def block_tallies(scenario, blocks, n=BLOCK_TRIALS):
+    """The tally of the scenario's scheme for each block: the kernel tallies
+    both normalizers, and the scheme picks its own."""
     rt = _runtime(scenario)
     return [
-        _simulate_block(rt, _block_rng(scenario.seed, block), n) for block in blocks
+        _scheme_tally(
+            scenario.scheme, *_simulate_block(rt, _block_rng(scenario.seed, block), n)
+        )
+        for block in blocks
     ]
 
 
@@ -87,32 +97,37 @@ class TestRunTrial:
             assert block_tallies(scenario, [block]) == block_tallies(scenario, [block])
 
     def test_different_indices_differ(self):
-        scenario = uncertain_scenario(trials=200)
-        outcomes = {astuple(t) for t in block_tallies(scenario, range(50), n=200)}
-        assert len(outcomes) > 1
+        # fixed reads the nominal-power tally, two_step the bracket-mean one
+        for scheme in [SchemeKind.FIXED, SchemeKind.TWO_STEP]:
+            scenario = uncertain_scenario(trials=200, scheme=scheme)
+            outcomes = {astuple(t) for t in block_tallies(scenario, range(50), n=200)}
+            assert len(outcomes) > 1
 
     def test_overwhelming_signal_always_detected(self):
         scenario = uncertain_scenario(
             snr_db=40.0, truth=TruthMode.H1, trials=10**4
         )
-        tally = _run_blocks(_runtime(scenario), scenario.seed, 10**4, 0, 20)
-        assert tally.trials_h1 == 10**4
-        assert 1.0 - tally.fused_misses / tally.trials_h1 >= 0.999
+        # both normalizers: fixed's nominal power and the bracket mean
+        for tally in _run_blocks(_runtime(scenario), scenario.seed, 10**4, 0, 20):
+            assert tally.trials_h1 == 10**4
+            assert 1.0 - tally.fused_misses / tally.trials_h1 >= 0.999
 
     def test_zero_signal_variance_matches_noise_only(self):
         # a degenerate H1 consumes the same draws as H0, so outcomes match
         # trial for trial, not just in distribution
-        for make in [uncertain_scenario, chi_square_scenario]:
+        for make, scheme in product(
+            [uncertain_scenario, chi_square_scenario], SchemeKind
+        ):
             detector = replace(make().detector, signal_variance=0.0)
-            h1 = make(detector=detector, truth=TruthMode.H1)
-            h0 = make(detector=detector, truth=TruthMode.H0)
+            h1 = make(detector=detector, truth=TruthMode.H1, scheme=scheme)
+            h0 = make(detector=detector, truth=TruthMode.H0, scheme=scheme)
             for on, off in zip(
                 block_tallies(h1, range(4)), block_tallies(h0, range(4))
             ):
                 assert on.trials_h1 == off.trials_h0 == BLOCK_TRIALS
                 assert on.su_detections == off.su_false_alarms
                 assert on.fused_misses == BLOCK_TRIALS - off.fused_false_alarms
-                assert on.steps_total == off.steps_total
+                assert on.second_steps == off.second_steps
 
     def test_su_decisions_match_inline_oracle(self):
         # replays one block's documented draw order and checks the kernel's
@@ -168,7 +183,7 @@ class TestRunTrial:
                         decision = energy / (k * noise.expected_variance) >= threshold
                     positives += decision
                     votes += decision != flips[trial, su]
-                    expected.steps_total += steps
+                    expected.second_steps += steps - 1
                 fused_h1 = votes >= fusion.vote_threshold
                 if is_h0:
                     expected.trials_h0 += 1
@@ -332,6 +347,41 @@ class TestEstimate:
         for rate in ["p_f", "p_d", "q_f", "q_m", "q_e"]:
             assert getattr(two_step, rate) == getattr(expectation, rate)
         assert two_step.steps_mean >= 1.0
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+    def test_shared_draws_match_standalone_estimates(self, tmp_path, name):
+        # one handle per sweep value serves every scheme exactly as a
+        # standalone estimate of that cell would
+        document = json.loads(resolve_spec_path(name).read_text(encoding="utf-8"))
+        document["scenario"]["trials"] = 1500
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        spec = load_spec(path)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            for workers, executor in [(1, None), (2, pool)]:
+                for value in spec.sweep_values:
+                    cells = [_scenario_for(spec, value, s) for s in spec.schemes]
+                    shared = SweepDraws(cells[0], workers, executor)
+                    for cell in cells:
+                        alone = estimate(cell, workers, executor=executor)
+                        shared_estimate = estimate(cell, draws=shared)
+                        assert shared_estimate == alone, (value, cell.scheme)
+
+    def test_draws_of_another_sweep_value_rejected(self):
+        scenario = uncertain_scenario(scheme=SchemeKind.FIXED, trials=600)
+        shared = SweepDraws(scenario)
+        # any scheme at the same sweep value may read the draws ...
+        for scheme in SchemeKind:
+            estimate(replace(scenario, scheme=scheme), draws=shared)
+        # ... a scenario that differs in anything else may not
+        for other in [
+            replace(scenario, snr_db=-12.0),
+            replace(scenario, seed=100),
+            replace(scenario, trials=601),
+            replace(scenario, fusion=replace(scenario.fusion, vote_threshold=2)),
+        ]:
+            with pytest.raises(ValueError, match="another sweep value"):
+                estimate(other, draws=shared)
 
     def test_wilson_coverage_across_seeds(self):
         # the 95% interval for P_f must cover the closed form in >= 90% of
