@@ -37,7 +37,6 @@ from .montecarlo import (
     Scenario,
     ScenarioEstimate,
     SweepDraws,
-    TruthMode,
     estimate,
     nominal_rates,
 )
@@ -113,12 +112,20 @@ def resolve_spec_path(spec_arg: str) -> Path:
     return path
 
 
+def _beyond_float(value) -> bool:
+    """True for a JSON integer too large to convert to a double."""
+    return isinstance(value, int) and abs(value) > sys.float_info.max
+
+
 def _get(mapping, key, kind, diagnostics, prefix, required=True, default=None):
     if key not in mapping:
         if required:
             diagnostics.append(f"{prefix}{key}: required field is missing")
         return default
     value = mapping[key]
+    if kind in (float, int) and _beyond_float(value):
+        diagnostics.append(f"{prefix}{key}: integer beyond the float range")
+        return default
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             diagnostics.append(f"{prefix}{key}: expected a number, got {value!r}")
@@ -189,9 +196,17 @@ def _parse_noise(block, diagnostics):
         if (
             not isinstance(bracket, list)
             or len(bracket) != 2
-            or not all(isinstance(v, (int, float)) for v in bracket)
+            or any(
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or _beyond_float(v)
+                for v in bracket
+            )
         ):
-            diagnostics.append("scenario.noise.bracket: expected [low, high] numbers")
+            diagnostics.append(
+                "scenario.noise.bracket: expected [low, high] numbers within "
+                "the float range"
+            )
             return None
         unused = [field for field in _CALIBRATION_FIELDS if field in block]
         for field in unused:
@@ -355,6 +370,8 @@ def _parse_spec(document, spec_name, diagnostics):
                 diagnostics.append(
                     "sweep.values: num_sus values must be integers >= 1"
                 )
+            elif any(map(_beyond_float, values)):
+                diagnostics.append("sweep.values: integer beyond the float range")
             elif sweep_axis == "threshold" and any(
                 not math.isfinite(v) or v < 0 for v in values
             ):
@@ -380,9 +397,9 @@ def _parse_spec(document, spec_name, diagnostics):
         scenario_block, "family", str, diagnostics, "scenario.",
         required=False, default=AnalyticFamily.EXPONENTIAL.value,
     )
-    truth_raw = _get(
+    truth = _get(
         scenario_block, "truth", str, diagnostics, "scenario.",
-        required=False, default=TruthMode.MIXED.value,
+        required=False, default="mixed",
     )
 
     family = None
@@ -393,18 +410,11 @@ def _parse_spec(document, spec_name, diagnostics):
             f"scenario.family: unknown family {family_raw!r} "
             f"(choose from {[f.value for f in AnalyticFamily]})"
         )
-    truth = None
-    try:
-        truth = TruthMode(truth_raw)
-    except ValueError:
+    if truth != "mixed":
         diagnostics.append(
-            f"scenario.truth: unknown truth mode {truth_raw!r} "
-            f"(choose from {[t.value for t in TruthMode]})"
-        )
-    if truth is not None and truth != TruthMode.MIXED:
-        diagnostics.append(
-            "scenario.truth: experiment runs need 'mixed' truth so every "
-            "empirical rate (including the total error) is observable"
+            f"scenario.truth: must be 'mixed', got {truth!r} (every trial "
+            "draws its hypothesis; scenario.fusion.prior_h0 = 1 runs H0 only "
+            "and 0 runs H1 only)"
         )
 
     detector_block = _get(scenario_block, "detector", dict, diagnostics, "scenario.")
@@ -440,7 +450,7 @@ def _parse_spec(document, spec_name, diagnostics):
         snr_db = None
 
     pieces = (detector, noise, fusion, schemes, trials, seed, snr_db, family,
-              truth, sweep_axis)
+              sweep_axis)
     if diagnostics or any(p is None for p in pieces) or not sweep_values:
         return None
 
@@ -452,7 +462,6 @@ def _parse_spec(document, spec_name, diagnostics):
         snr_db=snr_db,
         trials=trials,
         seed=seed,
-        truth=truth,
         family=family,
     )
     return ExperimentSpec(
@@ -474,7 +483,7 @@ def load_spec(path) -> ExperimentSpec:
         document = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SpecValidationError([f"spec: file not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to parse
         raise SpecValidationError([f"spec: not valid JSON: {exc}"]) from None
     spec = _parse_spec(document, path.stem, diagnostics)
     if spec is None:

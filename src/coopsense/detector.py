@@ -1,44 +1,29 @@
-"""Single-receiver energy detector: configuration, statistic, closed forms.
+"""Single-receiver energy detector: configuration and chi-square closed forms.
 
 The threshold test itself (H1 when the statistic is >= the threshold) has
 one implementation, ``threshold_schemes.decide_scheme``.
 
-Two analytic families coexist and are both exposed:
-
-* the chi-square family (``analytic_pf`` / ``analytic_pd``), which describes
-  the accumulated statistic 2 * sum|y|^2 / sigma^2 of a sensing window with
-  time-bandwidth product ``u`` and a constant-envelope signal, and
-* the exponential family (``pdf_normalized`` / ``pf_pm_from_pdf``), which
-  describes a single normalized energy sample with mean noise power ``w``
-  under Gaussian signaling.
+``analytic_pf`` and ``analytic_pd`` are the chi-square family: they
+describe the accumulated statistic 2 * sum|y|^2 / sigma^2 of a sensing
+window with time-bandwidth product ``u`` and a constant-envelope signal.
+The exponential family (Gaussian signaling, normalized statistic) needs no
+function of its own: its rates are ``reg_upper_gamma(u, u * threshold)``
+and the same at the threshold divided by 1 + SNR, evaluated in
+``montecarlo.nominal_rates``.
 
 SNR is linear everywhere in this module; dB conversion belongs to the CLI.
 """
 
-import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .specfun import marcum_q, reg_upper_gamma
 
 __all__ = [
-    "Hypothesis",
     "DetectorConfig",
-    "energy_statistic",
     "analytic_pf",
     "analytic_pd",
-    "pdf_normalized",
-    "pf_pm_from_pdf",
 ]
-
-
-class Hypothesis(enum.IntEnum):
-    """Channel state: primary signal absent (H0) or present (H1)."""
-
-    H0 = 0
-    H1 = 1
 
 
 @dataclass(frozen=True)
@@ -80,22 +65,6 @@ class DetectorConfig:
             )
 
 
-def energy_statistic(samples, noise_variance: float) -> float:
-    """Normalized energy (1/k) * sum |y_i|^2 / noise_variance.
-
-    Averages to 1 over noise-only input when normalized by the true noise
-    power.
-    """
-    noise_variance = float(noise_variance)
-    if not math.isfinite(noise_variance) or noise_variance <= 0.0:
-        raise ValueError(f"noise_variance must be > 0, got {noise_variance!r}")
-    data = np.asarray(samples)
-    if data.size == 0:
-        raise ValueError("samples must be nonempty")
-    energy = float(np.sum(np.abs(data) ** 2))
-    return energy / (data.size * noise_variance)
-
-
 def analytic_pf(order: float, threshold: float) -> float:
     """False-alarm probability of the accumulated statistic.
 
@@ -130,36 +99,3 @@ def analytic_pd(order: float, snr: float, threshold: float) -> float:
     a = math.sqrt(2.0 * snr) if snr < 8e307 else math.sqrt(2.0) * math.sqrt(snr)
     return marcum_q(order, a, math.sqrt(threshold))
 
-
-def pdf_normalized(
-    y: float, w: float, snr_bar: float, hypothesis: Hypothesis
-) -> float:
-    """Density of the normalized energy sample under either hypothesis.
-
-    Exponential with mean ``w`` under H0 and mean ``w * (1 + snr_bar)``
-    under H1, where ``snr_bar`` is the average linear SNR.
-    """
-    if w <= 0.0:
-        raise ValueError(f"w must be > 0, got {w!r}")
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y!r}")
-    if snr_bar < 0.0:
-        raise ValueError(f"snr_bar must be >= 0, got {snr_bar!r}")
-    mean = w if hypothesis == Hypothesis.H0 else w * (1.0 + snr_bar)
-    return math.exp(-y / mean) / mean
-
-
-def pf_pm_from_pdf(threshold: float, w: float, snr_bar: float) -> tuple[float, float]:
-    """(P_f, P_m) of the exponential model at the given threshold.
-
-    P_f = exp(-threshold / w); P_m = 1 - exp(-threshold / (w (1 + snr_bar))).
-    """
-    if w <= 0.0:
-        raise ValueError(f"w must be > 0, got {w!r}")
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
-    if snr_bar < 0.0:
-        raise ValueError(f"snr_bar must be >= 0, got {snr_bar!r}")
-    p_f = math.exp(-threshold / w)
-    p_m = -math.expm1(-threshold / (w * (1.0 + snr_bar)))
-    return p_f, p_m

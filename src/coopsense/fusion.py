@@ -10,7 +10,6 @@ flips live in the Monte Carlo engine only.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "FusionConfig",
@@ -20,7 +19,6 @@ __all__ = [
     "coop_qf",
     "coop_qm",
     "total_error",
-    "total_error_over_noise_states",
     "optimize_vote_count",
     "effective_rate",
 ]
@@ -56,11 +54,6 @@ class FusionConfig:
             raise ValueError(
                 f"report_error must lie in [0, 0.5], got {self.report_error!r}"
             )
-
-    @property
-    def vote_threshold_complement(self) -> int:
-        """The K - n counting convention for the same rule."""
-        return self.num_sus - self.vote_threshold
 
 
 @dataclass(frozen=True)
@@ -148,30 +141,6 @@ def total_error(prior_h0: float, q_f: float, q_m: float) -> float:
     """Prior-weighted total error rate alpha*Q_f + (1-alpha)*Q_m."""
     prior_h0 = probability(prior_h0, "prior_h0")
     return prior_h0 * q_f + (1.0 - prior_h0) * q_m
-
-
-def total_error_over_noise_states(
-    prior_h0: float,
-    states: Sequence[tuple[float, float, float, float]],
-) -> float:
-    """Total error averaged over discrete noise states.
-
-    Each state is (weight under H0, weight under H1, Q_f, Q_m); the two
-    conditional weight sets must each sum to 1 within 1e-9.
-    """
-    prior_h0 = probability(prior_h0, "prior_h0")
-    if not states:
-        raise ValueError("states must be nonempty")
-    w0 = sum(s[0] for s in states)
-    w1 = sum(s[1] for s in states)
-    if abs(w0 - 1.0) > 1e-9 or abs(w1 - 1.0) > 1e-9:
-        raise ValueError(
-            f"conditional weights must each sum to 1, got {w0!r} and {w1!r}"
-        )
-    return sum(
-        prior_h0 * p0 * q_f + (1.0 - prior_h0) * p1 * q_m
-        for p0, p1, q_f, q_m in states
-    )
 
 
 def optimize_vote_count(

@@ -6,7 +6,8 @@ last block may be shorter. Block ``b`` draws from its own counter-mode
 stream, ``Philox(key=seed, counter=[0, 0, STREAM_VERSION, b])``, so a
 block's outcome never depends on execution order or worker count, and
 workers split a cell on block boundaries only. Within a block of n trials
-and K receivers the draw order is fixed: n truth coins (mixed truth
+and K receivers the draw order is fixed: n truth coins (a trial is H1 when
+its coin is >= ``prior_h0``, so a prior of 1 or 0 runs one hypothesis
 only), n x K noise variances, n x K window energies (one Gamma draw each,
 or under the ``chi_square`` family one noncentral chi-square draw each,
 with noncentrality 0 on H0 trials), n x K reporting flips (only when the
@@ -34,10 +35,11 @@ reductions, and the bracket-mean tally also counts the receivers whose
 two-step interval straddles the threshold. ``estimate`` reads the tally
 of its scenario's scheme. A ``SweepDraws`` handle carries one sweep
 value's tallies from the first scheme's ``estimate`` call to the others:
-it runs the blocks in that first call, or, given an executor, queues its
-block ranges on the pool as soon as it is made and the first call waits
-for them, so that a runner can queue every sweep value before reading
-any. A handle keeps nothing beyond its own lifetime.
+it runs every block in this process in that first call, or, given the
+caller's executor, queues its block ranges on that pool as soon as it is
+made and the first call waits for them, so that a runner can queue every
+sweep value before reading any. The engine never makes a pool of its
+own, and a handle keeps nothing beyond its own lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -70,7 +72,6 @@ from .specfun import reg_upper_gamma
 from .threshold_schemes import SchemeKind, decide_scheme, scheme_normalizer
 
 __all__ = [
-    "TruthMode",
     "AnalyticFamily",
     "BLOCK_TRIALS",
     "STREAM_VERSION",
@@ -90,12 +91,6 @@ BLOCK_TRIALS = 512
 STREAM_VERSION = 1
 
 
-class TruthMode(str, enum.Enum):
-    H0 = "h0"
-    H1 = "h1"
-    MIXED = "mixed"
-
-
 class AnalyticFamily(str, enum.Enum):
     CHI_SQUARE = "chi_square"
     EXPONENTIAL = "exponential"
@@ -112,12 +107,10 @@ class Scenario:
     snr_db: float
     trials: int
     seed: int
-    truth: TruthMode = TruthMode.MIXED
     family: AnalyticFamily = AnalyticFamily.EXPONENTIAL
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", SchemeKind(self.scheme))
-        object.__setattr__(self, "truth", TruthMode(self.truth))
         object.__setattr__(self, "family", AnalyticFamily(self.family))
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
@@ -166,10 +159,8 @@ class ScenarioEstimate:
 _WILSON_Z = NormalDist().inv_cdf(0.975)
 
 
-def wilson_interval(
-    successes: int, observations: int, z: float = _WILSON_Z
-) -> tuple[float, float]:
-    """Wilson score interval; (0, 1) when there are no observations."""
+def wilson_interval(successes: int, observations: int) -> tuple[float, float]:
+    """Wilson 95% score interval; (0, 1) when there are no observations."""
     if observations < 0 or successes < 0 or successes > max(observations, 0):
         raise ValueError(
             f"invalid counts: {successes!r} successes of {observations!r}"
@@ -177,6 +168,7 @@ def wilson_interval(
     if observations == 0:
         return 0.0, 1.0
     n = float(observations)
+    z = _WILSON_Z
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
@@ -210,7 +202,6 @@ class _Runtime:
     threshold_norm: float
     prior_h0: float
     report_error: float
-    truth: TruthMode
     family: AnalyticFamily
     bracket: VarianceBracket
     nominal: float  # the fixed scheme's normalizer
@@ -244,7 +235,6 @@ def _runtime(scenario: Scenario) -> _Runtime:
         threshold_norm=threshold_norm,
         prior_h0=fus.prior_h0,
         report_error=fus.report_error,
-        truth=scenario.truth,
         family=scenario.family,
         bracket=noise.bracket,
         nominal=scheme_normalizer(SchemeKind.FIXED, noise),
@@ -300,10 +290,7 @@ def _simulate_block(
     decided on the nominal power, then on the bracket mean with the
     two-step second steps counted."""
     shape = (n, rt.num_sus)
-    if rt.truth == TruthMode.MIXED:
-        h1 = rng.random(n) >= rt.prior_h0
-    else:
-        h1 = np.full(n, rt.truth == TruthMode.H1)
+    h1 = rng.random(n) >= rt.prior_h0
     variances = rng.uniform(rt.bracket.low, rt.bracket.high, size=shape)
     if rt.family == AnalyticFamily.CHI_SQUARE:
         # noncentrality 0 is the central law: 0.5 * v * chi2(2k) = v * Gamma(k);
@@ -407,11 +394,11 @@ class SweepDraws:
     every scheme at that value.
 
     A sweep value is a scenario up to its scheme: the scheme-free runtime,
-    the seed and the trial count. Its blocks are split into ``workers``
-    contiguous ranges. Given an ``executor``, every range is queued on it
-    when the handle is made; otherwise the ranges run in the first
-    ``tallies`` call, in this process when there is one range and on a
-    pool made for that call when there are more.
+    the seed and the trial count. Given the caller's ``executor``, its
+    blocks are split into ``workers`` contiguous ranges, each queued on
+    that pool when the handle is made; without one, every block runs in
+    this process as one range in the first ``tallies`` call, and
+    ``workers`` must be 1.
     """
 
     def __init__(
@@ -420,8 +407,10 @@ class SweepDraws:
         workers: int = 1,
         executor: Executor | None = None,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
+        if workers < 1 or (workers > 1 and executor is None):
+            raise ValueError(
+                f"workers must be 1, or >= 1 with an executor, got {workers!r}"
+            )
         self._key = (_runtime(scenario), scenario.seed, scenario.trials)
         blocks = -(-scenario.trials // BLOCK_TRIALS)
         self._tasks = [
@@ -444,40 +433,29 @@ class SweepDraws:
                 "differs in more than its scheme"
             )
         if self._tallies is None:
-            if self._futures is not None:
-                parts = [future.result() for future in self._futures]
-            elif len(self._tasks) == 1:
-                parts = [_run_blocks(*self._tasks[0])]
+            if self._futures is None:
+                parts = [_run_blocks(*task) for task in self._tasks]
             else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=len(self._tasks)) as pool:
-                    parts = list(pool.map(_run_blocks, *zip(*self._tasks)))
+                parts = [future.result() for future in self._futures]
             self._tallies = functools.reduce(_merge, parts)
         return self._tallies
 
 
-def estimate(
-    scenario: Scenario,
-    workers: int = 1,
-    executor: Executor | None = None,
-    draws: SweepDraws | None = None,
-) -> ScenarioEstimate:
+def estimate(scenario: Scenario, draws: SweepDraws | None = None) -> ScenarioEstimate:
     """Aggregate all trials of a scenario into Monte Carlo rate estimates.
 
     ``draws`` is the ``SweepDraws`` handle of the scenario's sweep value,
     shared by the cells of every scheme at that value; it must have been
     made for this scenario up to the scheme, else ``ValueError``. Without
-    it the call makes its own handle from ``workers`` and ``executor``
-    (``workers`` > 1 splits the blocks into contiguous ranges, one pool
-    task each) and keeps nothing. The scheme picks the tally it reads:
-    ``fixed`` the nominal-power decisions, every other scheme the
-    bracket-mean ones, and only ``two_step`` counts second steps. Because
-    each block derives its own stream, every estimate is bit-identical for
-    any worker count, shared draws or not.
+    it the call runs every block in this process and keeps nothing. The
+    scheme picks the tally it reads: ``fixed`` the nominal-power
+    decisions, every other scheme the bracket-mean ones, and only
+    ``two_step`` counts second steps. Because each block derives its own
+    stream, every estimate is bit-identical for any worker count, shared
+    draws or not.
     """
     if draws is None:
-        draws = SweepDraws(scenario, workers, executor)
+        draws = SweepDraws(scenario)
     tally = _scheme_tally(scenario.scheme, *draws.tallies(scenario))
 
     num_sus = scenario.fusion.num_sus
@@ -487,11 +465,7 @@ def estimate(
     p_d = _rate(tally.su_detections, su_obs_h1)
     q_f = _rate(tally.fused_false_alarms, tally.trials_h0)
     q_m = _rate(tally.fused_misses, tally.trials_h1)
-    if scenario.truth == TruthMode.MIXED:
-        q_e = _rate(tally.fused_errors, scenario.trials)
-    else:
-        # single-truth runs cannot observe the prior-weighted error directly
-        q_e = RateEstimate(math.nan, 0.0, 1.0, tally.fused_errors, 0)
+    q_e = _rate(tally.fused_errors, scenario.trials)
 
     decisions = scenario.trials * num_sus
     return ScenarioEstimate(

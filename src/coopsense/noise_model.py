@@ -1,30 +1,25 @@
-"""Complex Gaussian noise: generation, variance estimation, uncertainty bracket.
+"""Noise-power uncertainty: the bracket the true power lives in.
 
-The calibration story is: collect noise-only observations arranged as a
-(component x receiver) matrix, estimate the noise power as the averaged
-per-component sample variance, and wrap the estimate in a two-sided normal
-confidence bracket. At run time the "true" variance of each sensing round
-is drawn uniformly from that bracket, which is what makes a fixed-threshold
-detector miscalibrated while the expectation-normalized schemes stay honest.
+The calibration story is: a calibration run estimates the noise power
+(its sample mean and standard deviation over a known number of noise-only
+observations), and ``confidence_bracket`` wraps that estimate in a
+two-sided normal confidence bracket; a spec may give the bracket directly
+instead. At run time the "true" variance of each receiver in each sensing
+round is drawn uniformly from the bracket (by the Monte Carlo engine),
+which is what makes a fixed-threshold detector miscalibrated while the
+expectation-normalized schemes stay honest.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-
-import numpy as np
 
 __all__ = [
     "VARIANCE_FLOOR",
     "VarianceBracket",
     "NoiseUncertaintyModel",
     "two_sided_kappa",
-    "estimate_noise_expectation",
     "confidence_bracket",
-    "sample_noise_variance",
-    "generate_noise",
 ]
 
 # Lower clamp for bracket endpoints, keeps normalized statistics finite.
@@ -66,35 +61,8 @@ class VarianceBracket:
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
     def contains(self, value: float) -> bool:
         return self.low <= value <= self.high
-
-
-def estimate_noise_expectation(samples) -> float:
-    """Averaged sample variance of a (component x receiver) complex matrix.
-
-    Each row holds the observations of one signal component across the
-    receivers; the unbiased complex sample variance is taken along each row
-    and the row variances are averaged. A 1-D input is treated as a single
-    row. Raises if any row has fewer than 2 entries.
-    """
-    data = np.atleast_2d(np.asarray(samples, dtype=complex))
-    if data.size == 0:
-        raise ValueError("samples must be nonempty")
-    if not np.all(np.isfinite(data.real)) or not np.all(np.isfinite(data.imag)):
-        raise ValueError("samples must be finite")
-    if data.shape[1] < 2:
-        raise ValueError(
-            "variance needs at least 2 samples per component, "
-            f"got {data.shape[1]}"
-        )
-    centered = data - data.mean(axis=1, keepdims=True)
-    row_vars = np.sum((centered * centered.conj()).real, axis=1) / (data.shape[1] - 1)
-    return float(row_vars.mean())
 
 
 def confidence_bracket(
@@ -159,39 +127,8 @@ class NoiseUncertaintyModel:
         )
         return cls(nominal_variance=nominal_variance, bracket=bracket)
 
-    @classmethod
-    def exact(cls, variance: float) -> "NoiseUncertaintyModel":
-        """Degenerate model with no uncertainty (bracket collapsed)."""
-        return cls(
-            nominal_variance=variance,
-            bracket=VarianceBracket(low=variance, high=variance),
-        )
-
     @property
     def expected_variance(self) -> float:
         """Mean of the uniform law over the bracket."""
         return self.bracket.mean
 
-
-def sample_noise_variance(model: NoiseUncertaintyModel, rng: np.random.Generator) -> float:
-    """One variance draw, uniform over the model bracket."""
-    low, high = model.bracket.low, model.bracket.high
-    if high == low:
-        return low
-    return float(rng.uniform(low, high))
-
-
-def generate_noise(variance: float, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k i.i.d. circularly symmetric complex Gaussian samples.
-
-    Real and imaginary parts are independent N(0, variance / 2), so the
-    complex sample has the requested total variance.
-    """
-    variance = float(variance)
-    if not math.isfinite(variance) or variance <= 0.0:
-        raise ValueError(f"variance must be > 0, got {variance!r}")
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    scale = math.sqrt(0.5 * variance)
-    parts = rng.standard_normal(size=(2, int(k)))
-    return scale * (parts[0] + 1j * parts[1])

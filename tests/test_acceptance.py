@@ -7,6 +7,7 @@ at 1e5 trials per point); everything else runs in seconds too.
 
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from scipy import integrate
 from coopsense.cli_experiments import CSV_COLUMNS, resolve_spec_path, run_experiment
 from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
 from coopsense.fusion import FusionConfig, coop_qf, coop_qm, optimize_vote_count
-from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, estimate
-from coopsense.noise_model import NoiseUncertaintyModel, two_sided_kappa
+from coopsense.montecarlo import AnalyticFamily, Scenario, SweepDraws, estimate
+from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
 from coopsense.threshold_schemes import SchemeKind, convex_normalizer, decide_scheme
 
@@ -103,16 +104,16 @@ def test_criterion_2_closed_form_vs_simulation():
     P_d within 4 Wilson half-widths of the closed forms at 1e6 trials."""
     scenario = Scenario(
         detector=DetectorConfig(sample_count=5, time_bandwidth=5.0, threshold=30.0),
-        noise=NoiseUncertaintyModel.exact(1.0),
+        noise=NoiseUncertaintyModel(1.0, VarianceBracket(1.0, 1.0)),
         scheme=SchemeKind.FIXED,
         fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),
         snr_db=-10.0,
         trials=10**6,
         seed=20250809,
-        truth=TruthMode.MIXED,
         family=AnalyticFamily.CHI_SQUARE,
     )
-    result = estimate(scenario, workers=2)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        result = estimate(scenario, draws=SweepDraws(scenario, 2, pool))
     pf_ref = analytic_pf(5.0, 30.0)
     pd_ref = analytic_pd(5.0, 0.1, 30.0)
     half_f = (result.p_f.upper - result.p_f.lower) / 2.0

@@ -28,7 +28,7 @@ from coopsense.cli_experiments import (
     validate_spec,
 )
 from coopsense.fusion import FusionConfig
-from coopsense.montecarlo import AnalyticFamily, Scenario, TruthMode, nominal_rates
+from coopsense.montecarlo import AnalyticFamily, Scenario, nominal_rates
 from coopsense.specfun import ConvergenceError
 from coopsense.threshold_schemes import SchemeKind
 
@@ -74,6 +74,10 @@ def spec_document(**overrides):
         else:
             target[parts[-1]] = value
     return document
+
+
+# a JSON integer literal beyond the float range
+BIG = "1" + "0" * 400
 
 
 def with_leaf(document, dotted, token):
@@ -223,6 +227,12 @@ class TestValidation:
             write_spec(spec_document(**{"scenario.truth": "h0"}))
         )
         assert any("truth" in d for d in diagnostics)
+        (diagnostic,) = diagnostics
+        assert diagnostic.startswith("scenario.truth: must be 'mixed'")
+        assert "prior_h0" in diagnostic
+
+    def test_truth_key_optional(self, write_spec):
+        assert validate_spec(write_spec(spec_document(**{"scenario.truth": ...}))) == []
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -315,6 +325,27 @@ class TestValidation:
         (diagnostic,) = validate_spec(write_spec(document))
         assert diagnostic.startswith("scenario.snr_db: must be finite")
 
+    @pytest.mark.parametrize(
+        "bracket",
+        ["[true, 2]", "[1, false]", f"[1, {BIG}]"],
+        ids=["true-low", "false-high", "big-high"],
+    )
+    def test_bracket_endpoint_must_be_a_float(self, write_spec, bracket):
+        document = spec_document()
+        document["scenario"]["noise"] = {"nominal_variance": 1.0, "bracket": [1, 2]}
+        leaf = ("scenario", "noise", "bracket")
+        diagnostics = validate_spec(write_spec(with_leaf(document, leaf, bracket)))
+        assert diagnostics == [
+            "scenario.noise.bracket: expected [low, high] numbers within the "
+            "float range"
+        ]
+
+    def test_integer_too_long_to_parse_diagnosed(self, write_spec):
+        leaf = ("scenario", "seed")
+        text = with_leaf(spec_document(), leaf, "1" + "0" * 5000)
+        (diagnostic,) = validate_spec(write_spec(text))
+        assert diagnostic.startswith("spec: not valid JSON")
+
     def test_nominal_outside_bracket_diagnosed(self, write_spec):
         document = spec_document()
         document["scenario"]["noise"] = {
@@ -360,7 +391,6 @@ class TestRunExperiment:
                 snr_db=float(row["sweep_value"]),
                 trials=spec.base.trials,
                 seed=spec.base.seed,
-                truth=TruthMode.MIXED,
                 family=AnalyticFamily.EXPONENTIAL,
             )
             reference = nominal_rates(scenario)
@@ -560,7 +590,7 @@ class TestBundledSpecs:
         spec = load_spec(resolve_spec_path("fig3"))
         assert spec.base.fusion.num_sus == 6
         assert spec.base.fusion.vote_threshold == 1
-        assert spec.base.fusion.vote_threshold_complement == 5
+        assert spec.vote_complement == 5
 
     def test_fig2_parameters(self):
         spec = load_spec(resolve_spec_path("fig2"))
@@ -604,8 +634,8 @@ class TestMalformedSpecs:
             [(name, path) for name, doc in BUNDLED.items() for path in leaf_paths(doc)]
         ),
         token=st.sampled_from(
-            ["NaN", "Infinity", "-Infinity", "1e400", "-1", "0", "1.5", "true",
-             "null", '"x"', "[]", "{}"]
+            ["NaN", "Infinity", "-Infinity", "1e400", BIG, "-1", "0", "1.5",
+             "true", "null", '"x"', "[]", "{}"]
         ),
     )
     def test_one_bad_leaf_is_diagnosed_or_every_cell_builds(self, leaf, token):
@@ -620,6 +650,36 @@ class TestMalformedSpecs:
         for value in spec.sweep_values:
             cells = [_scenario_for(spec, value, scheme) for scheme in spec.schemes]
             nominal_rates(cells[0])
+
+
+class TestBigIntegers:
+    """A JSON integer beyond the float range gets one diagnostic naming its
+    field, not an ``OverflowError``."""
+
+    @pytest.mark.parametrize(
+        "path, diagnostic",
+        [
+            (("scenario", "snr_db"), "scenario.snr_db: integer beyond"),
+            (("scenario", "detector", "threshold"),
+             "scenario.detector.threshold: integer beyond"),
+            (("scenario", "detector", "time_bandwidth"),
+             "scenario.detector.time_bandwidth: integer beyond"),
+            (("scenario", "noise", "nominal_variance"),
+             "scenario.noise.nominal_variance: integer beyond"),
+            (("scenario", "noise", "calibration_count"),
+             "scenario.noise.calibration_count: integer beyond"),
+            (("scenario", "fusion", "prior_h0"),
+             "scenario.fusion.prior_h0: integer beyond"),
+            (("sweep", "values", 1), "sweep.values: integer beyond"),
+        ],
+    )
+    def test_one_diagnostic_names_the_field(self, write_spec, path, diagnostic):
+        document = copy.deepcopy(BUNDLED["fig4"])
+        if path[0] == "sweep":
+            document["sweep"] = {"axis": "threshold", "values": [1.0, 1.062]}
+        assert validate_spec(write_spec(document)) == []
+        (found,) = validate_spec(write_spec(with_leaf(document, path, BIG)))
+        assert found.startswith(diagnostic)
 
 
 class TestNominalRange:

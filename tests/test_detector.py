@@ -15,44 +15,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from coopsense.detector import (
-    DetectorConfig,
-    Hypothesis,
-    analytic_pd,
-    analytic_pf,
-    energy_statistic,
-    pdf_normalized,
-    pf_pm_from_pdf,
-)
+from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
 from coopsense.montecarlo import wilson_interval
-from coopsense.noise_model import generate_noise
+from coopsense.specfun import reg_upper_gamma
 from coopsense.threshold_schemes import decide_scheme
 
 PF_ANCHOR_U5_G30 = 8.566412107825924e-4
 PD_ANCHOR_U5_SNR01_G30 = 0.00105520
 PD_ANCHOR_SE = 1.03e-5
-
-
-class TestEnergyStatistic:
-    def test_all_zero_samples(self):
-        assert energy_statistic(np.zeros(8, dtype=complex), 1.0) == 0.0
-
-    def test_direct_arithmetic(self):
-        sample = np.array([math.sqrt(3.0) + 0.0j])
-        assert energy_statistic(sample, 1.5) == pytest.approx(2.0, rel=1e-15)
-
-    def test_noise_only_averages_to_one(self):
-        rng = np.random.default_rng(303)
-        samples = generate_noise(2.5, 10**6, rng)
-        assert energy_statistic(samples, 2.5) == pytest.approx(1.0, abs=0.005)
-
-    def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            energy_statistic(np.ones(3), 0.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            energy_statistic(np.array([]), 1.0)
 
 
 class TestAnalyticPf:
@@ -99,64 +69,50 @@ class TestAnalyticPd:
             assert all(a >= b - 1e-13 for a, b in zip(values, values[1:]))
 
 
-class TestNormalizedPdf:
-    def test_origin_density_h0(self):
-        assert pdf_normalized(0.0, 2.0, 0.0, Hypothesis.H0) == pytest.approx(0.5)
-
-    def test_origin_density_h1(self):
-        assert pdf_normalized(0.0, 1.0, 1.0, Hypothesis.H1) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
-    def test_normalization(self, hypothesis):
-        w, snr = 1.7, 0.4
-        total, _ = integrate.quad(
-            lambda y: pdf_normalized(y, w, snr, hypothesis), 0.0, np.inf
-        )
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_rejects_bad_mean(self):
-        with pytest.raises(ValueError):
-            pdf_normalized(1.0, 0.0, 0.1, Hypothesis.H0)
-
-
 class TestPfPmFromPdf:
+    """The exponential family at order 1: one normalized energy sample with
+    mean noise power w is exponential, so P_f = Q(1, t / w) = exp(-t / w)
+    and P_m = 1 - Q(1, t / (w (1 + snr)))."""
+
     def test_zero_threshold(self):
-        assert pf_pm_from_pdf(0.0, 1.0, 0.5) == (1.0, 0.0)
+        assert reg_upper_gamma(1.0, 0.0) == 1.0
+        assert 1.0 - reg_upper_gamma(1.0, 0.0 / 1.5) == 0.0
 
     def test_median_of_exponential(self):
         w = 2.0
-        p_f, _ = pf_pm_from_pdf(w * math.log(2.0), w, 0.0)
+        p_f = reg_upper_gamma(1.0, w * math.log(2.0) / w)
         assert p_f == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_quadrature_of_pdf(self):
         threshold, w, snr = 30.0, 1.0, 0.1
-        p_f, p_m = pf_pm_from_pdf(threshold, w, snr)
+        p_f = reg_upper_gamma(1.0, threshold / w)
+        p_m = 1.0 - reg_upper_gamma(1.0, threshold / (w * (1.0 + snr)))
+        mean_h1 = w * (1.0 + snr)
         tail_h0, _ = integrate.quad(
-            lambda y: pdf_normalized(y, w, snr, Hypothesis.H0), threshold, np.inf
+            lambda y: math.exp(-y / w) / w, threshold, np.inf
         )
         body_h1, _ = integrate.quad(
-            lambda y: pdf_normalized(y, w, snr, Hypothesis.H1), 0.0, threshold
+            lambda y: math.exp(-y / mean_h1) / mean_h1, 0.0, threshold
         )
         assert p_f == pytest.approx(tail_h0, abs=1e-10)
         assert p_m == pytest.approx(body_h1, abs=1e-10)
 
     def test_empirical_false_alarm_matches_model(self):
-        # the threshold test on energy_statistic(noise-only) at k=1, where the
-        # normalized statistic is exactly exponential with w the expected
-        # noise power
+        # the threshold test on one noise-only complex Gaussian sample (k=1),
+        # whose normalized energy is exactly exponential with mean 1
         variance, threshold, trials = 2.0, 0.7, 10**6
         rng = np.random.default_rng(404)
-        samples = generate_noise(variance, trials, rng)
-        statistics = np.abs(samples) ** 2 / variance  # per-sample k=1 chain
-        spot = energy_statistic(samples[:1], variance)
-        assert spot == pytest.approx(float(statistics[0]), rel=1e-12)
-        energies = np.abs(samples[:200]) ** 2
+        parts = rng.standard_normal((2, trials))
+        samples = math.sqrt(0.5 * variance) * (parts[0] + 1j * parts[1])
+        energies = np.abs(samples) ** 2
+        statistics = energies / variance
         hits = sum(
-            bool(decide_scheme(float(e), 1, threshold, variance)[0]) for e in energies
+            bool(decide_scheme(float(e), 1, threshold, variance)[0])
+            for e in energies[:200]
         )
         assert hits == int(np.sum(statistics[:200] >= threshold))
         total_hits = int(np.sum(statistics >= threshold))
-        p_f, _ = pf_pm_from_pdf(threshold, 1.0, 0.0)
+        p_f = reg_upper_gamma(1.0, threshold)
         lower, upper = wilson_interval(total_hits, trials)
         half = (upper - lower) / 2.0
         assert abs(total_hits / trials - p_f) <= 4 * half

@@ -16,7 +16,6 @@ from coopsense.fusion import (
     effective_rate,
     optimize_vote_count,
     total_error,
-    total_error_over_noise_states,
 )
 from coopsense.montecarlo import wilson_interval
 
@@ -142,36 +141,6 @@ class TestTotalError:
     def test_pure_miss(self):
         assert total_error(0.0, 0.2, 0.9) == pytest.approx(0.9)
 
-    def test_single_state_mixture_degenerates(self):
-        states = [(1.0, 1.0, 0.2, 0.1)]
-        assert total_error_over_noise_states(0.3, states) == pytest.approx(
-            total_error(0.3, 0.2, 0.1)
-        )
-
-    def test_equal_weight_identical_rates(self):
-        states = [(0.5, 0.5, 0.2, 0.1), (0.5, 0.5, 0.2, 0.1)]
-        assert total_error_over_noise_states(0.3, states) == pytest.approx(
-            total_error(0.3, 0.2, 0.1)
-        )
-
-    def test_three_state_summation_oracle(self):
-        states = [
-            (0.2, 0.5, 0.10, 0.30),
-            (0.3, 0.25, 0.20, 0.20),
-            (0.5, 0.25, 0.05, 0.40),
-        ]
-        alpha = 0.4
-        oracle = sum(
-            alpha * w0 * qf + (1.0 - alpha) * w1 * qm for w0, w1, qf, qm in states
-        )
-        assert total_error_over_noise_states(alpha, states) == pytest.approx(
-            oracle, rel=1e-14
-        )
-
-    def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ValueError):
-            total_error_over_noise_states(0.5, [(0.7, 1.0, 0.1, 0.1)])
-
 
 class TestOptimizeVoteCount:
     def test_single_receiver(self):
@@ -275,10 +244,6 @@ class TestCooperativeRates:
 
 
 class TestFusionConfig:
-    def test_complement_convention(self):
-        cfg = FusionConfig(num_sus=10, vote_threshold=5)
-        assert cfg.vote_threshold_complement == 5
-
     @pytest.mark.parametrize(
         "kwargs",
         [

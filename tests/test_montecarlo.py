@@ -19,7 +19,6 @@ from coopsense.montecarlo import (
     AnalyticFamily,
     Scenario,
     SweepDraws,
-    TruthMode,
     _block_rng,
     _run_blocks,
     _runtime,
@@ -30,20 +29,19 @@ from coopsense.montecarlo import (
     nominal_rates,
     wilson_interval,
 )
-from coopsense.noise_model import NoiseUncertaintyModel
+from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket
 from coopsense.threshold_schemes import SchemeKind
 
 
 def chi_square_scenario(**overrides):
     base = dict(
         detector=DetectorConfig(sample_count=5, time_bandwidth=5.0, threshold=30.0),
-        noise=NoiseUncertaintyModel.exact(1.0),
+        noise=NoiseUncertaintyModel(1.0, VarianceBracket(1.0, 1.0)),
         scheme=SchemeKind.FIXED,
         fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),
         snr_db=-10.0,
         trials=1000,
         seed=42,
-        truth=TruthMode.MIXED,
         family=AnalyticFamily.CHI_SQUARE,
     )
     base.update(overrides)
@@ -69,11 +67,19 @@ def uncertain_scenario(**overrides):
         snr_db=-10.0,
         trials=1000,
         seed=99,
-        truth=TruthMode.MIXED,
         family=AnalyticFamily.EXPONENTIAL,
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def only(hypothesis, make=None, **overrides):
+    """A scenario of ``make`` whose every trial is H0 (prior_h0 = 1) or H1
+    (prior_h0 = 0)."""
+    make = make or uncertain_scenario
+    prior_h0 = {"h0": 1.0, "h1": 0.0}[hypothesis]
+    fusion = replace(make().fusion, prior_h0=prior_h0)
+    return make(fusion=fusion, **overrides)
 
 
 def block_tallies(scenario, blocks, n=BLOCK_TRIALS):
@@ -104,9 +110,7 @@ class TestRunTrial:
             assert len(outcomes) > 1
 
     def test_overwhelming_signal_always_detected(self):
-        scenario = uncertain_scenario(
-            snr_db=40.0, truth=TruthMode.H1, trials=10**4
-        )
+        scenario = only("h1", snr_db=40.0, trials=10**4)
         # both normalizers: fixed's nominal power and the bracket mean
         for tally in _run_blocks(_runtime(scenario), scenario.seed, 10**4, 0, 20):
             assert tally.trials_h1 == 10**4
@@ -119,8 +123,8 @@ class TestRunTrial:
             [uncertain_scenario, chi_square_scenario], SchemeKind
         ):
             detector = replace(make().detector, signal_variance=0.0)
-            h1 = make(detector=detector, truth=TruthMode.H1, scheme=scheme)
-            h0 = make(detector=detector, truth=TruthMode.H0, scheme=scheme)
+            h1 = only("h1", make, detector=detector, scheme=scheme)
+            h0 = only("h0", make, detector=detector, scheme=scheme)
             for on, off in zip(
                 block_tallies(h1, range(4)), block_tallies(h0, range(4))
             ):
@@ -296,11 +300,10 @@ class TestEstimate:
                 assert 0.0 <= rate.lower <= rate.value <= rate.upper <= 1.0
 
     def test_fixed_truth_modes(self):
-        h0_run = estimate(uncertain_scenario(truth=TruthMode.H0, trials=4000))
+        h0_run = estimate(only("h0", trials=4000))
         assert h0_run.p_d.observations == 0
-        assert math.isnan(h0_run.q_e.value)
         assert h0_run.p_f.observations == 4000 * 5
-        h1_run = estimate(uncertain_scenario(truth=TruthMode.H1, trials=4000))
+        h1_run = estimate(only("h1", trials=4000))
         assert h1_run.p_f.observations == 0
         assert h1_run.p_d.observations == 4000 * 5
 
@@ -308,8 +311,9 @@ class TestEstimate:
         scenario = uncertain_scenario(
             scheme=SchemeKind.TWO_STEP, trials=30_001, seed=777
         )
-        serial = estimate(scenario, workers=1)
-        parallel = estimate(scenario, workers=3)
+        serial = estimate(scenario)
+        with ProcessPoolExecutor(max_workers=3) as pool:
+            parallel = estimate(scenario, draws=SweepDraws(scenario, 3, pool))
         assert serial == parallel
 
     def test_block_boundaries_do_not_change_estimates(self):
@@ -324,7 +328,8 @@ class TestEstimate:
                 assert serial.trials == trials
                 assert serial.q_f.observations + serial.q_m.observations == trials
                 for workers in [1, 2, 3]:
-                    assert estimate(cell, workers, executor=shared) == serial
+                    draws = SweepDraws(cell, workers, shared)
+                    assert estimate(cell, draws=draws) == serial
 
     def test_schemes_share_random_numbers(self):
         # draws never depend on the scheme: convex is expectation exactly,
@@ -363,9 +368,17 @@ class TestEstimate:
                     cells = [_scenario_for(spec, value, s) for s in spec.schemes]
                     shared = SweepDraws(cells[0], workers, executor)
                     for cell in cells:
-                        alone = estimate(cell, workers, executor=executor)
+                        alone = estimate(cell)
                         shared_estimate = estimate(cell, draws=shared)
                         assert shared_estimate == alone, (value, cell.scheme)
+
+    def test_block_ranges_need_the_callers_pool(self):
+        # the engine makes no pool: without one, every block is one range
+        scenario = uncertain_scenario(trials=600)
+        with pytest.raises(ValueError, match="executor"):
+            SweepDraws(scenario, 2)
+        with pytest.raises(ValueError, match="workers"):
+            SweepDraws(scenario, 0)
 
     def test_draws_of_another_sweep_value_rejected(self):
         scenario = uncertain_scenario(scheme=SchemeKind.FIXED, trials=600)
@@ -386,11 +399,12 @@ class TestEstimate:
     def test_wilson_coverage_across_seeds(self):
         # the 95% interval for P_f must cover the closed form in >= 90% of
         # independent-seed repetitions
-        scenario = chi_square_scenario(
+        scenario = only(
+            "h0",
+            chi_square_scenario,
             detector=DetectorConfig(
                 sample_count=5, time_bandwidth=5.0, threshold=12.0
             ),
-            truth=TruthMode.H0,
             trials=2000,
         )
         target = analytic_pf(5.0, 12.0)

@@ -1,8 +1,12 @@
-"""Export hygiene: ``__all__`` lists and the package namespace stay in step."""
+"""Export hygiene: ``__all__`` lists and the package namespace stay in step,
+and importing the package stays light."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import coopsense
@@ -31,3 +35,20 @@ def test_package_imports_only_exported_names():
                 if alias.name not in module.__all__
             ]
     assert not stale, f"coopsense/__init__.py imports unexported names: {stale}"
+
+
+def test_import_loads_neither_numpy_random_nor_a_process_pool():
+    # a serial run imports numpy.random at its first draw and only a pooled
+    # run needs concurrent.futures.process; importing the package needs neither
+    heavy = {"numpy.random", "concurrent.futures.process"}
+    probe = f"import sys, coopsense; print(sorted({heavy!r} & set(sys.modules)))"
+    src = str(Path(coopsense.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsense.detector import analytic_pf, energy_statistic
-from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, generate_noise
+from coopsense.detector import analytic_pf
+from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket
 from coopsense.threshold_schemes import (
     SchemeKind,
     convex_normalizer,
@@ -65,11 +65,11 @@ def uncertain_noise():
 
 class TestStatisticInterval:
     def test_degenerate_bracket_collapses(self):
-        rng = np.random.default_rng(1)
-        samples = generate_noise(1.0, 16, rng)
-        energy = float(np.sum(np.abs(samples) ** 2))
+        parts = np.random.default_rng(1).standard_normal((2, 16))
+        power = np.abs(math.sqrt(0.5) * (parts[0] + 1j * parts[1])) ** 2
+        energy = float(np.sum(power))
         bracket = VarianceBracket(low=0.8, high=0.8)
-        reference = energy_statistic(samples, 0.8)
+        reference = float(np.mean(power)) / 0.8
         assert_statistic(energy, 16, bracket.mean, reference)
         for threshold in (0.5 * reference, reference, 2.0 * reference):
             _, steps = decide_scheme(energy, 16, threshold, bracket.mean, bracket)
@@ -131,10 +131,12 @@ class TestTwoStepDecide:
 
 class TestExpectationStatistic:
     def test_matches_energy_statistic_when_exact(self):
-        rng = np.random.default_rng(3)
-        samples = generate_noise(2.0, 32, rng)
-        energy = float(np.sum(np.abs(samples) ** 2))
-        assert_statistic(energy, 32, 2.0, energy_statistic(samples, 2.0))
+        # the mean power of a 32-sample noise waveform of variance 2 (unit
+        # real and imaginary parts) over that variance
+        parts = np.random.default_rng(3).standard_normal((2, 32))
+        power = np.abs(parts[0] + 1j * parts[1]) ** 2
+        energy = float(np.sum(power))
+        assert_statistic(energy, 32, 2.0, float(np.mean(power)) / 2.0)
 
     def test_direct_arithmetic(self):
         assert_statistic(12.0, 3, 2.0, 2.0)
@@ -269,7 +271,8 @@ class TestDecideEnhanced:
 
     def test_fixed_single_call(self):
         normalizer = scheme_normalizer(
-            SchemeKind.FIXED, NoiseUncertaintyModel.exact(1.0)
+            SchemeKind.FIXED,
+            NoiseUncertaintyModel(1.0, VarianceBracket(1.0, 1.0)),
         )
         assert normalizer == 1.0
         assert decide_scheme(self.energy, self.k, 19.0, normalizer) == (True, 1)
