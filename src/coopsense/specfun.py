@@ -52,6 +52,7 @@ __all__ = [
     "MAX_ITERATIONS",
     "TERM_TOLERANCE",
     "ConvergenceError",
+    "log_gamma",
     "reg_lower_gamma",
     "reg_upper_gamma",
     "marcum_q",
@@ -69,6 +70,19 @@ class ConvergenceError(RuntimeError):
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def log_gamma(x: float) -> float:
+    """Natural log of the Gamma function for positive real x.
+
+    Relative error is at the level of the platform ``lgamma`` (a few ulp,
+    well inside 1e-12 on [0.5, 1e4]).
+    """
+    x = float(x)
+    _require_finite("x", x)
+    if x <= 0.0:
+        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
+    return math.lgamma(x)
 
 
 def _lower_series(order: float, x: float, log_prefactor: float) -> float:
