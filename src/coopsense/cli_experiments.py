@@ -6,7 +6,8 @@ writes one CSV row per (sweep value, scheme). Output is written to a
 temporary file and atomically renamed, so a crashed run never leaves a
 partial table, and a cell that fails stops the run with a diagnostic
 naming its sweep value and scheme. Results are byte-identical for a given
-seed regardless of ``--workers``.
+seed regardless of ``--workers``. Validation names every problem it finds,
+among them each key of a spec block that no run reads.
 
 Usage:
     coopsense run SPEC [--out PATH] [--seed N] [--workers N]
@@ -117,6 +118,36 @@ def _beyond_float(value) -> bool:
     return isinstance(value, int) and abs(value) > sys.float_info.max
 
 
+# calibration fields; beside an explicit bracket none of them has an effect
+_CALIBRATION_FIELDS = (
+    "confidence", "calibration_mean", "calibration_sd", "calibration_count"
+)
+
+# the keys each spec block is read for, by path prefix; any other key is
+# diagnosed by name, so that no key can be given and silently ignored
+_BLOCK_KEYS = {
+    "": ("name", "sweep", "schemes", "scenario", "output"),
+    "sweep.": ("axis", "values"),
+    "scenario.": (
+        "family", "truth", "trials", "seed", "snr_db", "detector", "noise", "fusion"
+    ),
+    "scenario.detector.": ("sample_count", "threshold"),
+    "scenario.noise.": ("nominal_variance", "bracket", *_CALIBRATION_FIELDS),
+    "scenario.fusion.": (
+        "num_sus", "vote_threshold", "vote_threshold_complement", "prior_h0",
+        "report_error",
+    ),
+}
+
+
+def _reject_unread_keys(block, prefix, diagnostics):
+    diagnostics.extend(
+        f"{prefix}{key}: has no effect, remove it"
+        for key in block
+        if key not in _BLOCK_KEYS[prefix]
+    )
+
+
 def _get(mapping, key, kind, diagnostics, prefix, required=True, default=None):
     if key not in mapping:
         if required:
@@ -145,6 +176,8 @@ def _get(mapping, key, kind, diagnostics, prefix, required=True, default=None):
         if not isinstance(value, dict):
             diagnostics.append(f"{prefix}{key}: expected an object, got {value!r}")
             return default
+        # every object a spec holds is a block of _BLOCK_KEYS
+        _reject_unread_keys(value, f"{prefix}{key}.", diagnostics)
         return value
     if kind is list:
         if not isinstance(value, list):
@@ -156,37 +189,14 @@ def _get(mapping, key, kind, diagnostics, prefix, required=True, default=None):
 
 def _parse_detector(block, diagnostics):
     sample_count = _get(block, "sample_count", int, diagnostics, "scenario.detector.")
-    time_bandwidth = _get(
-        block, "time_bandwidth", float, diagnostics, "scenario.detector."
-    )
     threshold = _get(block, "threshold", float, diagnostics, "scenario.detector.")
-    channel_gain = _get(
-        block, "channel_gain", float, diagnostics, "scenario.detector.",
-        required=False, default=1.0,
-    )
-    signal_variance = _get(
-        block, "signal_variance", float, diagnostics, "scenario.detector.",
-        required=False,
-    )
-    if None in (sample_count, time_bandwidth, threshold):
+    if None in (sample_count, threshold):
         return None
     try:
-        return DetectorConfig(
-            sample_count=sample_count,
-            time_bandwidth=time_bandwidth,
-            threshold=threshold,
-            channel_gain=channel_gain,
-            signal_variance=signal_variance,
-        )
+        return DetectorConfig(sample_count=sample_count, threshold=threshold)
     except ValueError as exc:
         diagnostics.append(f"scenario.detector: {exc}")
         return None
-
-
-# calibration fields; beside an explicit bracket none of them has an effect
-_CALIBRATION_FIELDS = (
-    "confidence", "calibration_mean", "calibration_sd", "calibration_count"
-)
 
 
 def _parse_noise(block, diagnostics):
@@ -340,6 +350,7 @@ def _parse_spec(document, spec_name, diagnostics):
     if not isinstance(document, dict):
         diagnostics.append("spec: top level must be a JSON object")
         return None
+    _reject_unread_keys(document, "", diagnostics)
 
     name = _get(document, "name", str, diagnostics, "", required=False,
                 default=spec_name)
@@ -420,12 +431,6 @@ def _parse_spec(document, spec_name, diagnostics):
     detector_block = _get(scenario_block, "detector", dict, diagnostics, "scenario.")
     noise_block = _get(scenario_block, "noise", dict, diagnostics, "scenario.")
     fusion_block = _get(scenario_block, "fusion", dict, diagnostics, "scenario.")
-    if "scheme_options" in scenario_block:
-        diagnostics.append(
-            "scenario.scheme_options: has no effect, remove it (every noise "
-            "component expects the bracket mean, so the convex normalizer is "
-            "that mean whatever the weights or exponent)"
-        )
 
     detector = _parse_detector(detector_block, diagnostics) if detector_block else None
     noise = _parse_noise(noise_block, diagnostics) if noise_block else None

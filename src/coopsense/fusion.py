@@ -55,11 +55,6 @@ class FusionConfig:
                 f"report_error must lie in [0, 0.5], got {self.report_error!r}"
             )
 
-    @property
-    def vote_threshold_complement(self) -> int:
-        """The K - n counting convention for the same rule."""
-        return self.num_sus - self.vote_threshold
-
 
 @dataclass(frozen=True)
 class CooperativeRates:

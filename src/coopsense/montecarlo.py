@@ -206,8 +206,9 @@ class _Runtime:
     bracket: VarianceBracket
     nominal: float  # the fixed scheme's normalizer
     mean: float  # every other scheme's normalizer, inside the bracket
-    signal_power: float  # received per-sample power (exponential family)
-    signal_energy: float  # received whole-window energy (chi-square family)
+    # received signal: per-sample power (exponential family), whole-window
+    # energy (chi-square family)
+    signal: float
 
 
 def _runtime(scenario: Scenario) -> _Runtime:
@@ -219,15 +220,6 @@ def _runtime(scenario: Scenario) -> _Runtime:
         threshold_norm = det.threshold / (2.0 * k)
     else:
         threshold_norm = det.threshold
-
-    gain2 = det.channel_gain**2
-    if det.signal_variance is not None:
-        per_sample = gain2 * det.signal_variance
-        window = k * per_sample
-    else:
-        per_sample = scenario.snr_linear * noise.nominal_variance
-        window = scenario.snr_linear * noise.nominal_variance
-
     return _Runtime(
         k=k,
         num_sus=fus.num_sus,
@@ -239,8 +231,7 @@ def _runtime(scenario: Scenario) -> _Runtime:
         bracket=noise.bracket,
         nominal=scheme_normalizer(SchemeKind.FIXED, noise),
         mean=scheme_normalizer(SchemeKind.EXPECTATION, noise),
-        signal_power=per_sample,
-        signal_energy=window,
+        signal=scenario.snr_linear * noise.nominal_variance,
     )
 
 
@@ -296,11 +287,11 @@ def _simulate_block(
         # noncentrality 0 is the central law: 0.5 * v * chi2(2k) = v * Gamma(k);
         # the signal is selected by h1, not multiplied by it, since inf * 0
         # (a signal energy past half the largest double) is NaN
-        signal = np.where(h1, 2.0 * rt.signal_energy, 0.0)
+        signal = np.where(h1, 2.0 * rt.signal, 0.0)
         noncentrality = signal[:, None] / variances
         energies = 0.5 * variances * rng.noncentral_chisquare(2.0 * rt.k, noncentrality)
     else:
-        scale = variances + np.where(h1, rt.signal_power, 0.0)[:, None]
+        scale = variances + np.where(h1, rt.signal, 0.0)[:, None]
         energies = scale * rng.standard_gamma(rt.k, size=shape)
 
     nominal, _ = decide_scheme(energies, rt.k, rt.threshold_norm, rt.nominal)
@@ -363,15 +354,15 @@ def nominal_rates(scenario: Scenario) -> AnalyticRates:
     """Family-matched closed forms at the configured operating point
     (nominal normalization, no uncertainty). They do not depend on the
     scheme, the trial count or the seed."""
-    det = scenario.detector
+    u = scenario.detector.sample_count
+    threshold = scenario.detector.threshold
     snr = scenario.snr_linear
     if scenario.family == AnalyticFamily.CHI_SQUARE:
-        p_f = analytic_pf(det.time_bandwidth, det.threshold)
-        p_d = analytic_pd(det.time_bandwidth, snr, det.threshold)
+        p_f = analytic_pf(u, threshold)
+        p_d = analytic_pd(u, snr, threshold)
     else:
-        u = det.time_bandwidth
-        p_f = reg_upper_gamma(u, u * det.threshold)
-        p_d = reg_upper_gamma(u, u * det.threshold / (1.0 + snr))
+        p_f = reg_upper_gamma(u, u * threshold)
+        p_d = reg_upper_gamma(u, u * threshold / (1.0 + snr))
     fused = cooperative_rates(scenario.fusion, p_f, p_d)
     return AnalyticRates(p_f=p_f, p_d=p_d, q_f=fused.q_f, q_m=fused.q_m, q_e=fused.q_e)
 

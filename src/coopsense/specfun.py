@@ -52,7 +52,6 @@ __all__ = [
     "MAX_ITERATIONS",
     "TERM_TOLERANCE",
     "ConvergenceError",
-    "log_gamma",
     "reg_lower_gamma",
     "reg_upper_gamma",
     "marcum_q",
@@ -70,19 +69,6 @@ class ConvergenceError(RuntimeError):
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for positive real x.
-
-    Relative error is at the level of the platform ``lgamma`` (a few ulp,
-    well inside 1e-12 on [0.5, 1e4]).
-    """
-    x = float(x)
-    _require_finite("x", x)
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _lower_series(order: float, x: float, log_prefactor: float) -> float:
@@ -234,6 +220,12 @@ def _temme_rows():
 _TEMME_ROWS = _temme_rows()
 
 
+def _in_temme_window(order: float, x: float) -> bool:
+    """True where Temme's expansion serves both the gamma pair and the gamma
+    side that starts the Marcum series."""
+    return order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order
+
+
 def _temme_pair(order: float, x: float) -> tuple[float, float]:
     """(P, Q) from Temme's expansion; both sides directly, no complement."""
     sigma = (x - order) / order
@@ -288,7 +280,7 @@ def _reg_gamma_pair(order: float, x: float) -> tuple[float, float]:
     """Return (P, Q) = (regularized lower, regularized upper) at (order, x)."""
     if x == 0.0:
         return 0.0, 1.0
-    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+    if _in_temme_window(order, x):
         return _temme_pair(order, x)
     return _classic_pair(order, x)
 
@@ -382,7 +374,7 @@ def _scaled_gamma_side(order: float, x: float, log_pref: float, upper: bool) -> 
     """Q(order, x) if ``upper`` else P(order, x), divided by
     exp(log_pref) = x^order e^-x / Gamma(order), the factor the series and
     the continued fraction take out anyway."""
-    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+    if _in_temme_window(order, x):
         g = _temme_pair(order, x)[1 if upper else 0]
     elif x < order + 1.0:
         p = _lower_series(order, x, 0.0)

@@ -103,7 +103,7 @@ def test_criterion_2_closed_form_vs_simulation():
     """Fixed scheme at (u=5, threshold=30, SNR=-10 dB): empirical P_f and
     P_d within 4 Wilson half-widths of the closed forms at 1e6 trials."""
     scenario = Scenario(
-        detector=DetectorConfig(sample_count=5, time_bandwidth=5.0, threshold=30.0),
+        detector=DetectorConfig(sample_count=5, threshold=30.0),
         noise=NoiseUncertaintyModel(1.0, VarianceBracket(1.0, 1.0)),
         scheme=SchemeKind.FIXED,
         fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),

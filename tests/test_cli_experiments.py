@@ -46,7 +46,6 @@ def spec_document(**overrides):
             "seed": 4242,
             "detector": {
                 "sample_count": 400,
-                "time_bandwidth": 400.0,
                 "threshold": 1.12,
             },
             "noise": {
@@ -298,10 +297,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field, token",
         [
-            ("time_bandwidth", "NaN"),
-            ("time_bandwidth", "Infinity"),
-            ("signal_variance", "NaN"),
-            ("signal_variance", "Infinity"),
+            ("threshold", "NaN"),
+            ("threshold", "Infinity"),
         ],
     )
     def test_nonfinite_detector_fields_rejected(self, write_spec, field, token):
@@ -511,7 +508,7 @@ class TestMainEntry:
         simulate = montecarlo._simulate_block
 
         def failing_at_minus_ten_db(rt, rng, n):
-            if rt.signal_power == 0.1:
+            if rt.signal == 0.1:
                 raise ValueError("block failed")
             time.sleep(0.05)
             return simulate(rt, rng, n)
@@ -662,8 +659,8 @@ class TestBigIntegers:
             (("scenario", "snr_db"), "scenario.snr_db: integer beyond"),
             (("scenario", "detector", "threshold"),
              "scenario.detector.threshold: integer beyond"),
-            (("scenario", "detector", "time_bandwidth"),
-             "scenario.detector.time_bandwidth: integer beyond"),
+            (("scenario", "detector", "sample_count"),
+             "scenario.detector.sample_count: integer beyond"),
             (("scenario", "noise", "nominal_variance"),
              "scenario.noise.nominal_variance: integer beyond"),
             (("scenario", "noise", "calibration_count"),
@@ -680,6 +677,57 @@ class TestBigIntegers:
         assert validate_spec(write_spec(document)) == []
         (found,) = validate_spec(write_spec(with_leaf(document, path, BIG)))
         assert found.startswith(diagnostic)
+
+
+# the keys each block of a spec is read for, as the README lists them
+BLOCK_KEYS = {
+    (): {"name", "sweep", "schemes", "scenario", "output"},
+    ("sweep",): {"axis", "values"},
+    ("scenario",): {
+        "family", "truth", "trials", "seed", "snr_db", "detector", "noise", "fusion",
+    },
+    ("scenario", "detector"): {"sample_count", "threshold"},
+    ("scenario", "noise"): {
+        "nominal_variance", "bracket", "confidence", "calibration_mean",
+        "calibration_sd", "calibration_count",
+    },
+    ("scenario", "fusion"): {
+        "num_sus", "vote_threshold", "vote_threshold_complement", "prior_h0",
+        "report_error",
+    },
+}
+
+
+class TestUnreadKeys:
+    """A key that no run reads cannot be given and silently ignored."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUNDLED)),
+        block=st.sampled_from(sorted(BLOCK_KEYS)),
+        value=st.sampled_from([1.0, 0, 5, "x", None, True, [], {}]),
+        data=st.data(),
+    )
+    def test_one_diagnostic_names_the_key(self, name, block, value, data):
+        key = data.draw(
+            st.one_of(
+                st.sampled_from(
+                    ["time_bandwidth", "channel_gain", "signal_variance", "report_eror"]
+                ),
+                st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True),
+            ).filter(lambda key: key not in BLOCK_KEYS[block]),
+            label="key",
+        )
+        document = copy.deepcopy(BUNDLED[name])
+        target = document
+        for part in block:
+            target = target[part]
+        target[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = Path(tmp) / f"{name}.json"
+            spec_path.write_text(json.dumps(document), encoding="utf-8")
+            diagnostics = validate_spec(spec_path)
+        assert diagnostics == [f"{'.'.join((*block, key))}: has no effect, remove it"]
 
 
 class TestNominalRange:

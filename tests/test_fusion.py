@@ -244,10 +244,6 @@ class TestCooperativeRates:
 
 
 class TestFusionConfig:
-    def test_complement_convention(self):
-        cfg = FusionConfig(num_sus=10, vote_threshold=5)
-        assert cfg.vote_threshold_complement == 5
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -35,7 +35,7 @@ from coopsense.threshold_schemes import SchemeKind
 
 def chi_square_scenario(**overrides):
     base = dict(
-        detector=DetectorConfig(sample_count=5, time_bandwidth=5.0, threshold=30.0),
+        detector=DetectorConfig(sample_count=5, threshold=30.0),
         noise=NoiseUncertaintyModel(1.0, VarianceBracket(1.0, 1.0)),
         scheme=SchemeKind.FIXED,
         fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),
@@ -50,9 +50,7 @@ def chi_square_scenario(**overrides):
 
 def uncertain_scenario(**overrides):
     base = dict(
-        detector=DetectorConfig(
-            sample_count=2000, time_bandwidth=2000.0, threshold=1.062
-        ),
+        detector=DetectorConfig(sample_count=2000, threshold=1.062),
         noise=NoiseUncertaintyModel.from_calibration(
             nominal_variance=1.0,
             calibration_mean=1.01,
@@ -118,13 +116,14 @@ class TestRunTrial:
 
     def test_zero_signal_variance_matches_noise_only(self):
         # a degenerate H1 consumes the same draws as H0, so outcomes match
-        # trial for trial, not just in distribution
+        # trial for trial, not just in distribution; the linear SNR of
+        # -4000 dB underflows to exactly 0
         for make, scheme in product(
             [uncertain_scenario, chi_square_scenario], SchemeKind
         ):
-            detector = replace(make().detector, signal_variance=0.0)
-            h1 = only("h1", make, detector=detector, scheme=scheme)
-            h0 = only("h0", make, detector=detector, scheme=scheme)
+            h1 = only("h1", make, snr_db=-4000.0, scheme=scheme)
+            h0 = only("h0", make, snr_db=-4000.0, scheme=scheme)
+            assert _runtime(h1).signal == 0.0
             for on, off in zip(
                 block_tallies(h1, range(4)), block_tallies(h0, range(4))
             ):
@@ -402,9 +401,7 @@ class TestEstimate:
         scenario = only(
             "h0",
             chi_square_scenario,
-            detector=DetectorConfig(
-                sample_count=5, time_bandwidth=5.0, threshold=12.0
-            ),
+            detector=DetectorConfig(sample_count=5, threshold=12.0),
             trials=2000,
         )
         target = analytic_pf(5.0, 12.0)

@@ -57,7 +57,6 @@ from coopsense import specfun
 from coopsense.specfun import (
     MAX_ITERATIONS,
     TERM_TOLERANCE,
-    log_gamma,
     marcum_q,
     reg_lower_gamma,
     reg_upper_gamma,
@@ -220,31 +219,6 @@ def quad_reg_upper(order, x):
     head, _ = integrate.quad(integrand, x, mode, limit=400)
     tail, _ = integrate.quad(integrand, mode, np.inf, limit=400)
     return head + tail
-
-
-class TestLogGamma:
-    def test_gamma_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_gamma_five_is_log_24(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_gamma_half_is_half_log_pi(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-    def test_relative_error_across_range(self):
-        rng = np.random.default_rng(3)
-        for x in np.concatenate([[0.5, 1.0, 2.0], rng.uniform(0.5, 1e4, 200)]):
-            ref = special.gammaln(x)
-            if ref == 0.0:
-                assert abs(log_gamma(float(x))) < 1e-12
-            else:
-                assert abs(log_gamma(float(x)) - ref) / abs(ref) < 1e-12
 
 
 class TestRegUpperGamma:
