@@ -128,6 +128,7 @@ class TestDetectorConfig:
         "kwargs",
         [
             dict(sample_count=0, threshold=1.0),
+            dict(sample_count=1, threshold=float("inf")),
             dict(sample_count=1, threshold=-1.0),
         ],
     )
