@@ -6,8 +6,9 @@ writes one CSV row per (sweep value, scheme). Output is written to a
 temporary file and atomically renamed, so a crashed run never leaves a
 partial table, and a cell that fails stops the run with a diagnostic
 naming its sweep value and scheme. Results are byte-identical for a given
-seed regardless of ``--workers``. Validation names every problem it finds,
-among them each key of a spec block that no run reads.
+seed regardless of ``--workers``. Validation reads a spec by one field
+table, takes each range check from the model that owns it, and names every
+problem it finds by its path.
 
 Usage:
     coopsense run SPEC [--out PATH] [--seed N] [--workers N]
@@ -22,7 +23,6 @@ files always carry dB. The default output directory is taken from the
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -33,7 +33,6 @@ from pathlib import Path
 from .detector import DetectorConfig
 from .fusion import FusionConfig, optimize_vote_count
 from .montecarlo import (
-    AnalyticFamily,
     AnalyticRates,
     Scenario,
     ScenarioEstimate,
@@ -78,9 +77,6 @@ CSV_COLUMNS = [
     "seed",
 ]
 
-_SWEEP_AXES = ("snr_db", "num_sus", "threshold")
-
-
 class SpecValidationError(ValueError):
     """Invalid experiment spec; ``diagnostics`` lists every problem found."""
 
@@ -113,371 +109,274 @@ def resolve_spec_path(spec_arg: str) -> Path:
     return path
 
 
-def _beyond_float(value) -> bool:
-    """True for a JSON integer too large to convert to a double."""
-    return isinstance(value, int) and abs(value) > sys.float_info.max
+_BRACKET = (float, float)  # a JSON [low, high] pair of numbers
 
+# every key a spec may hold, by path, parents before children: its JSON
+# type and whether it is required; an optional key left out takes the
+# default of the model that reads it
+_FIELDS = {
+    "name": (str, False),
+    "sweep": (dict, True),
+    "sweep.axis": (str, True),
+    "sweep.values": (list, True),
+    "schemes": (list, True),
+    "output": (str, False),
+    "scenario": (dict, True),
+    "scenario.family": (str, False),
+    "scenario.trials": (int, True),
+    "scenario.seed": (int, True),
+    "scenario.snr_db": (float, True),
+    "scenario.detector": (dict, True),
+    "scenario.detector.sample_count": (int, True),
+    "scenario.detector.threshold": (float, True),
+    "scenario.noise": (dict, True),
+    "scenario.noise.nominal_variance": (float, True),
+    "scenario.noise.bracket": (_BRACKET, False),
+    "scenario.noise.confidence": (float, False),
+    "scenario.noise.calibration_mean": (float, True),
+    "scenario.noise.calibration_sd": (float, True),
+    "scenario.noise.calibration_count": (int, True),
+    "scenario.fusion": (dict, True),
+    "scenario.fusion.num_sus": (int, True),
+    "scenario.fusion.vote_threshold": (int, False),
+    "scenario.fusion.vote_threshold_complement": (int, False),
+    "scenario.fusion.prior_h0": (float, False),
+    "scenario.fusion.report_error": (float, False),
+}
 
-# calibration fields; beside an explicit bracket none of them has an effect
-_CALIBRATION_FIELDS = (
-    "confidence", "calibration_mean", "calibration_sd", "calibration_count"
-)
-
-# the keys each spec block is read for, by path prefix; any other key is
-# diagnosed by name, so that no key can be given and silently ignored
-_BLOCK_KEYS = {
-    "": ("name", "sweep", "schemes", "scenario", "output"),
-    "sweep.": ("axis", "values"),
-    "scenario.": (
-        "family", "truth", "trials", "seed", "snr_db", "detector", "noise", "fusion"
-    ),
-    "scenario.detector.": ("sample_count", "threshold"),
-    "scenario.noise.": ("nominal_variance", "bracket", *_CALIBRATION_FIELDS),
-    "scenario.fusion.": (
-        "num_sus", "vote_threshold", "vote_threshold_complement", "prior_h0",
-        "report_error",
+# a key that another entry of the spec replaces has no effect beside it:
+# path -> (that entry's path, the sweep axis it holds or None for any)
+_REPLACED_BY = {
+    "scenario.snr_db": ("sweep.axis", "snr_db"),
+    "scenario.detector.threshold": ("sweep.axis", "threshold"),
+    **dict.fromkeys(
+        ("scenario.noise.confidence", "scenario.noise.calibration_mean",
+         "scenario.noise.calibration_sd", "scenario.noise.calibration_count"),
+        ("scenario.noise.bracket", None),
     ),
 }
 
+# the field whose value each sweep axis replaces in every cell
+_SWEEP_FIELDS = {
+    "snr_db": "scenario.snr_db",
+    "num_sus": "scenario.fusion.num_sus",
+    "threshold": "scenario.detector.threshold",
+}
 
-def _reject_unread_keys(block, prefix, diagnostics):
-    diagnostics.extend(
-        f"{prefix}{key}: has no effect, remove it"
-        for key in block
-        if key not in _BLOCK_KEYS[prefix]
-    )
-
-
-def _get(mapping, key, kind, diagnostics, prefix, required=True, default=None):
-    if key not in mapping:
-        if required:
-            diagnostics.append(f"{prefix}{key}: required field is missing")
-        return default
-    value = mapping[key]
-    if kind in (float, int) and _beyond_float(value):
-        diagnostics.append(f"{prefix}{key}: integer beyond the float range")
-        return default
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            diagnostics.append(f"{prefix}{key}: expected a number, got {value!r}")
-            return default
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            diagnostics.append(f"{prefix}{key}: expected an integer, got {value!r}")
-            return default
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            diagnostics.append(f"{prefix}{key}: expected a string, got {value!r}")
-            return default
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            diagnostics.append(f"{prefix}{key}: expected an object, got {value!r}")
-            return default
-        # every object a spec holds is a block of _BLOCK_KEYS
-        _reject_unread_keys(value, f"{prefix}{key}.", diagnostics)
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            diagnostics.append(f"{prefix}{key}: expected a list, got {value!r}")
-            return default
-        return value
-    raise AssertionError(kind)
+_EXPECTED = {int: "an integer", float: "a number", str: "a string",
+             list: "a list", dict: "an object"}
 
 
-def _parse_detector(block, diagnostics):
-    sample_count = _get(block, "sample_count", int, diagnostics, "scenario.detector.")
-    threshold = _get(block, "threshold", float, diagnostics, "scenario.detector.")
-    if None in (sample_count, threshold):
-        return None
-    try:
-        return DetectorConfig(sample_count=sample_count, threshold=threshold)
-    except ValueError as exc:
-        diagnostics.append(f"scenario.detector: {exc}")
-        return None
+def _typed(value, kind):
+    """``value`` as a field of JSON type ``kind`` holds it (a float field
+    takes an integer as a float); ValueError says why it cannot."""
+    if kind is _BRACKET:
+        if isinstance(value, list) and len(value) == 2:
+            try:
+                return [_typed(end, float) for end in value]
+            except ValueError:
+                pass
+        raise ValueError("expected [low, high] numbers within the float range")
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        raise ValueError(f"expected {_EXPECTED[kind]}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError("integer beyond the float range")
+    return float(value) if kind is float else value
 
 
-def _parse_noise(block, diagnostics):
-    nominal = _get(block, "nominal_variance", float, diagnostics, "scenario.noise.")
-    if "bracket" in block:
-        bracket = block["bracket"]
-        if (
-            not isinstance(bracket, list)
-            or len(bracket) != 2
-            or any(
-                isinstance(v, bool)
-                or not isinstance(v, (int, float))
-                or _beyond_float(v)
-                for v in bracket
+def _read(document, diagnostics):
+    """Read a spec by ``_FIELDS``: ``{block path: {key: value}}`` for each
+    block (top level ``""``) whose own keys all read.
+
+    A key reads when the table holds it, it has its JSON type, and it is
+    given when required and not where ``_REPLACED_BY`` says it has no
+    effect; every other key gets one diagnostic by its path. A sub-block
+    is a block of its own, not a field of its parent.
+    """
+    given = {"": document}  # the raw value of every key given, by path
+    blocks, bad = {}, set()
+
+    def diagnose(path, message):
+        diagnostics.append(f"{path}: {message}")
+        bad.add(path.rpartition(".")[0])
+
+    def open_block(path, block):
+        blocks[path] = {}
+        prefix = f"{path}." if path else ""
+        for key in block:
+            if prefix + key not in _FIELDS:
+                diagnose(prefix + key, "has no effect, remove it")
+
+    open_block("", document)
+    for path, (kind, required) in _FIELDS.items():
+        parent, _, key = path.rpartition(".")
+        if parent not in blocks:
+            continue  # the block itself is missing or not an object
+        entry, axis = _REPLACED_BY.get(path, (None, None))
+        replaced = entry in given and axis in (None, given[entry])
+        if key not in given[parent]:
+            if required and not replaced:
+                diagnose(path, "required field is missing")
+            continue
+        given[path] = given[parent][key]
+        if replaced:
+            why = f"the {axis} sweep replaces it" if axis else (
+                "an explicit bracket replaces the calibration"
             )
-        ):
-            diagnostics.append(
-                "scenario.noise.bracket: expected [low, high] numbers within "
-                "the float range"
-            )
-            return None
-        unused = [field for field in _CALIBRATION_FIELDS if field in block]
-        for field in unused:
-            diagnostics.append(
-                f"scenario.noise.{field}: has no effect, remove it (an explicit "
-                "bracket replaces the calibration)"
-            )
-        if nominal is None or unused:
-            return None
+            diagnose(path, f"has no effect, remove it ({why})")
+            continue
         try:
-            return NoiseUncertaintyModel(
-                nominal_variance=nominal,
-                bracket=VarianceBracket(low=float(bracket[0]), high=float(bracket[1])),
-            )
+            value = _typed(given[path], kind)
         except ValueError as exc:
-            diagnostics.append(f"scenario.noise: {exc}")
-            return None
-    confidence = _get(
-        block, "confidence", float, diagnostics, "scenario.noise.",
-        required=False, default=0.99,
-    )
-    mean = _get(block, "calibration_mean", float, diagnostics, "scenario.noise.")
-    sd = _get(block, "calibration_sd", float, diagnostics, "scenario.noise.")
-    count = _get(block, "calibration_count", int, diagnostics, "scenario.noise.")
-    if None in (nominal, confidence, mean, sd, count):
+            diagnose(path, str(exc))
+            continue
+        if kind is dict:
+            open_block(path, value)
+        else:
+            blocks[parent][key] = value
+    return {path: fields for path, fields in blocks.items() if path not in bad}
+
+
+def _build(path, make, fields, diagnostics, **base):
+    """``make(**base, **fields)``, or None: after a diagnostic at ``path``
+    with the constructor's reason, or at once when ``fields`` is None (the
+    block's own keys were diagnosed)."""
+    if fields is None:
         return None
     try:
-        return NoiseUncertaintyModel.from_calibration(
-            nominal_variance=nominal,
-            calibration_mean=mean,
-            calibration_sd=sd,
-            sample_count=count,
-            confidence=confidence,
-        )
+        return make(**{**base, **fields})
     except ValueError as exc:
-        diagnostics.append(f"scenario.noise: {exc}")
+        diagnostics.append(f"{path}: {exc}")
         return None
 
 
-def _parse_fusion(block, diagnostics, sweep_axis, sweep_values):
-    num_sus = _get(block, "num_sus", int, diagnostics, "scenario.fusion.")
-    prior_h0 = _get(
-        block, "prior_h0", float, diagnostics, "scenario.fusion.",
-        required=False, default=0.5,
+def _noise(nominal_variance, bracket=None, calibration_count=None, **calibration):
+    if bracket is not None:
+        return NoiseUncertaintyModel(nominal_variance, VarianceBracket(*bracket))
+    return NoiseUncertaintyModel.from_calibration(
+        nominal_variance, sample_count=calibration_count, **calibration
     )
-    report_error = _get(
-        block, "report_error", float, diagnostics, "scenario.fusion.",
-        required=False, default=0.0,
-    )
-    has_direct = "vote_threshold" in block
-    has_complement = "vote_threshold_complement" in block
-    if has_direct and has_complement:
+
+
+def _sweep(sweep, diagnostics):
+    """The sweep's axis and values, each value of the JSON type of the field
+    it replaces; no values after a diagnostic."""
+    if sweep is None:
+        return None, ()
+    axis, values = sweep["axis"], sweep["values"]
+    if axis not in _SWEEP_FIELDS:
+        diagnostics.append(
+            f"sweep.axis: unknown axis {axis!r} (choose from {tuple(_SWEEP_FIELDS)})"
+        )
+        return None, ()
+    if not values:
+        diagnostics.append("sweep.values: must be nonempty")
+    before = len(diagnostics)
+    kind, _ = _FIELDS[_SWEEP_FIELDS[axis]]
+    for value in values:
+        try:
+            _typed(value, kind)
+        except ValueError as exc:
+            diagnostics.append(f"sweep.values: {exc}")
+    return axis, tuple(values) if len(diagnostics) == before else ()
+
+
+def _fusion(fields, axis, sweep_values, diagnostics):
+    """The base ``FusionConfig`` and the spec's vote complement (None when it
+    gives ``vote_threshold``). The vote convention is checked, naming the
+    spec's field, at every K >= 1 the spec runs: its ``num_sus`` or each
+    swept one. A ``num_sus`` sweep builds the base at its largest K, which
+    every cell replaces (below 1, the reason names ``sweep.values``)."""
+    if fields is None:
+        return None, None
+    swept = axis == "num_sus"
+    counts = sweep_values if swept else (fields["num_sus"],)
+    if not counts:
+        return None, None  # the sweep's own diagnostic is recorded
+    given = [key for key in ("vote_threshold", "vote_threshold_complement")
+             if key in fields]
+    if len(given) != 1:
         diagnostics.append(
             "scenario.fusion: give either vote_threshold or "
             "vote_threshold_complement, not both"
+            if given
+            else "scenario.fusion.vote_threshold: required field is missing"
         )
-        return None
-    if not has_direct and not has_complement:
-        diagnostics.append("scenario.fusion.vote_threshold: required field is missing")
-        return None
-    if num_sus is None:
-        return None
-    field = "vote_threshold" if has_direct else "vote_threshold_complement"
-    given = _get(block, field, int, diagnostics, "scenario.fusion.")
-    if given is None:
-        return None
-    complement = None if has_direct else given
-    # a num_sus sweep checks the rule, and builds the base, at the swept
-    # receiver counts; the spec's own num_sus is then not used
-    swept = sweep_axis == "num_sus"
-    counts = list(sweep_values) if swept else [num_sus]
-    if not counts:
-        return None  # the sweep's own diagnostic is already recorded
-    if counts[0] < 1:
-        diagnostics.append(f"scenario.fusion.num_sus: must be >= 1, got {num_sus}")
-        return None
-    votes = [given if complement is None else k - given for k in counts]
-    bad = [k for k, n in zip(counts, votes) if not 1 <= n <= k]
+        return None, None
+    (field,) = given
+    n = fields.pop(field)
+    complement = None if field == "vote_threshold" else n
+    votes = {k: n if complement is None else k - n for k in counts}
+    bad = [k for k in counts if k >= 1 and not 1 <= votes[k] <= k]
     if bad:
         rule = "[1, K]" if complement is None else "[0, K - 1]"
-        where = (
-            f"every swept num_sus value K (violated at {bad[:3]})"
-            if swept
-            else f"K = num_sus = {num_sus}"
-        )
         diagnostics.append(
-            f"scenario.fusion.{field}: must lie in {rule} for {where}, got {given}"
+            f"scenario.fusion.{field}: must lie in {rule} at every receiver "
+            f"count K the spec runs (violated at K = {bad[:3]}), got {n}"
         )
-        return None
-    try:
-        config = FusionConfig(
-            num_sus=counts[0],
-            vote_threshold=votes[0],
-            prior_h0=prior_h0,
-            report_error=report_error,
-        )
-    except ValueError as exc:
-        diagnostics.append(f"scenario.fusion: {exc}")
-        return None
-    return config, complement
-
-
-def _parse_schemes(raw, diagnostics):
-    if raw is None:
-        return None
-    if not raw:
-        diagnostics.append("schemes: must list at least one scheme")
-        return None
-    schemes = []
-    for entry in raw:
-        try:
-            schemes.append(SchemeKind(entry))
-        except ValueError:
-            diagnostics.append(
-                f"schemes: unknown scheme {entry!r} "
-                f"(choose from {[k.value for k in SchemeKind]})"
-            )
-            return None
-    return tuple(schemes)
-
-
-def _linear_snr_finite(snr_db) -> bool:
-    """True when snr_db and the linear SNR 10^(snr_db / 10) are finite."""
-    try:
-        return math.isfinite(snr_db) and math.isfinite(10.0 ** (snr_db / 10.0))
-    except OverflowError:
-        return False
+        return None, None
+    k = max(counts)
+    fields.update(num_sus=k, vote_threshold=votes[k])
+    path = "sweep.values" if swept and k < 1 else "scenario.fusion"
+    return _build(path, FusionConfig, fields, diagnostics), complement
 
 
 def _parse_spec(document, spec_name, diagnostics):
     if not isinstance(document, dict):
         diagnostics.append("spec: top level must be a JSON object")
         return None
-    _reject_unread_keys(document, "", diagnostics)
+    blocks = _read(document, diagnostics)
+    top = blocks.get("", {})
+    axis, sweep_values = _sweep(blocks.get("sweep"), diagnostics)
 
-    name = _get(document, "name", str, diagnostics, "", required=False,
-                default=spec_name)
-    sweep = _get(document, "sweep", dict, diagnostics, "")
-    schemes_raw = _get(document, "schemes", list, diagnostics, "")
-    scenario_block = _get(document, "scenario", dict, diagnostics, "")
-    output = _get(document, "output", str, diagnostics, "", required=False,
-                  default=f"{name}_results.csv")
+    schemes = []
+    for entry in top.get("schemes", ()):
+        try:
+            schemes.append(SchemeKind(entry))
+        except ValueError as exc:
+            diagnostics.append(f"schemes: {exc}")
+    if top.get("schemes") == []:
+        diagnostics.append("schemes: must list at least one scheme")
 
-    sweep_axis = None
-    sweep_values = ()
-    if sweep is not None:
-        sweep_axis = _get(sweep, "axis", str, diagnostics, "sweep.")
-        values = _get(sweep, "values", list, diagnostics, "sweep.")
-        if sweep_axis is not None and sweep_axis not in _SWEEP_AXES:
-            diagnostics.append(
-                f"sweep.axis: unknown axis {sweep_axis!r} (choose from {_SWEEP_AXES})"
-            )
-            sweep_axis = None
-        if values is not None:
-            if not values:
-                diagnostics.append("sweep.values: must be nonempty")
-            elif any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-                diagnostics.append("sweep.values: every value must be a number")
-            elif sweep_axis == "num_sus" and any(
-                not isinstance(v, int) or v < 1 for v in values
-            ):
-                diagnostics.append(
-                    "sweep.values: num_sus values must be integers >= 1"
-                )
-            elif any(map(_beyond_float, values)):
-                diagnostics.append("sweep.values: integer beyond the float range")
-            elif sweep_axis == "threshold" and any(
-                not math.isfinite(v) or v < 0 for v in values
-            ):
-                diagnostics.append("sweep.values: thresholds must be finite and >= 0")
-            elif sweep_axis == "snr_db" and not all(map(_linear_snr_finite, values)):
-                diagnostics.append(
-                    "sweep.values: snr_db values must be finite, with a finite "
-                    "linear SNR 10^(snr_db / 10)"
-                )
-            else:
-                sweep_values = tuple(values)
-
-    if scenario_block is None:
+    # each block is built as soon as its own keys read, so every block's
+    # range error shows; a swept field holds 0.0 in the base (a num_sus
+    # sweep's is set in _fusion), and every cell replaces it
+    detector = _build(
+        "scenario.detector", DetectorConfig, blocks.get("scenario.detector"),
+        diagnostics, threshold=0.0,
+    )
+    noise = _build("scenario.noise", _noise, blocks.get("scenario.noise"), diagnostics)
+    fusion, vote_complement = _fusion(
+        blocks.get("scenario.fusion"), axis, sweep_values, diagnostics
+    )
+    # Scenario checks only its own fields, so a failed sub-block is None here
+    base = _build(
+        "scenario", Scenario, blocks.get("scenario"), diagnostics,
+        snr_db=0.0, detector=detector, noise=noise, fusion=fusion,
+        scheme=schemes[0] if schemes else SchemeKind.FIXED,
+    )
+    if diagnostics:
         return None
 
-    trials = _get(scenario_block, "trials", int, diagnostics, "scenario.")
-    seed = _get(scenario_block, "seed", int, diagnostics, "scenario.")
-    snr_db = _get(
-        scenario_block, "snr_db", float, diagnostics, "scenario.",
-        required=(sweep_axis != "snr_db"), default=0.0,
-    )
-    family_raw = _get(
-        scenario_block, "family", str, diagnostics, "scenario.",
-        required=False, default=AnalyticFamily.EXPONENTIAL.value,
-    )
-    truth = _get(
-        scenario_block, "truth", str, diagnostics, "scenario.",
-        required=False, default="mixed",
-    )
-
-    family = None
-    try:
-        family = AnalyticFamily(family_raw)
-    except ValueError:
-        diagnostics.append(
-            f"scenario.family: unknown family {family_raw!r} "
-            f"(choose from {[f.value for f in AnalyticFamily]})"
-        )
-    if truth != "mixed":
-        diagnostics.append(
-            f"scenario.truth: must be 'mixed', got {truth!r} (every trial "
-            "draws its hypothesis; scenario.fusion.prior_h0 = 1 runs H0 only "
-            "and 0 runs H1 only)"
-        )
-
-    detector_block = _get(scenario_block, "detector", dict, diagnostics, "scenario.")
-    noise_block = _get(scenario_block, "noise", dict, diagnostics, "scenario.")
-    fusion_block = _get(scenario_block, "fusion", dict, diagnostics, "scenario.")
-
-    detector = _parse_detector(detector_block, diagnostics) if detector_block else None
-    noise = _parse_noise(noise_block, diagnostics) if noise_block else None
-    fusion, vote_complement = (
-        _parse_fusion(fusion_block, diagnostics, sweep_axis, sweep_values)
-        if fusion_block
-        else None
-    ) or (None, None)  # _parse_fusion returns None after a diagnostic
-    schemes = _parse_schemes(schemes_raw, diagnostics)
-
-    if trials is not None and trials < 1:
-        diagnostics.append(f"scenario.trials: must be >= 1, got {trials}")
-        trials = None
-    if seed is not None and not 0 <= seed < 2**64:
-        diagnostics.append(f"scenario.seed: must be a 64-bit integer, got {seed}")
-        seed = None
-    if snr_db is not None and not _linear_snr_finite(snr_db):
-        diagnostics.append(
-            "scenario.snr_db: must be finite, with a finite linear SNR "
-            f"10^(snr_db / 10), got {snr_db}"
-        )
-        snr_db = None
-
-    pieces = (detector, noise, fusion, schemes, trials, seed, snr_db, family,
-              sweep_axis)
-    if diagnostics or any(p is None for p in pieces) or not sweep_values:
-        return None
-
-    base = Scenario(
-        detector=detector,
-        noise=noise,
-        scheme=schemes[0],
-        fusion=fusion,
-        snr_db=snr_db,
-        trials=trials,
-        seed=seed,
-        family=family,
-    )
-    return ExperimentSpec(
+    name = top.get("name", spec_name)
+    spec = ExperimentSpec(
         name=name,
-        sweep_axis=sweep_axis,
+        sweep_axis=axis,
         sweep_values=sweep_values,
-        schemes=schemes,
+        schemes=tuple(schemes),
         base=base,
-        output=output,
+        output=top.get("output", f"{name}_results.csv"),
         vote_complement=vote_complement,
     )
+    # a sweep value passes exactly the rule of the field it replaces
+    for value in sweep_values:
+        try:
+            _scenario_for(spec, value, spec.schemes[0])
+        except ValueError as exc:
+            diagnostics.append(f"sweep.values: {exc}")
+    return None if diagnostics else spec
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -491,9 +390,7 @@ def load_spec(path) -> ExperimentSpec:
     except ValueError as exc:  # malformed JSON, or an integer too long to parse
         raise SpecValidationError([f"spec: not valid JSON: {exc}"]) from None
     spec = _parse_spec(document, path.stem, diagnostics)
-    if spec is None:
-        if not diagnostics:
-            diagnostics.append("spec: invalid (no further detail)")
+    if diagnostics:
         raise SpecValidationError(diagnostics)
     return spec
 
@@ -595,11 +492,10 @@ def run_experiment(
     """
     spec = load_spec(spec_path)
     if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise SpecValidationError(
-                [f"seed: must be a 64-bit integer, got {seed}"]
-            )
-        spec = replace(spec, base=replace(spec.base, seed=seed))
+        try:
+            spec = replace(spec, base=replace(spec.base, seed=seed))
+        except ValueError as exc:
+            raise SpecValidationError([f"--seed: {exc}"]) from None
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:

@@ -112,8 +112,15 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "scheme", SchemeKind(self.scheme))
         object.__setattr__(self, "family", AnalyticFamily(self.family))
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+        try:
+            finite = math.isfinite(self.snr_db) and math.isfinite(self.snr_linear)
+        except OverflowError:  # 10^(snr_db / 10) beyond the largest double
+            finite = False
+        if not finite:
+            raise ValueError(
+                "snr_db must be finite, with a finite linear SNR "
+                f"10^(snr_db / 10), got {self.snr_db!r}"
+            )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not 0 <= self.seed < 2**64:

@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import copy
+import itertools
 import json
 import math
 import multiprocessing
+import re
 import tempfile
 import time
 from dataclasses import replace
@@ -41,7 +43,6 @@ def spec_document(**overrides):
         "output": "unit_results.csv",
         "scenario": {
             "family": "exponential",
-            "truth": "mixed",
             "trials": 1500,
             "seed": 4242,
             "detector": {
@@ -225,13 +226,7 @@ class TestValidation:
         diagnostics = validate_spec(
             write_spec(spec_document(**{"scenario.truth": "h0"}))
         )
-        assert any("truth" in d for d in diagnostics)
-        (diagnostic,) = diagnostics
-        assert diagnostic.startswith("scenario.truth: must be 'mixed'")
-        assert "prior_h0" in diagnostic
-
-    def test_truth_key_optional(self, write_spec):
-        assert validate_spec(write_spec(spec_document(**{"scenario.truth": ...}))) == []
+        assert diagnostics == ["scenario.truth: has no effect, remove it"]
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -274,6 +269,49 @@ class TestValidation:
             "bracket replaces the calibration)"
         ]
 
+    @pytest.mark.parametrize(
+        "axis, field", [("snr_db", "snr_db"), ("threshold", "detector.threshold")]
+    )
+    def test_field_replaced_by_its_sweep_rejected(self, write_spec, axis, field):
+        document = spec_document(**{
+            "sweep.axis": axis, "sweep.values": [1.0, 2.0], "scenario.snr_db": -10.0
+        })
+        *blocks, key = ("scenario", *field.split("."))
+        target = document
+        for block in blocks:
+            target = target[block]
+        del target[key]
+        assert validate_spec(write_spec(document)) == []  # not required
+        target[key] = 1.5
+        assert validate_spec(write_spec(document)) == [
+            f"scenario.{field}: has no effect, remove it (the {axis} sweep "
+            "replaces it)"
+        ]
+
+    def test_each_block_reports_its_range_error(self, write_spec):
+        document = spec_document(**{
+            "scenario.trials": 0,
+            "scenario.detector.sample_count": 0,
+            "scenario.noise.confidence": 1.5,
+            "scenario.fusion.prior_h0": 2.0,
+        })
+        assert validate_spec(write_spec(document)) == [
+            "scenario.detector: sample_count must be >= 1, got 0",
+            "scenario.noise: confidence must lie in (0, 1), got 1.5",
+            "scenario.fusion: prior_h0 must lie in [0, 1], got 2.0",
+            "scenario: trials must be >= 1, got 0",
+        ]
+
+    def test_bad_swept_receiver_count_named_with_its_value(self, write_spec):
+        document = spec_document(**{
+            "sweep.axis": "num_sus",
+            "sweep.values": [3, 0],
+            "scenario.snr_db": -10.0,
+        })
+        assert validate_spec(write_spec(document)) == [
+            "sweep.values: num_sus must be >= 1, got 0"
+        ]
+
     def test_scheme_options_rejected_as_without_effect(self, write_spec):
         document = spec_document()
         document["scenario"]["scheme_options"] = {"weights_ratio": 0.5}
@@ -287,12 +325,15 @@ class TestValidation:
             "sweep.axis": "threshold",
             "sweep.values": [1.0, 1.12],
             "scenario.snr_db": -10.0,
+            "scenario.detector.threshold": ...,
         })
         assert validate_spec(write_spec(document)) == []
         diagnostics = validate_spec(
             write_spec(with_leaf(document, ("sweep", "values", 1), token))
         )
-        assert diagnostics == ["sweep.values: thresholds must be finite and >= 0"]
+        assert diagnostics == [
+            f"sweep.values: threshold must be finite and >= 0, got {float(token)!r}"
+        ]
 
     @pytest.mark.parametrize(
         "field, token",
@@ -313,14 +354,18 @@ class TestValidation:
         # 10^(3100 / 10) is past the largest double
         document = json.loads(resolve_spec_path(name).read_text(encoding="utf-8"))
         document["sweep"]["values"] = [-10, 3100]
-        (diagnostic,) = validate_spec(write_spec(document))
-        assert diagnostic.startswith("sweep.values: snr_db values must be finite")
+        assert validate_spec(write_spec(document)) == [
+            "sweep.values: snr_db must be finite, with a finite linear SNR "
+            "10^(snr_db / 10), got 3100.0"
+        ]
 
     def test_overflowing_scenario_snr_rejected(self, write_spec):
         document = spec_document(**{"scenario.snr_db": 3100})
         document["sweep"] = {"axis": "num_sus", "values": [3, 5]}
-        (diagnostic,) = validate_spec(write_spec(document))
-        assert diagnostic.startswith("scenario.snr_db: must be finite")
+        assert validate_spec(write_spec(document)) == [
+            "scenario: snr_db must be finite, with a finite linear SNR "
+            "10^(snr_db / 10), got 3100.0"
+        ]
 
     @pytest.mark.parametrize(
         "bracket",
@@ -427,6 +472,15 @@ class TestRunExperiment:
         out = run_experiment(path, quiet=True)
         assert out == out_dir / "unit_results.csv"
         assert out.exists()
+
+    def test_out_of_range_seed_override_rejected(self, write_spec, tmp_path):
+        path = write_spec(spec_document())
+        with pytest.raises(SpecValidationError) as excinfo:
+            run_experiment(path, out_path=tmp_path / "out.csv", seed=2**64, quiet=True)
+        assert excinfo.value.diagnostics == [
+            f"--seed: seed must be a 64-bit integer, got {2**64}"
+        ]
+        assert not (tmp_path / "out.csv").exists()
 
     def test_invalid_spec_raises_with_diagnostics(self, write_spec):
         path = write_spec(spec_document(**{"scenario.trials": ...}))
@@ -674,32 +728,40 @@ class TestBigIntegers:
         document = copy.deepcopy(BUNDLED["fig4"])
         if path[0] == "sweep":
             document["sweep"] = {"axis": "threshold", "values": [1.0, 1.062]}
+            del document["scenario"]["detector"]["threshold"]
         assert validate_spec(write_spec(document)) == []
         (found,) = validate_spec(write_spec(with_leaf(document, path, BIG)))
         assert found.startswith(diagnostic)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block_keys():
+    """The README's key table: the keys of each block, by block path."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = lines[lines.index("| block | keys |") + 2:]
+    table = {}
+    for row in itertools.takewhile(lambda row: row.startswith("|"), rows):
+        block, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        path = () if block == "top level" else tuple(block.strip("`").split("."))
+        table[path] = set(re.findall(r"`([^`]+)`", keys))
+    return table
+
+
 # the keys each block of a spec is read for, as the README lists them
-BLOCK_KEYS = {
-    (): {"name", "sweep", "schemes", "scenario", "output"},
-    ("sweep",): {"axis", "values"},
-    ("scenario",): {
-        "family", "truth", "trials", "seed", "snr_db", "detector", "noise", "fusion",
-    },
-    ("scenario", "detector"): {"sample_count", "threshold"},
-    ("scenario", "noise"): {
-        "nominal_variance", "bracket", "confidence", "calibration_mean",
-        "calibration_sd", "calibration_count",
-    },
-    ("scenario", "fusion"): {
-        "num_sus", "vote_threshold", "vote_threshold_complement", "prior_h0",
-        "report_error",
-    },
-}
+BLOCK_KEYS = readme_block_keys()
 
 
 class TestUnreadKeys:
     """A key that no run reads cannot be given and silently ignored."""
+
+    def test_readme_lists_the_field_table(self):
+        fields = {}
+        for path in cli_experiments._FIELDS:
+            *block, key = path.split(".")
+            fields.setdefault(tuple(block), set()).add(key)
+        assert BLOCK_KEYS == fields
 
     @settings(max_examples=200, deadline=None)
     @given(

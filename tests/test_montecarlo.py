@@ -441,6 +441,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             chi_square_scenario(snr_db=math.inf)
 
+    def test_rejects_overflowing_linear_snr(self):
+        # 10^(3100 / 10) is past the largest double, 10^(3082 / 10) is not
+        base = load_spec(resolve_spec_path("fig2")).base
+        with pytest.raises(ValueError, match="finite linear SNR"):
+            replace(base, snr_db=3100.0)
+        assert math.isfinite(replace(base, snr_db=3082.0).snr_linear)
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             chi_square_scenario(trials=0)
