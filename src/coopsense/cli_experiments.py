@@ -216,8 +216,12 @@ def _read(document, diagnostics):
             continue  # the block itself is missing or not an object
         entry, axis = _REPLACED_BY.get(path, (None, None))
         replaced = entry in given and axis in (None, given[entry])
+        # a key that a sweep axis replaces is optional beside an unknown
+        # axis, which is diagnosed on its own
+        unsure = entry == "sweep.axis" and entry in given and (
+            given[entry] not in tuple(_SWEEP_FIELDS))
         if key not in given[parent]:
-            if required and not replaced:
+            if required and not replaced and not unsure:
                 diagnose(path, "required field is missing")
             continue
         given[path] = given[parent][key]
@@ -497,7 +501,12 @@ def run_experiment(
         except ValueError as exc:
             raise SpecValidationError([f"--seed: {exc}"]) from None
     if workers is None:
-        workers = os.cpu_count() or 1
+        # the CPUs this process may run on, which taskset or a cpuset
+        # narrows; every CPU where the platform keeps no affinity mask
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     if workers < 1:
         raise SpecValidationError([f"workers: must be >= 1, got {workers}"])
 
@@ -508,6 +517,10 @@ def run_experiment(
     executor = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+
+        # the engine's first draw imports numpy; importing it here, before
+        # the pool forks, spares every worker its own import
+        import numpy
 
         executor = ProcessPoolExecutor(max_workers=workers)
     try:
@@ -571,7 +584,8 @@ def main(argv=None) -> int:
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the spec seed")
     run_parser.add_argument("--workers", type=int, default=None,
-                            help="worker processes (default: all cores)")
+                            help="worker processes (default: the CPUs this "
+                                 "process may run on)")
 
     validate_parser = sub.add_parser("validate", help="validate a spec file")
     validate_parser.add_argument("spec", help="spec file path or bundled name")

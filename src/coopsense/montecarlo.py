@@ -52,6 +52,11 @@ scenario declares which analytic family both use:
 * ``exponential`` - the threshold lives on the normalized scale
   (energy / (k * power)), signaling is Gaussian, and the scenario SNR is
   per sample.
+
+Only the block kernel uses numpy, and it imports numpy at its first draw:
+importing the package, validating a spec and the closed forms load no
+numpy. A pooled run (``cli_experiments.run_experiment``) imports it in the
+parent before the pool forks, so forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -59,17 +64,20 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .detector import DetectorConfig, analytic_pd, analytic_pf
 from .fusion import FusionConfig, cooperative_rates
 from .noise_model import NoiseUncertaintyModel, VarianceBracket
 from .specfun import reg_upper_gamma
 from .threshold_schemes import SchemeKind, decide_scheme, scheme_normalizer
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
+    import numpy as np
 
 __all__ = [
     "AnalyticFamily",
@@ -245,6 +253,8 @@ def _runtime(scenario: Scenario) -> _Runtime:
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-mode stream of one block: the key is the seed, and the two
     top counter words hold the contract version and the block index."""
+    import numpy as np
+
     if block < 0:
         raise ValueError(f"block must be >= 0, got {block!r}")
     bits = np.random.Philox(key=seed, counter=[0, 0, STREAM_VERSION, block])
@@ -287,6 +297,8 @@ def _simulate_block(
     """Tallies of ``n`` trials drawn from ``rng`` in the documented order:
     decided on the nominal power, then on the bracket mean with the
     two-step second steps counted."""
+    import numpy as np
+
     shape = (n, rt.num_sus)
     h1 = rng.random(n) >= rt.prior_h0
     variances = rng.uniform(rt.bracket.low, rt.bracket.high, size=shape)

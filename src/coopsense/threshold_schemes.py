@@ -40,8 +40,6 @@ import enum
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .noise_model import NoiseUncertaintyModel, VarianceBracket
 
 __all__ = [
@@ -88,6 +86,8 @@ def convex_normalizer(
     exactly: every weighted mean of a constant is that constant, while
     evaluating the alignments would round it.
     """
+    import numpy as np
+
     exps = np.asarray(expectations, dtype=float)
     if exps.ndim != 1 or exps.size == 0:
         raise ValueError("expectations must be a nonempty 1-D sequence")
@@ -145,6 +145,8 @@ def decide_scheme(
     boolean decisions and integer steps (1 or 2), both shaped like
     ``energies``.
     """
+    import numpy as np
+
     if int(sample_count) != sample_count or sample_count < 1:
         raise ValueError(f"sample_count must be an integer >= 1, got {sample_count!r}")
     if not math.isfinite(normalizer) or normalizer <= 0.0:

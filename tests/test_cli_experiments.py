@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import re
 import tempfile
 import time
@@ -456,6 +457,26 @@ class TestRunExperiment:
         )
         assert serial.read_bytes() == parallel.read_bytes()
 
+    # the default pool has one worker per CPU of the affinity mask, which
+    # taskset or a cpuset narrows, not one per CPU of the host
+    @pytest.mark.parametrize("cpus, pools", [({1}, []), ({0, 2, 5}, [3])])
+    def test_default_workers_are_the_usable_cpus(
+        self, write_spec, tmp_path, monkeypatch, cpus, pools
+    ):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(write_spec(spec_document()), out_path=tmp_path / "out.csv",
+                       quiet=True)
+        assert sizes == pools
+
     def test_seed_override_changes_rows(self, write_spec, tmp_path):
         path = write_spec(spec_document())
         base = run_experiment(path, out_path=tmp_path / "a.csv", quiet=True)
@@ -695,12 +716,22 @@ class TestMalformedSpecs:
             spec_path = Path(tmp) / f"{name}.json"
             spec_path.write_text(with_leaf(BUNDLED[name], path, token), encoding="utf-8")
             diagnostics = validate_spec(spec_path)
+            assert len(diagnostics) <= 1, diagnostics
             if diagnostics:
                 return
             spec = load_spec(spec_path)
         for value in spec.sweep_values:
             cells = [_scenario_for(spec, value, scheme) for scheme in spec.schemes]
             nominal_rates(cells[0])
+
+    # the fields a known axis would replace are neither required nor
+    # rejected beside an unknown one, so only the axis is diagnosed
+    @pytest.mark.parametrize("axis", ['"bogus"', "3", "null"], ids=["bogus", "3", "null"])
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_unknown_sweep_axis_is_the_one_diagnostic(self, write_spec, name, axis):
+        path = write_spec(with_leaf(BUNDLED[name], ("sweep", "axis"), axis))
+        (found,) = validate_spec(path)
+        assert found.startswith("sweep.axis: ")
 
 
 class TestBigIntegers:
