@@ -8,9 +8,10 @@ Library layout:
   calibration's confidence interval or given directly.
 * :mod:`coopsense.detector` - detector configuration and the chi-square
   closed-form single-detector probabilities.
-* :mod:`coopsense.threshold_schemes` - fixed, two-step interval,
+* :mod:`coopsense.threshold_schemes` - the fixed, two-step interval,
   expectation-normalized and convex-weighted threshold strategies, named
-  by ``SchemeKind`` and decided by one vectorized kernel.
+  by ``SchemeKind`` (convex is the expectation rule in this model), and
+  the one vectorized kernel that decides them.
 * :mod:`coopsense.fusion` - cooperative error rates of n-out-of-K voting,
   optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
@@ -59,12 +60,6 @@ from .specfun import (
     reg_lower_gamma,
     reg_upper_gamma,
 )
-from .threshold_schemes import (
-    SchemeKind,
-    convex_normalizer,
-    decide_scheme,
-    default_weights,
-    scheme_normalizer,
-)
+from .threshold_schemes import SchemeKind, decide_scheme
 
 __version__ = "0.1.0"

@@ -515,14 +515,16 @@ def run_experiment(
 
     rows = []
     executor = None
+    errors = _CELL_ERRORS
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         # the engine's first draw imports numpy; importing it here, before
         # the pool forks, spares every worker its own import
         import numpy
 
         executor = ProcessPoolExecutor(max_workers=workers)
+        errors = (*_CELL_ERRORS, BrokenExecutor)  # a worker died, say by OOM
     try:
         # one handle per sweep value, shared by its schemes' cells; with a
         # pool, every value's block ranges are queued before any is read
@@ -531,7 +533,7 @@ def run_experiment(
             try:
                 scenario = _scenario_for(spec, value, spec.schemes[0])
                 draws.append(SweepDraws(scenario, workers, executor))
-            except _CELL_ERRORS as exc:
+            except errors as exc:
                 raise _cell_failure(spec, value, spec.schemes[0], exc) from exc
         for value, shared in zip(spec.sweep_values, draws):
             nominal = None
@@ -541,7 +543,7 @@ def run_experiment(
                     if nominal is None:
                         nominal = nominal_rates(scenario)
                     result = estimate(scenario, draws=shared)
-                except _CELL_ERRORS as exc:
+                except errors as exc:
                     raise _cell_failure(spec, value, scheme, exc) from exc
                 rows.append(_csv_row(value, scheme, result, nominal))
                 if not quiet:

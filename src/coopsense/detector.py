@@ -19,6 +19,7 @@ SNR is linear everywhere in this module; dB conversion belongs to the CLI.
 import math
 from dataclasses import dataclass
 
+from .fusion import integer
 from .specfun import marcum_q, reg_upper_gamma
 
 __all__ = [
@@ -38,7 +39,7 @@ class DetectorConfig:
     threshold: float
 
     def __post_init__(self):
-        if self.sample_count < 1:
+        if integer(self.sample_count, "sample_count") < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
         if self.threshold < 0.0 or not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold!r}")

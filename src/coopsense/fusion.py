@@ -16,6 +16,7 @@ __all__ = [
     "CooperativeRates",
     "cooperative_rates",
     "probability",
+    "integer",
     "coop_qf",
     "coop_qm",
     "total_error",
@@ -32,6 +33,13 @@ def probability(value: float, name: str = "probability") -> float:
     return value
 
 
+def integer(value, name: str):
+    """Validate a count: an int or an integral float (``3.0``, not inf or NaN)."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Vote rule parameters: K receivers, n votes needed, prior, link errors."""
@@ -42,9 +50,9 @@ class FusionConfig:
     report_error: float = 0.0
 
     def __post_init__(self):
-        if self.num_sus < 1:
+        if integer(self.num_sus, "num_sus") < 1:
             raise ValueError(f"num_sus must be >= 1, got {self.num_sus!r}")
-        if not 1 <= self.vote_threshold <= self.num_sus:
+        if not 1 <= integer(self.vote_threshold, "vote_threshold") <= self.num_sus:
             raise ValueError(
                 f"vote_threshold must lie in [1, {self.num_sus}], "
                 f"got {self.vote_threshold!r}"

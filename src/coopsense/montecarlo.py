@@ -24,21 +24,21 @@ These identities are exercised against direct waveform simulation in the
 test suite. Receivers are simulated i.i.d.: signal draws are per-receiver,
 matching the independence assumed by the binomial fusion model.
 
-The engine holds no scheme logic, and its unit of work is a sweep value
-(a scenario up to its scheme), not a cell. Every scheme tests the same
-window energy against the same threshold and differs only in the noise
-power it divides by (``scheme_normalizer``): the nominal power for
-``fixed`` and the bracket mean for every other scheme. So a sweep value is
-drawn once, each block is decided once per distinct normalizer by
-``threshold_schemes.decide_scheme`` and tallied for both with numpy
-reductions, and the bracket-mean tally also counts the receivers whose
-two-step interval straddles the threshold. ``estimate`` reads the tally
-of its scenario's scheme. A ``SweepDraws`` handle carries one sweep
-value's tallies from the first scheme's ``estimate`` call to the others:
-it runs every block in this process in that first call, or, given the
-caller's executor, queues its block ranges on that pool as soon as it is
-made and the first call waits for them, so that a runner can queue every
-sweep value before reading any. The engine never makes a pool of its
+The engine's unit of work is a sweep value (a scenario up to its scheme),
+not a cell. Every scheme tests the same window energy against the same
+threshold and differs only in the noise power it divides by: the nominal
+power for ``fixed`` and the bracket mean for every other scheme. So a
+sweep value is drawn once, each block is decided once per distinct
+normalizer by ``threshold_schemes.decide_scheme`` and tallied for both
+with numpy reductions, and the bracket-mean tally also counts the
+receivers whose two-step interval straddles the threshold.
+``_scheme_tally``, the one place that maps a scheme to its normalizer,
+picks the tally ``estimate`` reads. A ``SweepDraws`` handle carries one
+sweep value's tallies from the first scheme's ``estimate`` call to the
+others: it runs every block in this process in that first call, or, given
+the caller's executor, queues its block ranges on that pool as soon as it
+is made and the first call waits for them, so that a runner can queue
+every sweep value before reading any. The engine never makes a pool of its
 own, and a handle keeps nothing beyond its own lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
@@ -69,10 +69,10 @@ from statistics import NormalDist
 from typing import TYPE_CHECKING
 
 from .detector import DetectorConfig, analytic_pd, analytic_pf
-from .fusion import FusionConfig, cooperative_rates
+from .fusion import FusionConfig, cooperative_rates, integer
 from .noise_model import NoiseUncertaintyModel, VarianceBracket
 from .specfun import reg_upper_gamma
-from .threshold_schemes import SchemeKind, decide_scheme, scheme_normalizer
+from .threshold_schemes import SchemeKind, decide_scheme
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -129,9 +129,9 @@ class Scenario:
                 "snr_db must be finite, with a finite linear SNR "
                 f"10^(snr_db / 10), got {self.snr_db!r}"
             )
-        if self.trials < 1:
+        if integer(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= integer(self.seed, "seed") < 2**64:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
 
     @property
@@ -244,8 +244,8 @@ def _runtime(scenario: Scenario) -> _Runtime:
         report_error=fus.report_error,
         family=scenario.family,
         bracket=noise.bracket,
-        nominal=scheme_normalizer(SchemeKind.FIXED, noise),
-        mean=scheme_normalizer(SchemeKind.EXPECTATION, noise),
+        nominal=noise.nominal_variance,
+        mean=noise.bracket.mean,
         signal=scenario.snr_linear * noise.nominal_variance,
     )
 
@@ -314,7 +314,7 @@ def _simulate_block(
         energies = scale * rng.standard_gamma(rt.k, size=shape)
 
     nominal, _ = decide_scheme(energies, rt.k, rt.threshold_norm, rt.nominal)
-    mean, steps = decide_scheme(energies, rt.k, rt.threshold_norm, rt.mean, rt.bracket)
+    mean, second = decide_scheme(energies, rt.k, rt.threshold_norm, rt.mean, rt.bracket)
     # one row per normalizer; both rows see the same report flips
     decisions = np.stack((nominal, mean))
     reported = decisions
@@ -328,7 +328,7 @@ def _simulate_block(
         positives[:, h1].sum(axis=1).tolist(),
         np.count_nonzero(fused & ~h1, axis=1).tolist(),
         np.count_nonzero(h1 & ~fused, axis=1).tolist(),
-        (0, int(steps.sum()) - steps.size),
+        (0, int(np.count_nonzero(second))),
     )
     trials_h1 = int(np.count_nonzero(h1))
     return tuple(
@@ -360,8 +360,8 @@ def _run_blocks(
 
 def _scheme_tally(scheme: SchemeKind, nominal: _Tally, mean: _Tally) -> _Tally:
     """The tally a scheme's cell reads: ``fixed`` decides on the nominal
-    power, every other scheme on the bracket mean (``scheme_normalizer``),
-    and only ``two_step`` takes second steps."""
+    power, every other scheme (``convex`` too) on the bracket mean, and
+    only ``two_step`` takes second steps."""
     if scheme == SchemeKind.FIXED:
         return nominal
     if scheme == SchemeKind.TWO_STEP:

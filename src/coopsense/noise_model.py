@@ -126,9 +126,3 @@ class NoiseUncertaintyModel:
             calibration_mean, calibration_sd, sample_count, confidence
         )
         return cls(nominal_variance=nominal_variance, bracket=bracket)
-
-    @property
-    def expected_variance(self) -> float:
-        """Mean of the uniform law over the bracket."""
-        return self.bracket.mean
-

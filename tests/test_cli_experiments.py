@@ -93,6 +93,11 @@ def with_leaf(document, dotted, token):
     return json.dumps(document).replace('"__leaf__"', token)
 
 
+def dying_worker(*task):
+    """Stands in for the block runner in a pool worker that is killed."""
+    os._exit(1)
+
+
 @pytest.fixture
 def write_spec(tmp_path):
     def _write(document, name="spec.json"):
@@ -607,6 +612,23 @@ class TestMainEntry:
         assert len(futures) == 2 * len(values)  # every range queued up front
         assert all(future.done() for future in futures)
         assert any(future.cancelled() for future in futures)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the patched block runner only when forked",
+    )
+    def test_dead_pool_worker_named_and_no_csv(
+        self, write_spec, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(montecarlo, "_run_blocks", dying_worker)
+        document = json.loads(resolve_spec_path("fig3").read_text(encoding="utf-8"))
+        document["scenario"]["trials"] = 100
+        path = write_spec(document)
+        out = tmp_path / "fig3.csv"
+        assert main(["run", str(path), "--out", str(out), "--workers", "2"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"cell snr_db=\S+ fixed: BrokenProcessPool: .+", line)
+        assert list(tmp_path.iterdir()) == [path]
 
     # 3082 dB is the largest whole dB whose linear SNR is a finite double
     @pytest.mark.parametrize("snr_db", [80, 400, 3082])

@@ -130,8 +130,11 @@ class TestDetectorConfig:
             dict(sample_count=0, threshold=1.0),
             dict(sample_count=1, threshold=float("inf")),
             dict(sample_count=1, threshold=-1.0),
+            dict(sample_count=2.5, threshold=1.0),
+            dict(sample_count=math.inf, threshold=1.0),
+            dict(sample_count=math.nan, threshold=1.0),
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="|".join(kwargs)):
             DetectorConfig(**kwargs)

@@ -252,8 +252,12 @@ class TestFusionConfig:
             dict(num_sus=5, vote_threshold=6),
             dict(num_sus=5, vote_threshold=2, prior_h0=1.5),
             dict(num_sus=5, vote_threshold=2, report_error=0.7),
+            dict(num_sus=2.5, vote_threshold=1),
+            dict(num_sus=5, vote_threshold=1.5),
+            dict(num_sus=math.inf, vote_threshold=1),
+            dict(num_sus=5, vote_threshold=math.nan),
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="|".join(kwargs)):
             FusionConfig(**kwargs)

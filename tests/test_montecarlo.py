@@ -168,7 +168,7 @@ class TestRunTrial:
                     energy = (variance if is_h0 else variance + power) * float(
                         gammas[trial, su]
                     )
-                    steps = 1
+                    second = False
                     if scheme == SchemeKind.FIXED:
                         decision = energy / (k * noise.nominal_variance) >= threshold
                     elif scheme == SchemeKind.TWO_STEP:
@@ -179,14 +179,15 @@ class TestRunTrial:
                         elif high < threshold:
                             decision = False
                         else:
-                            steps = 2
+                            second = True
                             decision = energy / (k * noise.bracket.mean) >= threshold
                     else:
-                        # convex over constant expectations is their value
-                        decision = energy / (k * noise.expected_variance) >= threshold
+                        # every component expects the bracket mean, so the
+                        # convex normalizer is that mean
+                        decision = energy / (k * noise.bracket.mean) >= threshold
                     positives += decision
                     votes += decision != flips[trial, su]
-                    expected.second_steps += steps - 1
+                    expected.second_steps += second
                 fused_h1 = votes >= fusion.vote_threshold
                 if is_h0:
                     expected.trials_h0 += 1
@@ -455,6 +456,14 @@ class TestScenarioValidation:
     def test_rejects_oversized_seed(self):
         with pytest.raises(ValueError):
             chi_square_scenario(seed=2**64)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("trials", 100.5), ("trials", math.inf), ("seed", 1.5), ("seed", math.nan)],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            chi_square_scenario(**{field: value})
 
     def test_snr_conversion(self):
         assert chi_square_scenario(snr_db=-10.0).snr_linear == pytest.approx(0.1)

@@ -82,7 +82,7 @@ class TestNoiseUncertaintyModel:
             confidence=0.99,
         )
         assert model.bracket.contains(1.0)
-        assert model.expected_variance == pytest.approx(1.01)
+        assert model.bracket.mean == pytest.approx(1.01)
 
     def test_bracket_invariants(self):
         with pytest.raises(ValueError):
