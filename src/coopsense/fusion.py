@@ -9,6 +9,7 @@ flips live in the Monte Carlo engine only.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -33,11 +34,12 @@ def probability(value: float, name: str = "probability") -> float:
     return value
 
 
-def integer(value, name: str):
-    """Validate a count: an int or an integral float (``3.0``, not inf or NaN)."""
-    if not (isinstance(value, int) or float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+def integer(value, name: str) -> int:
+    """Validate a count: an int or a numpy integer, not a float such as ``3.0``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,9 @@ def _binomial_sum(num_sus: int, support: range, p: float) -> float:
 
 
 def _validate_rule(num_sus: int, vote_threshold: int):
-    if num_sus < 1:
+    if integer(num_sus, "num_sus") < 1:
         raise ValueError(f"num_sus must be >= 1, got {num_sus!r}")
-    if not 1 <= vote_threshold <= num_sus:
+    if not 1 <= integer(vote_threshold, "vote_threshold") <= num_sus:
         raise ValueError(
             f"vote_threshold must lie in [1, {num_sus}], got {vote_threshold!r}"
         )
@@ -162,7 +164,7 @@ def optimize_vote_count(
     :func:`coop_qm`. Ties break toward the smaller threshold (the
     OR-leaning rule).
     """
-    if num_sus < 1:
+    if integer(num_sus, "num_sus") < 1:
         raise ValueError(f"num_sus must be >= 1, got {num_sus!r}")
     p_f = probability(p_f, "p_f")
     p_d = probability(p_d, "p_d")

@@ -24,22 +24,23 @@ These identities are exercised against direct waveform simulation in the
 test suite. Receivers are simulated i.i.d.: signal draws are per-receiver,
 matching the independence assumed by the binomial fusion model.
 
-The engine's unit of work is a sweep value (a scenario up to its scheme),
-not a cell. Every scheme tests the same window energy against the same
-threshold and differs only in the noise power it divides by: the nominal
-power for ``fixed`` and the bracket mean for every other scheme. So a
-sweep value is drawn once, each block is decided once per distinct
-normalizer by ``threshold_schemes.decide_scheme`` and tallied for both
-with numpy reductions, and the bracket-mean tally also counts the
-receivers whose two-step interval straddles the threshold.
+The engine's unit of work is a sweep value, not a cell: the scenario up
+to its scheme, which is what the kernel reads and what pool tasks carry
+(with the scheme pinned to ``fixed``). Every scheme tests the same window
+energy against the same threshold and differs only in the noise power it
+divides by: the nominal power for ``fixed`` and the bracket mean for
+every other scheme. So a sweep value is drawn once, each block is decided
+once per distinct normalizer by ``threshold_schemes.decide_scheme`` and
+tallied for both with numpy reductions, and the bracket-mean tally also
+counts the receivers whose two-step interval straddles the threshold.
 ``_scheme_tally``, the one place that maps a scheme to its normalizer,
 picks the tally ``estimate`` reads. A ``SweepDraws`` handle carries one
 sweep value's tallies from the first scheme's ``estimate`` call to the
 others: it runs every block in this process in that first call, or, given
 the caller's executor, queues its block ranges on that pool as soon as it
 is made and the first call waits for them, so that a runner can queue
-every sweep value before reading any. The engine never makes a pool of its
-own, and a handle keeps nothing beyond its own lifetime.
+every sweep value before reading any. The engine never makes a pool of
+its own, and a handle keeps nothing beyond its own lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -70,7 +71,7 @@ from typing import TYPE_CHECKING
 
 from .detector import DetectorConfig, analytic_pd, analytic_pf
 from .fusion import FusionConfig, cooperative_rates, integer
-from .noise_model import NoiseUncertaintyModel, VarianceBracket
+from .noise_model import NoiseUncertaintyModel
 from .specfun import reg_upper_gamma
 from .threshold_schemes import SchemeKind, decide_scheme
 
@@ -206,50 +207,6 @@ def _rate(successes: int, observations: int) -> RateEstimate:
     )
 
 
-@dataclass(frozen=True)
-class _Runtime:
-    """Scheme-free constants of a scenario, hoisted out of the block loop;
-    pool tasks carry this, not the ``Scenario``."""
-
-    k: int
-    num_sus: int
-    vote_threshold: int
-    threshold_norm: float
-    prior_h0: float
-    report_error: float
-    family: AnalyticFamily
-    bracket: VarianceBracket
-    nominal: float  # the fixed scheme's normalizer
-    mean: float  # every other scheme's normalizer, inside the bracket
-    # received signal: per-sample power (exponential family), whole-window
-    # energy (chi-square family)
-    signal: float
-
-
-def _runtime(scenario: Scenario) -> _Runtime:
-    det = scenario.detector
-    fus = scenario.fusion
-    noise = scenario.noise
-    k = det.sample_count
-    if scenario.family == AnalyticFamily.CHI_SQUARE:
-        threshold_norm = det.threshold / (2.0 * k)
-    else:
-        threshold_norm = det.threshold
-    return _Runtime(
-        k=k,
-        num_sus=fus.num_sus,
-        vote_threshold=fus.vote_threshold,
-        threshold_norm=threshold_norm,
-        prior_h0=fus.prior_h0,
-        report_error=fus.report_error,
-        family=scenario.family,
-        bracket=noise.bracket,
-        nominal=noise.nominal_variance,
-        mean=noise.bracket.mean,
-        signal=scenario.snr_linear * noise.nominal_variance,
-    )
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-mode stream of one block: the key is the seed, and the two
     top counter words hold the contract version and the block index."""
@@ -263,24 +220,22 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 @dataclass
 class _Tally:
-    trials_h0: int = 0
+    """Counts of some trials; H0 trials and fused errors are derived."""
+
     trials_h1: int = 0
     su_false_alarms: int = 0
     su_detections: int = 0
     fused_false_alarms: int = 0
     fused_misses: int = 0
-    fused_errors: int = 0
     second_steps: int = 0  # receivers whose two-step interval straddles
 
     def merge(self, other: _Tally) -> _Tally:
         return _Tally(
-            trials_h0=self.trials_h0 + other.trials_h0,
             trials_h1=self.trials_h1 + other.trials_h1,
             su_false_alarms=self.su_false_alarms + other.su_false_alarms,
             su_detections=self.su_detections + other.su_detections,
             fused_false_alarms=self.fused_false_alarms + other.fused_false_alarms,
             fused_misses=self.fused_misses + other.fused_misses,
-            fused_errors=self.fused_errors + other.fused_errors,
             second_steps=self.second_steps + other.second_steps,
         )
 
@@ -292,36 +247,45 @@ def _merge(
 
 
 def _simulate_block(
-    rt: _Runtime, rng: np.random.Generator, n: int
+    scenario: Scenario, rng: np.random.Generator, n: int
 ) -> tuple[_Tally, _Tally]:
-    """Tallies of ``n`` trials drawn from ``rng`` in the documented order:
-    decided on the nominal power, then on the bracket mean with the
-    two-step second steps counted."""
+    """Tallies of ``n`` trials of the scenario's sweep value drawn from
+    ``rng`` in the documented order: decided on the nominal power, then on
+    the bracket mean with the two-step second steps counted."""
     import numpy as np
 
-    shape = (n, rt.num_sus)
-    h1 = rng.random(n) >= rt.prior_h0
-    variances = rng.uniform(rt.bracket.low, rt.bracket.high, size=shape)
-    if rt.family == AnalyticFamily.CHI_SQUARE:
+    fusion = scenario.fusion
+    noise = scenario.noise
+    bracket = noise.bracket
+    k = scenario.detector.sample_count
+    threshold = scenario.detector.threshold
+    # received signal: per-sample power (exponential family), whole-window
+    # energy (chi-square family)
+    signal = scenario.snr_linear * noise.nominal_variance
+    shape = (n, fusion.num_sus)
+    h1 = rng.random(n) >= fusion.prior_h0
+    variances = rng.uniform(bracket.low, bracket.high, size=shape)
+    if scenario.family == AnalyticFamily.CHI_SQUARE:
+        # the configured threshold lives on the accumulated energy scale
+        threshold = threshold / (2.0 * k)
         # noncentrality 0 is the central law: 0.5 * v * chi2(2k) = v * Gamma(k);
         # the signal is selected by h1, not multiplied by it, since inf * 0
         # (a signal energy past half the largest double) is NaN
-        signal = np.where(h1, 2.0 * rt.signal, 0.0)
-        noncentrality = signal[:, None] / variances
-        energies = 0.5 * variances * rng.noncentral_chisquare(2.0 * rt.k, noncentrality)
+        noncentrality = np.where(h1, 2.0 * signal, 0.0)[:, None] / variances
+        energies = 0.5 * variances * rng.noncentral_chisquare(2.0 * k, noncentrality)
     else:
-        scale = variances + np.where(h1, rt.signal, 0.0)[:, None]
-        energies = scale * rng.standard_gamma(rt.k, size=shape)
+        scale = variances + np.where(h1, signal, 0.0)[:, None]
+        energies = scale * rng.standard_gamma(k, size=shape)
 
-    nominal, _ = decide_scheme(energies, rt.k, rt.threshold_norm, rt.nominal)
-    mean, second = decide_scheme(energies, rt.k, rt.threshold_norm, rt.mean, rt.bracket)
+    nominal, _ = decide_scheme(energies, k, threshold, noise.nominal_variance)
+    mean, second = decide_scheme(energies, k, threshold, bracket.mean, bracket)
     # one row per normalizer; both rows see the same report flips
     decisions = np.stack((nominal, mean))
     reported = decisions
-    if rt.report_error > 0.0:
-        reported = decisions ^ (rng.random(shape) < rt.report_error)
+    if fusion.report_error > 0.0:
+        reported = decisions ^ (rng.random(shape) < fusion.report_error)
 
-    fused = np.count_nonzero(reported, axis=2) >= rt.vote_threshold
+    fused = np.count_nonzero(reported, axis=2) >= fusion.vote_threshold
     positives = np.count_nonzero(decisions, axis=2)
     counts = zip(
         positives.sum(axis=1).tolist(),
@@ -333,28 +297,24 @@ def _simulate_block(
     trials_h1 = int(np.count_nonzero(h1))
     return tuple(
         _Tally(
-            trials_h0=n - trials_h1,
             trials_h1=trials_h1,
             su_false_alarms=positive - detections,
             su_detections=detections,
             fused_false_alarms=false_alarms,
             fused_misses=misses,
-            fused_errors=false_alarms + misses,
             second_steps=second_steps,
         )
         for positive, detections, false_alarms, misses, second_steps in counts
     )
 
 
-def _run_blocks(
-    rt: _Runtime, seed: int, trials: int, first: int, stop: int
-) -> tuple[_Tally, _Tally]:
-    """Tallies of blocks ``first`` up to ``stop`` of a ``trials``-trial
-    sweep value."""
+def _run_blocks(scenario: Scenario, first: int, stop: int) -> tuple[_Tally, _Tally]:
+    """Tallies of blocks ``first`` up to ``stop`` of the scenario."""
     tallies = (_Tally(), _Tally())
     for block in range(first, stop):
-        n = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-        tallies = _merge(tallies, _simulate_block(rt, _block_rng(seed, block), n))
+        n = min(BLOCK_TRIALS, scenario.trials - block * BLOCK_TRIALS)
+        rng = _block_rng(scenario.seed, block)
+        tallies = _merge(tallies, _simulate_block(scenario, rng, n))
     return tallies
 
 
@@ -403,12 +363,12 @@ class SweepDraws:
     """The tallies of one sweep value, shared by the ``estimate`` calls of
     every scheme at that value.
 
-    A sweep value is a scenario up to its scheme: the scheme-free runtime,
-    the seed and the trial count. Given the caller's ``executor``, its
-    blocks are split into ``workers`` contiguous ranges, each queued on
-    that pool when the handle is made; without one, every block runs in
-    this process as one range in the first ``tallies`` call, and
-    ``workers`` must be 1.
+    A sweep value is a scenario up to its scheme, kept with the scheme
+    pinned to ``fixed``; pool tasks carry it. Given the caller's
+    ``executor``, its blocks are split into ``workers`` contiguous ranges,
+    each queued on that pool when the handle is made; without one, every
+    block runs in this process as one range in the first ``tallies`` call,
+    and ``workers`` must be 1.
     """
 
     def __init__(
@@ -421,10 +381,11 @@ class SweepDraws:
             raise ValueError(
                 f"workers must be 1, or >= 1 with an executor, got {workers!r}"
             )
-        self._key = (_runtime(scenario), scenario.seed, scenario.trials)
+        self._scenario = replace(scenario, scheme=SchemeKind.FIXED)
         blocks = -(-scenario.trials // BLOCK_TRIALS)
         self._tasks = [
-            (*self._key, first, stop) for first, stop in _split_ranges(blocks, workers)
+            (self._scenario, first, stop)
+            for first, stop in _split_ranges(blocks, workers)
         ]
         self._futures = (
             None
@@ -437,7 +398,7 @@ class SweepDraws:
         """Nominal-power and bracket-mean tallies over every block; runs or
         waits for the blocks on the first call. Raises ``ValueError`` for a
         scenario of another sweep value."""
-        if (_runtime(scenario), scenario.seed, scenario.trials) != self._key:
+        if replace(scenario, scheme=SchemeKind.FIXED) != self._scenario:
             raise ValueError(
                 "these draws belong to another sweep value: the scenario "
                 "differs in more than its scheme"
@@ -469,13 +430,12 @@ def estimate(scenario: Scenario, draws: SweepDraws | None = None) -> ScenarioEst
     tally = _scheme_tally(scenario.scheme, *draws.tallies(scenario))
 
     num_sus = scenario.fusion.num_sus
-    su_obs_h0 = tally.trials_h0 * num_sus
-    su_obs_h1 = tally.trials_h1 * num_sus
-    p_f = _rate(tally.su_false_alarms, su_obs_h0)
-    p_d = _rate(tally.su_detections, su_obs_h1)
-    q_f = _rate(tally.fused_false_alarms, tally.trials_h0)
+    trials_h0 = scenario.trials - tally.trials_h1
+    p_f = _rate(tally.su_false_alarms, trials_h0 * num_sus)
+    p_d = _rate(tally.su_detections, tally.trials_h1 * num_sus)
+    q_f = _rate(tally.fused_false_alarms, trials_h0)
     q_m = _rate(tally.fused_misses, tally.trials_h1)
-    q_e = _rate(tally.fused_errors, scenario.trials)
+    q_e = _rate(tally.fused_false_alarms + tally.fused_misses, scenario.trials)
 
     decisions = scenario.trials * num_sus
     return ScenarioEstimate(

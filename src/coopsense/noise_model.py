@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
+from .fusion import integer
+
 __all__ = [
     "VARIANCE_FLOOR",
     "VarianceBracket",
@@ -83,7 +85,7 @@ def confidence_bracket(
         raise ValueError("sample_mean and sample_sd must be finite")
     if sample_sd < 0.0:
         raise ValueError(f"sample_sd must be >= 0, got {sample_sd!r}")
-    if int(n) != n or n < 2:
+    if integer(n, "n") < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     half = two_sided_kappa(confidence) * sample_sd / math.sqrt(n)
     low = max(sample_mean - half, VARIANCE_FLOOR)

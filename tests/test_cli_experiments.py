@@ -520,9 +520,9 @@ class TestRunExperiment:
         calls = []
         simulate = montecarlo._simulate_block
 
-        def counting(rt, rng, n):
+        def counting(scenario, rng, n):
             calls.append(n)
-            return simulate(rt, rng, n)
+            return simulate(scenario, rng, n)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", counting)
         path = write_spec(spec_document(
@@ -587,11 +587,11 @@ class TestMainEntry:
     ):
         simulate = montecarlo._simulate_block
 
-        def failing_at_minus_ten_db(rt, rng, n):
-            if rt.signal == 0.1:
+        def failing_at_minus_ten_db(scenario, rng, n):
+            if scenario.snr_db == -10.0:
                 raise ValueError("block failed")
             time.sleep(0.05)
-            return simulate(rt, rng, n)
+            return simulate(scenario, rng, n)
 
         futures = []
 

@@ -133,6 +133,7 @@ class TestDetectorConfig:
             dict(sample_count=2.5, threshold=1.0),
             dict(sample_count=math.inf, threshold=1.0),
             dict(sample_count=math.nan, threshold=1.0),
+            dict(sample_count=5.0, threshold=1.0),
         ],
     )
     def test_invalid(self, kwargs):

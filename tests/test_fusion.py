@@ -120,6 +120,19 @@ class TestVoteTails:
         with pytest.raises(ValueError):
             coop_qm(5, 2, -0.1)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda num_sus: optimize_vote_count(num_sus, 0.1, 0.9, 0.5),
+            lambda num_sus: coop_qf(num_sus, 1, 0.1),
+            lambda num_sus: coop_qm(num_sus, 1, 0.9),
+        ],
+        ids=["optimize_vote_count", "coop_qf", "coop_qm"],
+    )
+    def test_rejects_non_integer_num_sus(self, rule):
+        with pytest.raises(ValueError, match="num_sus must be an integer"):
+            rule(2.5)
+
     def test_empirical_fusion_agreement(self):
         trials, num_sus, n, p = 10**6, 7, 3, 0.23
         rng = np.random.default_rng(606)
@@ -256,6 +269,7 @@ class TestFusionConfig:
             dict(num_sus=5, vote_threshold=1.5),
             dict(num_sus=math.inf, vote_threshold=1),
             dict(num_sus=5, vote_threshold=math.nan),
+            dict(num_sus=3.0, vote_threshold=1),
         ],
     )
     def test_invalid(self, kwargs):

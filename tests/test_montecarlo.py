@@ -21,7 +21,6 @@ from coopsense.montecarlo import (
     SweepDraws,
     _block_rng,
     _run_blocks,
-    _runtime,
     _scheme_tally,
     _simulate_block,
     _Tally,
@@ -83,10 +82,10 @@ def only(hypothesis, make=None, **overrides):
 def block_tallies(scenario, blocks, n=BLOCK_TRIALS):
     """The tally of the scenario's scheme for each block: the kernel tallies
     both normalizers, and the scheme picks its own."""
-    rt = _runtime(scenario)
     return [
         _scheme_tally(
-            scenario.scheme, *_simulate_block(rt, _block_rng(scenario.seed, block), n)
+            scenario.scheme,
+            *_simulate_block(scenario, _block_rng(scenario.seed, block), n),
         )
         for block in blocks
     ]
@@ -110,7 +109,7 @@ class TestRunTrial:
     def test_overwhelming_signal_always_detected(self):
         scenario = only("h1", snr_db=40.0, trials=10**4)
         # both normalizers: fixed's nominal power and the bracket mean
-        for tally in _run_blocks(_runtime(scenario), scenario.seed, 10**4, 0, 20):
+        for tally in _run_blocks(scenario, 0, 20):
             assert tally.trials_h1 == 10**4
             assert 1.0 - tally.fused_misses / tally.trials_h1 >= 0.999
 
@@ -123,11 +122,11 @@ class TestRunTrial:
         ):
             h1 = only("h1", make, snr_db=-4000.0, scheme=scheme)
             h0 = only("h0", make, snr_db=-4000.0, scheme=scheme)
-            assert _runtime(h1).signal == 0.0
+            assert h1.snr_linear == 0.0
             for on, off in zip(
                 block_tallies(h1, range(4)), block_tallies(h0, range(4))
             ):
-                assert on.trials_h1 == off.trials_h0 == BLOCK_TRIALS
+                assert (on.trials_h1, off.trials_h1) == (BLOCK_TRIALS, 0)
                 assert on.su_detections == off.su_false_alarms
                 assert on.fused_misses == BLOCK_TRIALS - off.fused_false_alarms
                 assert on.second_steps == off.second_steps
@@ -190,15 +189,12 @@ class TestRunTrial:
                     expected.second_steps += second
                 fused_h1 = votes >= fusion.vote_threshold
                 if is_h0:
-                    expected.trials_h0 += 1
                     expected.su_false_alarms += positives
                     expected.fused_false_alarms += fused_h1
-                    expected.fused_errors += fused_h1
                 else:
                     expected.trials_h1 += 1
                     expected.su_detections += positives
                     expected.fused_misses += not fused_h1
-                    expected.fused_errors += not fused_h1
             assert result == expected, scheme
 
     def test_rejects_negative_index(self):
@@ -395,6 +391,11 @@ class TestEstimate:
         ]:
             with pytest.raises(ValueError, match="another sweep value"):
                 estimate(other, draws=shared)
+        # two SNRs whose linear signal both underflow to 0.0 are still two
+        # sweep values
+        silent = SweepDraws(replace(scenario, snr_db=-4000.0))
+        with pytest.raises(ValueError, match="another sweep value"):
+            estimate(replace(scenario, snr_db=-5000.0), draws=silent)
 
     def test_wilson_coverage_across_seeds(self):
         # the 95% interval for P_f must cover the closed form in >= 90% of
@@ -459,7 +460,14 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("trials", 100.5), ("trials", math.inf), ("seed", 1.5), ("seed", math.nan)],
+        [
+            ("trials", 100.5),
+            ("trials", math.inf),
+            ("seed", 1.5),
+            ("seed", math.nan),
+            ("trials", 100.0),
+            ("seed", 7.0),
+        ],
     )
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):

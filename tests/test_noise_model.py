@@ -46,9 +46,9 @@ class TestConfidenceBracket:
         with pytest.raises(ValueError):
             confidence_bracket(1.0, 0.1, 10, confidence)
 
-    @pytest.mark.parametrize("n", [0, 1, -3])
+    @pytest.mark.parametrize("n", [0, 1, -3, math.inf, math.nan, 2.5])
     def test_rejects_bad_n(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be an integer"):
             confidence_bracket(1.0, 0.1, n, 0.95)
 
     def test_coverage_at_99(self):
