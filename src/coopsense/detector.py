@@ -55,8 +55,8 @@ def analytic_pf(order: float, threshold: float) -> float:
     Returns:
         Q(order, threshold / 2), the central chi-square tail.
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     return reg_upper_gamma(order, 0.5 * threshold)
 
 
@@ -71,10 +71,10 @@ def analytic_pd(order: float, snr: float, threshold: float) -> float:
     Returns:
         Marcum Q_order(sqrt(2 * snr), sqrt(threshold)).
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr!r}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     # 2 * snr overflows above half the largest double; sqrt(2) sqrt(snr) does not
     a = math.sqrt(2.0 * snr) if snr < 8e307 else math.sqrt(2.0) * math.sqrt(snr)
     return marcum_q(order, a, math.sqrt(threshold))

@@ -65,7 +65,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
 from typing import TYPE_CHECKING
 
@@ -138,6 +139,12 @@ class Scenario:
     @property
     def snr_linear(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
+
+
+# A sweep value is a scenario up to its scheme: the tuple of every other field.
+_sweep_value = operator.attrgetter(
+    *(field.name for field in fields(Scenario) if field.name != "scheme")
+)
 
 
 @dataclass(frozen=True)
@@ -382,6 +389,7 @@ class SweepDraws:
                 f"workers must be 1, or >= 1 with an executor, got {workers!r}"
             )
         self._scenario = replace(scenario, scheme=SchemeKind.FIXED)
+        self._sweep_value = _sweep_value(scenario)
         blocks = -(-scenario.trials // BLOCK_TRIALS)
         self._tasks = [
             (self._scenario, first, stop)
@@ -398,7 +406,7 @@ class SweepDraws:
         """Nominal-power and bracket-mean tallies over every block; runs or
         waits for the blocks on the first call. Raises ``ValueError`` for a
         scenario of another sweep value."""
-        if replace(scenario, scheme=SchemeKind.FIXED) != self._scenario:
+        if _sweep_value(scenario) != self._sweep_value:
             raise ValueError(
                 "these draws belong to another sweep value: the scenario "
                 "differs in more than its scheme"

@@ -10,7 +10,9 @@ real work:
     * near the transition at large order (u >= 100 and |x - u| < 0.3 u),
       Temme's uniform asymptotic expansion (DLMF 8.12.8-8.12.12; DiDonato
       and Morris, ACM TOMS 12(4), 1986, the method of cephes ``igam``). It
-      returns P and Q both directly, at a cost that does not grow with u;
+      returns P and Q both directly, at a cost that does not grow with u:
+      its sum over powers of 1/u is one polynomial in eta per order, built
+      on that order's first call and kept for the last 16 orders;
     * otherwise the classic split: power series for the lower function
       when x < u + 1, Lentz-style continued fraction for the upper function
       otherwise, each O(sqrt(u)) iterations near the transition. Both are
@@ -46,6 +48,7 @@ real work:
 :class:`ConvergenceError` rather than returning a silently wrong value.
 """
 
+import functools
 import math
 
 __all__ = [
@@ -226,21 +229,37 @@ def _in_temme_window(order: float, x: float) -> bool:
     return order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order
 
 
-def _temme_pair(order: float, x: float) -> tuple[float, float]:
-    """(P, Q) from Temme's expansion; both sides directly, no complement."""
-    sigma = (x - order) / order
-    half_eta_sq = max(sigma - math.log1p(sigma), 0.0)
-    eta = math.copysign(math.sqrt(2.0 * half_eta_sq), sigma)
+@functools.lru_cache(maxsize=16)
+def _temme_polynomial(order: float) -> tuple[float, ...]:
+    """sum_k c_k(eta) order^-k as one polynomial in eta, coefficients
+    highest power first: the rows of ``_TEMME_ROWS`` that reach ``order``,
+    each scaled by order^-k. Cached per order (a few hundred bytes each)."""
+    width = len(_TEMME_ROWS[0][1])
+    coefficients = [0.0] * width
     inv_order = 1.0 / order
-    total, scale = 0.0, 1.0
+    scale = 1.0
     for reach, row in _TEMME_ROWS:
         if order > reach:
             break
-        c_k = 0.0
-        for d in row:
-            c_k = c_k * eta + d
-        total += c_k * scale
+        # row k is d_{k,last} .. d_{k,0}: its constant term takes the last slot
+        for n, d in enumerate(row, width - len(row)):
+            coefficients[n] += d * scale
         scale *= inv_order
+    return tuple(coefficients)
+
+
+def _temme_pair(order: float, x: float) -> tuple[float, float]:
+    """(P, Q) from Temme's expansion; both sides directly, no complement.
+
+    sum_k c_k(eta) a^-k is one polynomial in eta per order, built on that
+    order's first call, so each call is one Horner loop.
+    """
+    sigma = (x - order) / order
+    half_eta_sq = max(sigma - math.log1p(sigma), 0.0)
+    eta = math.copysign(math.sqrt(2.0 * half_eta_sq), sigma)
+    total = 0.0
+    for c in _temme_polynomial(order):
+        total = total * eta + c
     r = math.exp(-order * half_eta_sq) * total / math.sqrt(2.0 * math.pi * order)
     y = eta * math.sqrt(0.5 * order)
     return 0.5 * math.erfc(-y) - r, 0.5 * math.erfc(y) + r

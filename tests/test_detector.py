@@ -41,6 +41,11 @@ class TestAnalyticPf:
             values = [analytic_pf(u, g) for g in np.linspace(0.0, 100.0, 60)]
             assert all(a >= b - 1e-13 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("threshold", [-1.0, -math.inf, math.inf, math.nan])
+    def test_invalid_threshold_named(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be finite and >= 0"):
+            analytic_pf(5.0, threshold)
+
 
 class TestAnalyticPd:
     def test_zero_snr_degenerates_to_pf(self):
@@ -68,6 +73,13 @@ class TestAnalyticPd:
         for u in [1.0, 5.0]:
             values = [analytic_pd(u, 0.5, g) for g in np.linspace(0.0, 100.0, 60)]
             assert all(a >= b - 1e-13 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("value", [-1.0, -math.inf, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["snr", "threshold"])
+    def test_invalid_argument_named(self, name, value):
+        arguments = {"snr": 0.1, "threshold": 30.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            analytic_pd(5.0, **arguments)
 
 
 class TestPfPmFromPdf:

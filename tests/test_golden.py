@@ -17,7 +17,7 @@ import pytest
 from coopsense.cli_experiments import resolve_spec_path, run_experiment
 
 GOLDEN_SHA256 = {
-    "fig2": "76107fbe2abb52ef4611407e267a7cd51cdbf124b5f967129fd73906239ccca0",
+    "fig2": "991229da3223efd1bd8a9bd91e8c261edd4e054ec51611b190d10151f9150399",
     "fig3": "a6b439ca4dbb7d8aa6563808a56aec39a21fbeb1072b75a58c4f177767e292dd",
     "fig4": "2068856b82abffc5c50a4b2dac13eeaf5efff59ffcb2ca3d3ac4d6f4cdace5bb",
 }

@@ -3,7 +3,7 @@
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from itertools import product
 
 import numpy as np
@@ -396,6 +396,26 @@ class TestEstimate:
         silent = SweepDraws(replace(scenario, snr_db=-4000.0))
         with pytest.raises(ValueError, match="another sweep value"):
             estimate(replace(scenario, snr_db=-5000.0), draws=silent)
+
+    def test_every_field_but_the_scheme_names_the_sweep_value(self):
+        scenario = uncertain_scenario(scheme=SchemeKind.FIXED, trials=600)
+        others = {
+            "detector": replace(scenario.detector, threshold=1.05),
+            "noise": replace(scenario.noise, nominal_variance=1.01),
+            "fusion": replace(scenario.fusion, report_error=0.002),
+            "snr_db": -12.0,
+            "trials": 601,
+            "seed": 100,
+            "family": AnalyticFamily.CHI_SQUARE,
+        }
+        assert set(others) == {f.name for f in fields(Scenario)} - {"scheme"}
+        shared = SweepDraws(scenario)
+        for name, value in others.items():
+            with pytest.raises(ValueError, match="another sweep value"):
+                shared.tallies(replace(scenario, **{name: value}))
+        assert shared.tallies(replace(scenario, scheme=SchemeKind.CONVEX)) == (
+            shared.tallies(scenario)
+        )
 
     def test_wilson_coverage_across_seeds(self):
         # the 95% interval for P_f must cover the closed form in >= 90% of

@@ -36,6 +36,13 @@ Frozen oracle values and their provenance:
     -0.5, 0, 0.5, 6 and 30 standard deviations from the mean, and both
     sides of the series/contour switch (x s = 400) at orders 5 and 2000.
 
+* FROZEN_NOMINAL_Q: (x, Q(2000, x)) from mpmath 1.3 ``gammainc`` at 40
+  significant digits (checked against 60), rounded to double, at every
+  distinct nominal point of the bundled exponential-family specs:
+  x = 2000 * 1.062 for p_f and x = 2000 * 1.062 / (1 + 10 ** (dB / 10)),
+  dB = -20..0, for fig2's p_d. fig4's p_f and its p_d at -10 dB are the
+  same two points.
+
 Temme's coefficients d_{k,n} are regenerated here in exact rational
 arithmetic (stdlib ``fractions`` only) and compared with the committed
 float literals.
@@ -202,6 +209,30 @@ FROZEN_MARCUM_FAR = [
     (2000.0, 28.24889378365107, 71.52186202644977, 0.0016161683034204568),
     (2000.0, 28.319604517012593, 66.9656365128505, 0.9988938657020517),
     (2000.0, 28.319604517012593, 71.55140478305638, 0.0016160931787681959),
+]
+FROZEN_NOMINAL_Q = [
+    (2124.0, 0.00321678547095747),
+    (2102.970297029703, 0.01155717649722986),
+    (2097.592870319564, 0.015575096295941063),
+    (2090.862069398354, 0.02225870706496644),
+    (2082.4496665746415, 0.03390127721408293),
+    (2071.9548473230866, 0.055078202852923495),
+    (2058.892114612636, 0.09482836058984942),
+    (2042.679465754091, 0.16976934093187582),
+    (2022.628444523351, 0.30448710224121556),
+    (1997.9385968497215, 0.5154176457644962),
+    (1967.7000308062738, 0.7638404014729613),
+    (1930.9090909090908, 0.9400985799831615),
+    (1886.5033049912795, 0.9950604839459007),
+    (1833.4221686067817, 0.9999348875888231),
+    (1770.6990845456226, 0.9999999508927198),
+    (1697.585741068572, 0.9999999999994948),
+    (1613.7024722002625, 1.0),
+    (1519.196843228498, 1.0),
+    (1414.8801378145513, 1.0),
+    (1302.3026060052757, 1.0),
+    (1183.7299101111098, 1.0),
+    (1062.0, 1.0),
 ]
 
 
@@ -429,6 +460,64 @@ class TestTemmeCoefficients:
         reach = [r for r, _ in specfun._TEMME_ROWS]
         assert reach == sorted(reach, reverse=True)
         assert reach[-1] >= specfun._TEMME_MIN_ORDER
+
+
+def row_by_row_pair(order, x):
+    """Temme's (P, Q) with sum_k c_k(eta) order^-k taken row by row: each
+    c_k by Horner, then scaled and added."""
+    sigma = (x - order) / order
+    half_eta_sq = max(sigma - math.log1p(sigma), 0.0)
+    eta = math.copysign(math.sqrt(2.0 * half_eta_sq), sigma)
+    total, scale = 0.0, 1.0
+    for reach, row in specfun._TEMME_ROWS:
+        if order > reach:
+            break
+        c_k = 0.0
+        for d in row:
+            c_k = c_k * eta + d
+        total += c_k * scale
+        scale /= order
+    r = math.exp(-order * half_eta_sq) * total / math.sqrt(2.0 * math.pi * order)
+    y = eta * math.sqrt(0.5 * order)
+    return 0.5 * math.erfc(-y) - r, 0.5 * math.erfc(y) + r
+
+
+# both sides of every row reach below 1e6 (205/206, 525/526, 3282/3283,
+# 42927/42928), the least order and the bundled specs' order
+REACH_ORDERS = sorted(
+    {100.0, 2000.0}
+    | {float(math.floor(reach) + side)
+       for reach, _ in specfun._TEMME_ROWS if reach < 1e6 for side in (0, 1)}
+)
+
+
+class TestTemmePolynomial:
+    """The expansion's sum over rows as one polynomial per order."""
+
+    @pytest.mark.parametrize("order", REACH_ORDERS)
+    def test_matches_row_by_row_sum(self, order):
+        for sigma in np.linspace(-0.3, 0.3, 121)[1:-1]:
+            x = order * (1.0 + sigma)
+            got = specfun._temme_pair(order, x)
+            for a, b in zip(got, row_by_row_pair(order, x)):
+                assert abs(a - b) <= 1e-15 * b or b < 1e-290, (order, x)
+
+    def test_bundled_nominal_points(self):
+        for x, want in FROZEN_NOMINAL_Q:
+            assert abs(reg_upper_gamma(2000.0, x) - want) <= 1e-14 * want, x
+
+    def test_cache_bounded_over_marcum_grid(self):
+        # the grid's series start at many orders 2000 + j, one build each
+        cache = specfun._temme_polynomial
+        cache.cache_clear()
+        rng = np.random.default_rng(2000)
+        for signal in 2.0 * 100.0 ** rng.random(24):
+            for b2 in rng.uniform(2 * 2000 - 3 * math.sqrt(8000),
+                                  2 * 2200 + 3 * math.sqrt(9600), 24):
+                marcum_q(2000.0, math.sqrt(2.0 * signal), math.sqrt(b2))
+        info = cache.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 def _order_and_boundary(data):
