@@ -36,9 +36,9 @@ from .montecarlo import (
     AnalyticRates,
     Scenario,
     ScenarioEstimate,
-    SweepDraws,
     estimate,
     nominal_rates,
+    sweep_draws,
 )
 from .noise_model import NoiseUncertaintyModel, VarianceBracket
 from .specfun import ConvergenceError
@@ -487,12 +487,12 @@ def run_experiment(
 
     A sweep value is drawn once: its cells share one ``SweepDraws`` handle,
     simulated in the value's first ``estimate`` call, or, with more than one
-    worker, queued on the pool for every value before the first cell runs
-    and waited for in each value's first ``estimate`` call. The nominal
-    closed forms are evaluated once per sweep value, in its first cell. A
-    cell that fails raises ``SpecValidationError`` naming the sweep value,
-    the scheme and the reason; queued work is cancelled and no CSV is
-    written.
+    worker, queued before the first cell runs as one pool task per worker,
+    each a share of the sweep's blocks weighted by their energy draws, and
+    waited for in each value's first ``estimate`` call. The nominal closed
+    forms are evaluated once per sweep value, in its first cell. A cell that
+    fails raises ``SpecValidationError`` naming the sweep value, the scheme
+    and the reason; the pool is drained and no CSV is written.
     """
     spec = load_spec(spec_path)
     if seed is not None:
@@ -519,22 +519,22 @@ def run_experiment(
     if workers > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        # the engine's first draw imports numpy; importing it here, before
-        # the pool forks, spares every worker its own import
-        import numpy
+        # the engine's first draw imports numpy.random, a lazy submodule;
+        # importing it here, before the pool forks, spares every worker it
+        import numpy.random
 
         executor = ProcessPoolExecutor(max_workers=workers)
         errors = (*_CELL_ERRORS, BrokenExecutor)  # a worker died, say by OOM
     try:
-        # one handle per sweep value, shared by its schemes' cells; with a
-        # pool, every value's block ranges are queued before any is read
-        draws = []
+        scenarios = []
         for value in spec.sweep_values:
             try:
-                scenario = _scenario_for(spec, value, spec.schemes[0])
-                draws.append(SweepDraws(scenario, workers, executor))
+                scenarios.append(_scenario_for(spec, value, spec.schemes[0]))
             except errors as exc:
                 raise _cell_failure(spec, value, spec.schemes[0], exc) from exc
+        # one handle per sweep value, shared by its schemes' cells; with a
+        # pool, the whole sweep is queued before any value is read
+        draws = sweep_draws(scenarios, workers, executor)
         for value, shared in zip(spec.sweep_values, draws):
             nominal = None
             for scheme in spec.schemes:

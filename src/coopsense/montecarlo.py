@@ -36,11 +36,12 @@ counts the receivers whose two-step interval straddles the threshold.
 ``_scheme_tally``, the one place that maps a scheme to its normalizer,
 picks the tally ``estimate`` reads. A ``SweepDraws`` handle carries one
 sweep value's tallies from the first scheme's ``estimate`` call to the
-others: it runs every block in this process in that first call, or, given
-the caller's executor, queues its block ranges on that pool as soon as it
-is made and the first call waits for them, so that a runner can queue
-every sweep value before reading any. The engine never makes a pool of
-its own, and a handle keeps nothing beyond its own lifetime.
+others: it runs every block in this process in that first call, or waits
+there for its pieces of the caller's pool tasks. ``sweep_draws`` queues a
+whole sweep as one task per worker, its blocks cut in value order into
+shares of equal energy draws (trials x receivers), so that a ``num_sus``
+sweep stays balanced. The engine never makes a pool of its own, and a
+handle keeps nothing beyond its own lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -56,8 +57,8 @@ scenario declares which analytic family both use:
 
 Only the block kernel uses numpy, and it imports numpy at its first draw:
 importing the package, validating a spec and the closed forms load no
-numpy. A pooled run (``cli_experiments.run_experiment``) imports it in the
-parent before the pool forks, so forked workers inherit it.
+numpy. A pooled run imports ``numpy.random``, a lazy submodule, before its
+pool forks, so forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ __all__ = [
     "wilson_interval",
     "nominal_rates",
     "SweepDraws",
+    "sweep_draws",
     "estimate",
 ]
 
@@ -353,29 +355,13 @@ def nominal_rates(scenario: Scenario) -> AnalyticRates:
     return AnalyticRates(p_f=p_f, p_d=p_d, q_f=fused.q_f, q_m=fused.q_m, q_e=fused.q_e)
 
 
-def _split_ranges(count: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, count))
-    step = count // parts
-    extra = count % parts
-    ranges = []
-    start = 0
-    for i in range(parts):
-        stop = start + step + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
 class SweepDraws:
     """The tallies of one sweep value, shared by the ``estimate`` calls of
     every scheme at that value.
 
     A sweep value is a scenario up to its scheme, kept with the scheme
-    pinned to ``fixed``; pool tasks carry it. Given the caller's
-    ``executor``, its blocks are split into ``workers`` contiguous ranges,
-    each queued on that pool when the handle is made; without one, every
-    block runs in this process as one range in the first ``tallies`` call,
-    and ``workers`` must be 1.
+    pinned to ``fixed``; pool tasks carry it. Its blocks are queued as a
+    one-value ``sweep_draws``, or run here in the first ``tallies`` call.
     """
 
     def __init__(
@@ -384,23 +370,12 @@ class SweepDraws:
         workers: int = 1,
         executor: Executor | None = None,
     ):
-        if workers < 1 or (workers > 1 and executor is None):
-            raise ValueError(
-                f"workers must be 1, or >= 1 with an executor, got {workers!r}"
-            )
         self._scenario = replace(scenario, scheme=SchemeKind.FIXED)
         self._sweep_value = _sweep_value(scenario)
-        blocks = -(-scenario.trials // BLOCK_TRIALS)
-        self._tasks = [
-            (self._scenario, first, stop)
-            for first, stop in _split_ranges(blocks, workers)
-        ]
-        self._futures = (
-            None
-            if executor is None
-            else [executor.submit(_run_blocks, *task) for task in self._tasks]
-        )
+        self._blocks = -(-scenario.trials // BLOCK_TRIALS)
+        self._pieces = []  # (pool task, segment slot) pairs, if queued
         self._tallies = None
+        _queue([self], workers, executor)
 
     def tallies(self, scenario: Scenario) -> tuple[_Tally, _Tally]:
         """Nominal-power and bracket-mean tallies over every block; runs or
@@ -412,12 +387,67 @@ class SweepDraws:
                 "differs in more than its scheme"
             )
         if self._tallies is None:
-            if self._futures is None:
-                parts = [_run_blocks(*task) for task in self._tasks]
-            else:
-                parts = [future.result() for future in self._futures]
+            parts = [_piece(*piece) for piece in self._pieces]
+            if not parts:
+                parts = [_run_blocks(self._scenario, 0, self._blocks)]
             self._tallies = functools.reduce(_merge, parts)
         return self._tallies
+
+
+def sweep_draws(
+    scenarios: list[Scenario], workers: int = 1, executor: Executor | None = None
+) -> list[SweepDraws]:
+    """A ``SweepDraws`` handle per sweep value; with the caller's ``executor``,
+    the blocks, in value order, are cut into at most ``workers`` contiguous
+    pool tasks that hold equal energy draws (trials x receivers) to within a block."""
+    handles = [SweepDraws(scenario) for scenario in scenarios]
+    _queue(handles, workers, executor)
+    return handles
+
+
+def _queue(handles: list[SweepDraws], workers: int, executor: Executor | None):
+    if workers < 1 or (workers > 1 and executor is None):
+        raise ValueError(
+            f"workers must be 1, or >= 1 with an executor, got {workers!r}"
+        )
+    if executor is None:
+        return
+    total = sum(h._scenario.trials * h._scenario.fusion.num_sus for h in handles)
+    shares = [{} for _ in range(workers)]  # each value's blocks, in order
+    done = 0  # energy draws of the sweep values before this one
+    for handle in handles:
+        trials, num_sus = handle._scenario.trials, handle._scenario.fusion.num_sus
+        for block in range(handle._blocks):
+            # a block joins the share in whose 1 / workers of the draws it starts
+            start = done + block * BLOCK_TRIALS * num_sus
+            shares[start * workers // total].setdefault(handle, []).append(block)
+        done += trials * num_sus
+    for share in filter(None, shares):
+        segments = [(h._scenario, run[0], run[-1] + 1) for h, run in share.items()]
+        future = executor.submit(_run_share, segments)
+        for slot, handle in enumerate(share):
+            handle._pieces.append((future, slot))
+
+
+def _run_share(segments: list[tuple[Scenario, int, int]]) -> list:
+    """Tallies of each ``(scenario, first, stop)`` segment of a pool task; a
+    segment that raises ends the task with its exception in its own slot."""
+    results = []
+    for segment in segments:
+        try:
+            results.append(_run_blocks(*segment))
+        except Exception as exc:
+            return [*results, exc]
+    return results
+
+
+def _piece(future, slot: int) -> tuple[_Tally, _Tally]:
+    results = future.result()
+    if slot >= len(results):
+        raise RuntimeError("an earlier sweep value of this pool task failed")
+    if isinstance(results[slot], Exception):
+        raise results[slot]
+    return results[slot]
 
 
 def estimate(scenario: Scenario, draws: SweepDraws | None = None) -> ScenarioEstimate:

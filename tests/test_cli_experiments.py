@@ -578,17 +578,20 @@ class TestMainEntry:
         assert line == "cell snr_db=7 fixed: ConvergenceError: did not converge"
         assert list(tmp_path.iterdir()) == [path]
 
+    # -10 dB is the second value of the first share, -4 dB the first of the
+    # second: each names its own cell, whichever pool task it ran in
+    @pytest.mark.parametrize("failing", [-10.0, -4.0])
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="pool workers see the patched block function only when forked",
     )
-    def test_failing_pooled_value_named_and_queue_cancelled(
-        self, write_spec, tmp_path, capsys, monkeypatch
+    def test_failing_pooled_value_named_and_pool_drained(
+        self, write_spec, tmp_path, capsys, monkeypatch, failing
     ):
         simulate = montecarlo._simulate_block
 
-        def failing_at_minus_ten_db(scenario, rng, n):
-            if scenario.snr_db == -10.0:
+        def failing_value(scenario, rng, n):
+            if scenario.snr_db == failing:
                 raise ValueError("block failed")
             time.sleep(0.05)
             return simulate(scenario, rng, n)
@@ -600,18 +603,18 @@ class TestMainEntry:
                 futures.append(super().submit(*args, **kwargs))
                 return futures[-1]
 
-        monkeypatch.setattr(montecarlo, "_simulate_block", failing_at_minus_ten_db)
+        monkeypatch.setattr(montecarlo, "_simulate_block", failing_value)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         values = [-12.0, -10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0]
         path = write_spec(spec_document(**{"sweep.values": values}))
         out = tmp_path / "pooled.csv"
         assert main(["run", str(path), "--out", str(out), "--workers", "2"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == "cell snr_db=-10.0 fixed: ValueError: block failed"
+        assert line == f"cell snr_db={failing} fixed: ValueError: block failed"
         assert list(tmp_path.iterdir()) == [path]
-        assert len(futures) == 2 * len(values)  # every range queued up front
+        assert len(futures) == 2  # one task per pool worker
         assert all(future.done() for future in futures)
-        assert any(future.cancelled() for future in futures)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -629,6 +632,14 @@ class TestMainEntry:
         (line,) = capsys.readouterr().err.splitlines()
         assert re.fullmatch(r"cell snr_db=\S+ fixed: BrokenProcessPool: .+", line)
         assert list(tmp_path.iterdir()) == [path]
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_run_leaves_no_process(self, write_spec, tmp_path, capsys):
+        path = write_spec(spec_document(**{"scenario.trials": 1100}))
+        out = tmp_path / "pooled.csv"
+        assert main(["run", str(path), "--out", str(out), "--workers", "2"]) == 0
+        assert out.exists()
+        assert multiprocessing.active_children() == []
 
     # 3082 dB is the largest whole dB whose linear SNR is a finite double
     @pytest.mark.parametrize("snr_db", [80, 400, 3082])

@@ -1,8 +1,8 @@
 """Golden CSVs: the bundled figures at 3000 trials, pinned byte for byte.
 
 Each digest is the sha256 of the CSV that ``run_experiment`` writes for a
-bundled spec cut to 3000 trials, with the spec's own seed, at one and at
-two workers. Numpy's Gamma and noncentral chi-square samplers are part of
+bundled spec cut to 3000 trials, with the spec's own seed, at one, two and
+three workers. Numpy's Gamma and noncentral chi-square samplers are part of
 the result, so the digests hold for numpy 2.4 only; other versions skip.
 A change that alters any CSV byte (a rate, a closed-form column, the
 formatting or the stream contract) must update these digests on purpose.
@@ -30,7 +30,11 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.mark.parametrize(
     "name, workers",
-    [("fig2", 1), ("fig2", 2), ("fig3", 1), ("fig3", 2), ("fig4", 1), ("fig4", 2)],
+    [
+        ("fig2", 1), ("fig2", 2),
+        ("fig3", 1), ("fig3", 2), ("fig3", 3),
+        ("fig4", 1), ("fig4", 2), ("fig4", 3),
+    ],
 )
 def test_bundled_csv_digest(tmp_path, name, workers):
     document = json.loads(resolve_spec_path(name).read_text(encoding="utf-8"))

@@ -2,7 +2,7 @@
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import astuple, fields, replace
 from itertools import product
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsense import montecarlo
 from coopsense.cli_experiments import _scenario_for, load_spec, resolve_spec_path
 from coopsense.detector import DetectorConfig, analytic_pf
 from coopsense.fusion import FusionConfig
@@ -26,6 +27,7 @@ from coopsense.montecarlo import (
     _Tally,
     estimate,
     nominal_rates,
+    sweep_draws,
     wilson_interval,
 )
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket
@@ -89,6 +91,28 @@ def block_tallies(scenario, blocks, n=BLOCK_TRIALS):
         )
         for block in blocks
     ]
+
+
+class InlinePool:
+    """Runs each submitted task at once in this process and keeps its
+    ``(scenario, first, stop)`` segments."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, segments):
+        self.tasks.append(segments)
+        future = Future()
+        future.set_result(fn(segments))
+        return future
+
+
+def fig4_scenarios(trials):
+    """The bundled fig4 sweep (K = 1 to 30 receivers, 20 values) cut to
+    ``trials``."""
+    spec = load_spec(resolve_spec_path("fig4"))
+    spec = replace(spec, base=replace(spec.base, trials=trials))
+    return [_scenario_for(spec, value, spec.schemes[0]) for value in spec.sweep_values]
 
 
 class TestRunTrial:
@@ -368,11 +392,57 @@ class TestEstimate:
                         shared_estimate = estimate(cell, draws=shared)
                         assert shared_estimate == alone, (value, cell.scheme)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_sweep_shares_hold_equal_draws(self, workers):
+        # a num_sus sweep: cutting by block count would give the first half
+        # of the blocks (K = 1..10) 55 of the 265 receiver columns
+        scenarios = fig4_scenarios(1100)
+        pool = InlinePool()
+        handles = sweep_draws(scenarios, workers, pool)
+        assert len(pool.tasks) == workers
+        # some value is cut at a share boundary and merges two pieces
+        assert sum(map(len, pool.tasks)) > len(scenarios)
+        total = sum(s.trials * s.fusion.num_sus for s in scenarios)
+        block_draws = BLOCK_TRIALS * max(s.fusion.num_sus for s in scenarios)
+        for segments in pool.tasks:
+            draws = sum(
+                (min(stop * BLOCK_TRIALS, s.trials) - first * BLOCK_TRIALS)
+                * s.fusion.num_sus
+                for s, first, stop in segments
+            )
+            assert abs(draws - total / workers) < block_draws
+        for scenario, handle in zip(scenarios, handles):
+            blocks = -(-scenario.trials // BLOCK_TRIALS)
+            assert handle.tallies(scenario) == _run_blocks(scenario, 0, blocks)
+
+    def test_failing_segment_raises_in_its_own_value_only(self, monkeypatch):
+        run_blocks = montecarlo._run_blocks
+
+        def failing(scenario, first, stop):
+            if scenario.snr_db == -11.0:
+                raise ArithmeticError("block failed")
+            return run_blocks(scenario, first, stop)
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", failing)
+        scenarios = [
+            uncertain_scenario(snr_db=snr, trials=600) for snr in (-12.0, -11.0, -10.0)
+        ]
+        pool = InlinePool()
+        before, failed, after = sweep_draws(scenarios, 1, pool)
+        assert len(pool.tasks) == 1
+        assert before.tallies(scenarios[0]) == run_blocks(scenarios[0], 0, 2)
+        with pytest.raises(ArithmeticError, match="block failed"):
+            failed.tallies(scenarios[1])
+        with pytest.raises(RuntimeError, match="earlier sweep value"):
+            after.tallies(scenarios[2])
+
     def test_block_ranges_need_the_callers_pool(self):
         # the engine makes no pool: without one, every block is one range
         scenario = uncertain_scenario(trials=600)
         with pytest.raises(ValueError, match="executor"):
             SweepDraws(scenario, 2)
+        with pytest.raises(ValueError, match="executor"):
+            sweep_draws([scenario], 2)
         with pytest.raises(ValueError, match="workers"):
             SweepDraws(scenario, 0)
 

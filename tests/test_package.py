@@ -101,6 +101,8 @@ def test_path_leaves_numpy_unloaded(code):
     reason="only forked workers inherit the parent's modules",
 )
 def test_pooled_run_loads_numpy_before_its_workers_fork():
+    # numpy.random is a lazy submodule: importing numpy alone would leave
+    # every forked worker to import it at its first draw
     probe = """
 import concurrent.futures, json, sys, tempfile
 from pathlib import Path
@@ -109,7 +111,7 @@ seen = []
 
 class ProbedPool(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, max_workers):
-        seen.append("numpy" in sys.modules)
+        seen.append("numpy.random" in sys.modules)
         super().__init__(max_workers)
 
 concurrent.futures.ProcessPoolExecutor = ProbedPool
