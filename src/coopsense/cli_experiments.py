@@ -487,12 +487,12 @@ def run_experiment(
 
     A sweep value is drawn once: its cells share one ``SweepDraws`` handle,
     simulated in the value's first ``estimate`` call, or, with more than one
-    worker, queued before the first cell runs as one pool task per worker,
-    each a share of the sweep's blocks weighted by their energy draws, and
-    waited for in each value's first ``estimate`` call. The nominal closed
-    forms are evaluated once per sweep value, in its first cell. A cell that
-    fails raises ``SpecValidationError`` naming the sweep value, the scheme
-    and the reason; the pool is drained and no CSV is written.
+    worker, queued before the first cell runs as shares of equal energy
+    draws, at least four per worker, and waited for in each value's first
+    ``estimate`` call. The nominal closed forms are evaluated once per sweep
+    value, in its first cell. A cell that fails raises ``SpecValidationError``
+    naming the sweep value, the scheme and the reason; queued work is
+    cancelled and no CSV is written.
     """
     spec = load_spec(spec_path)
     if seed is not None:

@@ -38,10 +38,10 @@ picks the tally ``estimate`` reads. A ``SweepDraws`` handle carries one
 sweep value's tallies from the first scheme's ``estimate`` call to the
 others: it runs every block in this process in that first call, or waits
 there for its pieces of the caller's pool tasks. ``sweep_draws`` queues a
-whole sweep as one task per worker, its blocks cut in value order into
-shares of equal energy draws (trials x receivers), so that a ``num_sus``
-sweep stays balanced. The engine never makes a pool of its own, and a
-handle keeps nothing beyond its own lifetime.
+whole sweep, its blocks cut in value order into shares of equal energy
+draws (trials x receivers), so a ``num_sus`` sweep stays balanced. The
+engine never makes a pool of its own, and a handle keeps nothing beyond
+its own lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -101,6 +101,10 @@ __all__ = [
 # either changes every estimate, so neither is configurable.
 BLOCK_TRIALS = 512
 STREAM_VERSION = 1
+
+# Energy draws (~60 ms of work) in a share of a pooled sweep, which has at least
+# four shares per worker, so the pool's queue evens out and can be cancelled.
+_SHARE_DRAWS = 2**19
 
 
 class AnalyticFamily(str, enum.Enum):
@@ -387,9 +391,9 @@ class SweepDraws:
                 "differs in more than its scheme"
             )
         if self._tallies is None:
-            parts = [_piece(*piece) for piece in self._pieces]
-            if not parts:
-                parts = [_run_blocks(self._scenario, 0, self._blocks)]
+            parts = [_piece(*piece) for piece in self._pieces] or [
+                _run_blocks(self._scenario, 0, self._blocks)
+            ]
             self._tallies = functools.reduce(_merge, parts)
         return self._tallies
 
@@ -398,8 +402,8 @@ def sweep_draws(
     scenarios: list[Scenario], workers: int = 1, executor: Executor | None = None
 ) -> list[SweepDraws]:
     """A ``SweepDraws`` handle per sweep value; with the caller's ``executor``,
-    the blocks, in value order, are cut into at most ``workers`` contiguous
-    pool tasks that hold equal energy draws (trials x receivers) to within a block."""
+    the blocks, in value order, are queued as contiguous shares that hold
+    equal energy draws (trials x receivers) to within a block."""
     handles = [SweepDraws(scenario) for scenario in scenarios]
     _queue(handles, workers, executor)
     return handles
@@ -407,21 +411,20 @@ def sweep_draws(
 
 def _queue(handles: list[SweepDraws], workers: int, executor: Executor | None):
     if workers < 1 or (workers > 1 and executor is None):
-        raise ValueError(
-            f"workers must be 1, or >= 1 with an executor, got {workers!r}"
-        )
+        raise ValueError(f"workers must be 1, or more with an executor: {workers!r}")
     if executor is None:
         return
     total = sum(h._scenario.trials * h._scenario.fusion.num_sus for h in handles)
-    shares = [{} for _ in range(workers)]  # each value's blocks, in order
+    count = max(4 * workers, total // _SHARE_DRAWS)
+    shares = [{} for _ in range(count)]
     done = 0  # energy draws of the sweep values before this one
     for handle in handles:
-        trials, num_sus = handle._scenario.trials, handle._scenario.fusion.num_sus
+        num_sus = handle._scenario.fusion.num_sus
         for block in range(handle._blocks):
-            # a block joins the share in whose 1 / workers of the draws it starts
+            # a block joins the share in whose part of the draws it starts
             start = done + block * BLOCK_TRIALS * num_sus
-            shares[start * workers // total].setdefault(handle, []).append(block)
-        done += trials * num_sus
+            shares[start * count // total].setdefault(handle, []).append(block)
+        done += handle._scenario.trials * num_sus
     for share in filter(None, shares):
         segments = [(h._scenario, run[0], run[-1] + 1) for h, run in share.items()]
         future = executor.submit(_run_share, segments)
@@ -431,12 +434,16 @@ def _queue(handles: list[SweepDraws], workers: int, executor: Executor | None):
 
 def _run_share(segments: list[tuple[Scenario, int, int]]) -> list:
     """Tallies of each ``(scenario, first, stop)`` segment of a pool task; a
-    segment that raises ends the task with its exception in its own slot."""
+    segment that raises ends the task with its exception in its own slot,
+    noted with the worker's traceback, which pickling would drop."""
     results = []
     for segment in segments:
         try:
             results.append(_run_blocks(*segment))
         except Exception as exc:
+            import traceback  # only a failure pays its import
+
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
             return [*results, exc]
     return results
 

@@ -578,20 +578,17 @@ class TestMainEntry:
         assert line == "cell snr_db=7 fixed: ConvergenceError: did not converge"
         assert list(tmp_path.iterdir()) == [path]
 
-    # -10 dB is the second value of the first share, -4 dB the first of the
-    # second: each names its own cell, whichever pool task it ran in
-    @pytest.mark.parametrize("failing", [-10.0, -4.0])
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="pool workers see the patched block function only when forked",
     )
-    def test_failing_pooled_value_named_and_pool_drained(
-        self, write_spec, tmp_path, capsys, monkeypatch, failing
+    def test_failing_pooled_value_named_and_queue_cancelled(
+        self, write_spec, tmp_path, capsys, monkeypatch
     ):
         simulate = montecarlo._simulate_block
 
-        def failing_value(scenario, rng, n):
-            if scenario.snr_db == failing:
+        def failing_at_minus_ten_db(scenario, rng, n):
+            if scenario.snr_db == -10.0:
                 raise ValueError("block failed")
             time.sleep(0.05)
             return simulate(scenario, rng, n)
@@ -603,17 +600,19 @@ class TestMainEntry:
                 futures.append(super().submit(*args, **kwargs))
                 return futures[-1]
 
-        monkeypatch.setattr(montecarlo, "_simulate_block", failing_value)
+        monkeypatch.setattr(montecarlo, "_simulate_block", failing_at_minus_ten_db)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         values = [-12.0, -10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0]
         path = write_spec(spec_document(**{"sweep.values": values}))
         out = tmp_path / "pooled.csv"
         assert main(["run", str(path), "--out", str(out), "--workers", "2"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"cell snr_db={failing} fixed: ValueError: block failed"
+        assert line == "cell snr_db=-10.0 fixed: ValueError: block failed"
         assert list(tmp_path.iterdir()) == [path]
-        assert len(futures) == 2  # one task per pool worker
+        # four shares per worker queued up front, one sweep value each here
+        assert len(futures) == 4 * 2
         assert all(future.done() for future in futures)
+        assert any(future.cancelled() for future in futures)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(

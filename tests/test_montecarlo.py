@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import astuple, fields, replace
 from itertools import product
@@ -94,17 +95,28 @@ def block_tallies(scenario, blocks, n=BLOCK_TRIALS):
 
 
 class InlinePool:
-    """Runs each submitted task at once in this process and keeps its
-    ``(scenario, first, stop)`` segments."""
+    """Keeps each submitted task's ``(scenario, first, stop)`` segments and,
+    if ``run``, runs it at once in this process, its result pickled and
+    unpickled as a process pool would."""
 
-    def __init__(self):
+    def __init__(self, run=True):
         self.tasks = []
+        self.run = run
 
     def submit(self, fn, segments):
         self.tasks.append(segments)
         future = Future()
-        future.set_result(fn(segments))
+        if self.run:
+            future.set_result(pickle.loads(pickle.dumps(fn(segments))))
         return future
+
+
+def share_draws(segments):
+    """Energy draws of a pool task's ``(scenario, first, stop)`` segments."""
+    return sum(
+        (min(stop * BLOCK_TRIALS, s.trials) - first * BLOCK_TRIALS) * s.fusion.num_sus
+        for s, first, stop in segments
+    )
 
 
 def fig4_scenarios(trials):
@@ -399,42 +411,53 @@ class TestEstimate:
         scenarios = fig4_scenarios(1100)
         pool = InlinePool()
         handles = sweep_draws(scenarios, workers, pool)
-        assert len(pool.tasks) == workers
+        shares = 4 * workers  # at least four shares per worker
+        assert len(pool.tasks) == shares
         # some value is cut at a share boundary and merges two pieces
         assert sum(map(len, pool.tasks)) > len(scenarios)
         total = sum(s.trials * s.fusion.num_sus for s in scenarios)
         block_draws = BLOCK_TRIALS * max(s.fusion.num_sus for s in scenarios)
         for segments in pool.tasks:
-            draws = sum(
-                (min(stop * BLOCK_TRIALS, s.trials) - first * BLOCK_TRIALS)
-                * s.fusion.num_sus
-                for s, first, stop in segments
-            )
-            assert abs(draws - total / workers) < block_draws
+            assert abs(share_draws(segments) - total / shares) < block_draws
         for scenario, handle in zip(scenarios, handles):
             blocks = -(-scenario.trials // BLOCK_TRIALS)
             assert handle.tallies(scenario) == _run_blocks(scenario, 0, blocks)
+
+    def test_large_sweep_shares_hold_a_fixed_draw_count(self):
+        # 20000 trials of fig4 are 5.3M energy draws: ten shares, not 4 x 2
+        scenarios = fig4_scenarios(20_000)
+        pool = InlinePool(run=False)
+        sweep_draws(scenarios, 2, pool)
+        total = sum(s.trials * s.fusion.num_sus for s in scenarios)
+        assert len(pool.tasks) == total // montecarlo._SHARE_DRAWS == 10
+        for segments in pool.tasks:
+            assert abs(share_draws(segments) - total / 10) < BLOCK_TRIALS * 30
 
     def test_failing_segment_raises_in_its_own_value_only(self, monkeypatch):
         run_blocks = montecarlo._run_blocks
 
         def failing(scenario, first, stop):
-            if scenario.snr_db == -11.0:
+            if scenario.snr_db == -10.0:
                 raise ArithmeticError("block failed")
             return run_blocks(scenario, first, stop)
 
         monkeypatch.setattr(montecarlo, "_run_blocks", failing)
-        scenarios = [
-            uncertain_scenario(snr_db=snr, trials=600) for snr in (-12.0, -11.0, -10.0)
-        ]
+        # one block per value, two values per share: -10 dB opens the second
+        scenarios = [uncertain_scenario(snr_db=-12.0 + snr, trials=100) for snr in range(8)]
         pool = InlinePool()
-        before, failed, after = sweep_draws(scenarios, 1, pool)
-        assert len(pool.tasks) == 1
-        assert before.tallies(scenarios[0]) == run_blocks(scenarios[0], 0, 2)
-        with pytest.raises(ArithmeticError, match="block failed"):
-            failed.tallies(scenarios[1])
+        handles = sweep_draws(scenarios, 1, pool)
+        assert [len(segments) for segments in pool.tasks] == [2, 2, 2, 2]
+        for index in (1, 4):
+            assert handles[index].tallies(scenarios[index]) == run_blocks(
+                scenarios[index], 0, 1
+            )
+        with pytest.raises(ArithmeticError, match="block failed") as failure:
+            handles[2].tallies(scenarios[2])
+        # the worker's traceback survives pickling as a note on the error
+        (note,) = failure.value.__notes__
+        assert "in failing" in note and "block failed" in note
         with pytest.raises(RuntimeError, match="earlier sweep value"):
-            after.tallies(scenarios[2])
+            handles[3].tallies(scenarios[3])
 
     def test_block_ranges_need_the_callers_pool(self):
         # the engine makes no pool: without one, every block is one range
