@@ -16,9 +16,11 @@ Usage:
     coopsense optimize-n --k K --pf PF --pd PD --alpha ALPHA
 
 SPEC is a path to a spec file, or the name of a bundled spec (fig2, fig3,
-fig4). dB-to-linear SNR conversion happens inside the scenario layer; spec
-files always carry dB. The default output directory is taken from the
-``COOPSENSE_OUTPUT_DIR`` environment variable when set.
+fig4); a directory of that name does not hide the bundled spec, and a spec
+that cannot be read is a ``spec:`` diagnostic (exit 2). dB-to-linear SNR
+conversion happens inside the scenario layer; spec files always carry dB.
+The default output directory is taken from the ``COOPSENSE_OUTPUT_DIR``
+environment variable when set.
 """
 
 import argparse
@@ -31,7 +33,7 @@ from importlib import resources
 from pathlib import Path
 
 from .detector import DetectorConfig
-from .fusion import FusionConfig, optimize_vote_count
+from .fusion import FusionConfig, integer, optimize_vote_count
 from .montecarlo import (
     AnalyticRates,
     Scenario,
@@ -98,9 +100,9 @@ class ExperimentSpec:
 
 
 def resolve_spec_path(spec_arg: str) -> Path:
-    """Resolve a CLI spec argument: explicit path first, bundled name next."""
+    """Resolve a CLI spec argument: an explicit file first, bundled name next."""
     path = Path(spec_arg)
-    if path.exists():
+    if path.is_file():
         return path
     name = spec_arg if spec_arg.endswith(".json") else f"{spec_arg}.json"
     bundled = resources.files("coopsense").joinpath("specs", name)
@@ -391,6 +393,8 @@ def load_spec(path) -> ExperimentSpec:
         document = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SpecValidationError([f"spec: file not found: {path}"]) from None
+    except OSError as exc:  # a directory, no permission, a failing device
+        raise SpecValidationError([f"spec: cannot read: {exc}"]) from None
     except ValueError as exc:  # malformed JSON, or an integer too long to parse
         raise SpecValidationError([f"spec: not valid JSON: {exc}"]) from None
     spec = _parse_spec(document, path.stem, diagnostics)
@@ -492,7 +496,8 @@ def run_experiment(
     ``estimate`` call. The nominal closed forms are evaluated once per sweep
     value, in its first cell. A cell that fails raises ``SpecValidationError``
     naming the sweep value, the scheme and the reason; queued work is
-    cancelled and no CSV is written.
+    cancelled and no CSV is written. ``workers`` must be an integer >= 1,
+    checked before any pool is made.
     """
     spec = load_spec(spec_path)
     if seed is not None:
@@ -507,8 +512,12 @@ def run_experiment(
             workers = len(os.sched_getaffinity(0))
         else:
             workers = os.cpu_count() or 1
+    try:
+        workers = integer(workers, "workers")
+    except ValueError as exc:
+        raise SpecValidationError([f"--workers: {exc}"]) from None
     if workers < 1:
-        raise SpecValidationError([f"workers: must be >= 1, got {workers}"])
+        raise SpecValidationError([f"--workers: workers must be >= 1, got {workers}"])
 
     target = _resolve_output(spec, out_path)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -30,18 +30,18 @@ to its scheme, which is what the kernel reads and what pool tasks carry
 energy against the same threshold and differs only in the noise power it
 divides by: the nominal power for ``fixed`` and the bracket mean for
 every other scheme. So a sweep value is drawn once, each block is decided
-once per distinct normalizer by ``threshold_schemes.decide_scheme`` and
-tallied for both with numpy reductions, and the bracket-mean tally also
-counts the receivers whose two-step interval straddles the threshold.
-``_scheme_tally``, the one place that maps a scheme to its normalizer,
-picks the tally ``estimate`` reads. A ``SweepDraws`` handle carries one
-sweep value's tallies from the first scheme's ``estimate`` call to the
-others: it runs every block in this process in that first call, or waits
-there for its pieces of the caller's pool tasks. ``sweep_draws`` queues a
-whole sweep, its blocks cut in value order into shares of equal energy
-draws (trials x receivers), so a ``num_sus`` sweep stays balanced. The
-engine never makes a pool of its own, and a handle keeps nothing beyond
-its own lifetime.
+once per distinct normalizer by ``threshold_schemes.decide_scheme``, and
+one integer product of those decisions with the (H0, H1) truth indicator
+tallies both; the bracket-mean tally also counts the receivers whose
+two-step interval straddles the threshold. ``_scheme_tally``, the one
+place that maps a scheme to its normalizer, picks the tally ``estimate``
+reads. A ``SweepDraws`` handle carries one sweep value's tallies from the
+first scheme's ``estimate`` call to the others: it runs every block in
+this process in that first call, or waits there for its pieces of the
+caller's pool tasks. ``sweep_draws``, the only code that queues pool work,
+makes every value's handle and cuts the sweep's blocks, in value order,
+into shares of equal energy draws (trials x receivers). The engine never
+makes a pool of its own, and a handle keeps nothing past its lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -69,7 +69,7 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .detector import DetectorConfig, analytic_pd, analytic_pf
 from .fusion import FusionConfig, cooperative_rates, integer
@@ -231,8 +231,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-@dataclass
-class _Tally:
+class _Tally(NamedTuple):
     """Counts of some trials; H0 trials and fused errors are derived."""
 
     trials_h1: int = 0
@@ -242,21 +241,9 @@ class _Tally:
     fused_misses: int = 0
     second_steps: int = 0  # receivers whose two-step interval straddles
 
-    def merge(self, other: _Tally) -> _Tally:
-        return _Tally(
-            trials_h1=self.trials_h1 + other.trials_h1,
-            su_false_alarms=self.su_false_alarms + other.su_false_alarms,
-            su_detections=self.su_detections + other.su_detections,
-            fused_false_alarms=self.fused_false_alarms + other.fused_false_alarms,
-            fused_misses=self.fused_misses + other.fused_misses,
-            second_steps=self.second_steps + other.second_steps,
-        )
 
-
-def _merge(
-    a: tuple[_Tally, _Tally], b: tuple[_Tally, _Tally]
-) -> tuple[_Tally, _Tally]:
-    return a[0].merge(b[0]), a[1].merge(b[1])
+def _merge(a: tuple[_Tally, _Tally], b: tuple[_Tally, _Tally]) -> tuple[_Tally, _Tally]:
+    return tuple(_Tally(*map(operator.add, x, y)) for x, y in zip(a, b))
 
 
 def _simulate_block(
@@ -300,35 +287,27 @@ def _simulate_block(
 
     fused = np.count_nonzero(reported, axis=2) >= fusion.vote_threshold
     positives = np.count_nonzero(decisions, axis=2)
-    counts = zip(
-        positives.sum(axis=1).tolist(),
-        positives[:, h1].sum(axis=1).tolist(),
-        np.count_nonzero(fused & ~h1, axis=1).tolist(),
-        np.count_nonzero(h1 & ~fused, axis=1).tolist(),
-        (0, int(np.count_nonzero(second))),
-    )
+    # receiver positives and fused H1 decisions of each normalizer, summed
+    # over the H0 and over the H1 trials: false alarms and detections
+    truth = np.stack((~h1, h1), axis=1)
+    counts = (np.concatenate((positives, fused)) @ truth).tolist()
     trials_h1 = int(np.count_nonzero(h1))
     return tuple(
-        _Tally(
-            trials_h1=trials_h1,
-            su_false_alarms=positive - detections,
-            su_detections=detections,
-            fused_false_alarms=false_alarms,
-            fused_misses=misses,
-            second_steps=second_steps,
+        _Tally(trials_h1, *su, fused_h0, trials_h1 - fused_h1, second_steps)
+        for su, (fused_h0, fused_h1), second_steps in zip(
+            counts[:2], counts[2:], (0, int(np.count_nonzero(second)))
         )
-        for positive, detections, false_alarms, misses, second_steps in counts
     )
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> tuple[_Tally, _Tally]:
     """Tallies of blocks ``first`` up to ``stop`` of the scenario."""
-    tallies = (_Tally(), _Tally())
-    for block in range(first, stop):
-        n = min(BLOCK_TRIALS, scenario.trials - block * BLOCK_TRIALS)
-        rng = _block_rng(scenario.seed, block)
-        tallies = _merge(tallies, _simulate_block(scenario, rng, n))
-    return tallies
+
+    def run(b: int) -> tuple[_Tally, _Tally]:
+        n = min(BLOCK_TRIALS, scenario.trials - b * BLOCK_TRIALS)
+        return _simulate_block(scenario, _block_rng(scenario.seed, b), n)
+
+    return functools.reduce(_merge, map(run, range(first, stop)), (_Tally(), _Tally()))
 
 
 def _scheme_tally(scheme: SchemeKind, nominal: _Tally, mean: _Tally) -> _Tally:
@@ -339,7 +318,7 @@ def _scheme_tally(scheme: SchemeKind, nominal: _Tally, mean: _Tally) -> _Tally:
         return nominal
     if scheme == SchemeKind.TWO_STEP:
         return mean
-    return replace(mean, second_steps=0)
+    return mean._replace(second_steps=0)
 
 
 def nominal_rates(scenario: Scenario) -> AnalyticRates:
@@ -360,26 +339,17 @@ def nominal_rates(scenario: Scenario) -> AnalyticRates:
 
 
 class SweepDraws:
-    """The tallies of one sweep value, shared by the ``estimate`` calls of
-    every scheme at that value.
+    """The tallies of one sweep value (a scenario up to its scheme, kept with
+    the scheme pinned to ``fixed``), shared by the ``estimate`` calls of
+    every scheme at that value. ``sweep_draws`` queues its blocks on the
+    caller's pool; else they run here in the first ``tallies`` call."""
 
-    A sweep value is a scenario up to its scheme, kept with the scheme
-    pinned to ``fixed``; pool tasks carry it. Its blocks are queued as a
-    one-value ``sweep_draws``, or run here in the first ``tallies`` call.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        workers: int = 1,
-        executor: Executor | None = None,
-    ):
+    def __init__(self, scenario: Scenario):
         self._scenario = replace(scenario, scheme=SchemeKind.FIXED)
         self._sweep_value = _sweep_value(scenario)
         self._blocks = -(-scenario.trials // BLOCK_TRIALS)
         self._pieces = []  # (pool task, segment slot) pairs, if queued
         self._tallies = None
-        _queue([self], workers, executor)
 
     def tallies(self, scenario: Scenario) -> tuple[_Tally, _Tally]:
         """Nominal-power and bracket-mean tallies over every block; runs or
@@ -399,22 +369,19 @@ class SweepDraws:
 
 
 def sweep_draws(
-    scenarios: list[Scenario], workers: int = 1, executor: Executor | None = None
+    scenarios: list[Scenario], workers: int, executor: Executor | None
 ) -> list[SweepDraws]:
-    """A ``SweepDraws`` handle per sweep value; with the caller's ``executor``,
-    the blocks, in value order, are queued as contiguous shares that hold
-    equal energy draws (trials x receivers) to within a block."""
-    handles = [SweepDraws(scenario) for scenario in scenarios]
-    _queue(handles, workers, executor)
-    return handles
-
-
-def _queue(handles: list[SweepDraws], workers: int, executor: Executor | None):
-    if workers < 1 or (workers > 1 and executor is None):
+    """A ``SweepDraws`` handle per sweep value. With the caller's
+    ``executor``, the blocks, in value order, are queued as contiguous
+    shares that hold equal energy draws (trials x receivers) to within a
+    block, ~2^19 draws each and at least four per worker; a value may have
+    pieces in several shares, which its handle merges."""
+    if integer(workers, "workers") < 1 or (workers > 1 and executor is None):
         raise ValueError(f"workers must be 1, or more with an executor: {workers!r}")
+    handles = [SweepDraws(scenario) for scenario in scenarios]
     if executor is None:
-        return
-    total = sum(h._scenario.trials * h._scenario.fusion.num_sus for h in handles)
+        return handles
+    total = sum(s.trials * s.fusion.num_sus for s in scenarios)
     count = max(4 * workers, total // _SHARE_DRAWS)
     shares = [{} for _ in range(count)]
     done = 0  # energy draws of the sweep values before this one
@@ -430,6 +397,7 @@ def _queue(handles: list[SweepDraws], workers: int, executor: Executor | None):
         future = executor.submit(_run_share, segments)
         for slot, handle in enumerate(share):
             handle._pieces.append((future, slot))
+    return handles
 
 
 def _run_share(segments: list[tuple[Scenario, int, int]]) -> list:

@@ -2,9 +2,10 @@
 
 Every strategy tests one normalized statistic, the window energy divided by
 sample count times a noise-power normalizer, against the threshold. The
-strategies differ only in that normalizer, which the Monte Carlo engine
-chooses (``montecarlo._scheme_tally``), and in whether a second interval
-step is counted (``decide_scheme``):
+strategies differ only in that normalizer, and in whether a second
+interval step is counted (``decide_scheme``). The Monte Carlo engine decides
+each block once per distinct normalizer and tallies both at once;
+``montecarlo._scheme_tally`` picks the tally a scheme reads:
 
 fixed
     Normalize by the nominal noise power and threshold once. Miscalibrated

@@ -16,7 +16,7 @@ from scipy import integrate
 from coopsense.cli_experiments import CSV_COLUMNS, resolve_spec_path, run_experiment
 from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
 from coopsense.fusion import FusionConfig, coop_qf, coop_qm, optimize_vote_count
-from coopsense.montecarlo import AnalyticFamily, Scenario, SweepDraws, estimate
+from coopsense.montecarlo import AnalyticFamily, Scenario, estimate, sweep_draws
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
 from coopsense.threshold_schemes import SchemeKind
@@ -113,7 +113,8 @@ def test_criterion_2_closed_form_vs_simulation():
         family=AnalyticFamily.CHI_SQUARE,
     )
     with ProcessPoolExecutor(max_workers=2) as pool:
-        result = estimate(scenario, draws=SweepDraws(scenario, 2, pool))
+        (draws,) = sweep_draws([scenario], 2, pool)
+        result = estimate(scenario, draws=draws)
     pf_ref = analytic_pf(5.0, 30.0)
     pd_ref = analytic_pd(5.0, 0.1, 30.0)
     half_f = (result.p_f.upper - result.p_f.lower) / 2.0

@@ -482,6 +482,23 @@ class TestRunExperiment:
                        quiet=True)
         assert sizes == pools
 
+    @pytest.mark.parametrize("workers, message", [
+        (2.0, "--workers: workers must be an integer, got 2.0"),
+        (0, "--workers: workers must be >= 1, got 0"),
+    ])
+    def test_worker_count_checked_before_a_pool_is_made(
+        self, write_spec, tmp_path, monkeypatch, workers, message
+    ):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SpecValidationError) as excinfo:
+            run_experiment(write_spec(spec_document()), out_path=tmp_path / "out.csv",
+                           workers=workers, quiet=True)
+        assert excinfo.value.diagnostics == [message]
+        assert not (tmp_path / "out.csv").exists()
+
     def test_seed_override_changes_rows(self, write_spec, tmp_path):
         path = write_spec(spec_document())
         base = run_experiment(path, out_path=tmp_path / "a.csv", quiet=True)
@@ -558,6 +575,14 @@ class TestMainEntry:
         path = write_spec(spec_document(**{"scenario.fusion.num_sus": 0}))
         assert main(["run", str(path)]) == 2
         assert "num_sus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unreadable_spec_exit_code(self, tmp_path, capsys, command):
+        # a directory given as the spec is an input fault, not a traceback
+        # or an output error
+        assert main([command, str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("spec: cannot read") and str(tmp_path) in line
 
     def test_failing_cell_named_and_no_csv(
         self, write_spec, tmp_path, capsys, monkeypatch
@@ -689,6 +714,14 @@ class TestBundledSpecs:
         path = resolve_spec_path("fig2")
         assert path.name == "fig2.json"
         assert path.exists()
+
+    def test_directory_does_not_hide_the_bundled_name(self, tmp_path, monkeypatch):
+        # only an explicit file is taken over the bundled spec of that name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig2").mkdir()
+        assert resolve_spec_path("fig2").parent.name == "specs"
+        (tmp_path / "fig3").write_text("{}", encoding="utf-8")
+        assert resolve_spec_path("fig3") == Path("fig3")
 
     def test_fig3_uses_complement_convention(self):
         spec = load_spec(resolve_spec_path("fig3"))

@@ -4,7 +4,7 @@ import json
 import math
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -139,7 +139,7 @@ class TestRunTrial:
         # fixed reads the nominal-power tally, two_step the bracket-mean one
         for scheme in [SchemeKind.FIXED, SchemeKind.TWO_STEP]:
             scenario = uncertain_scenario(trials=200, scheme=scheme)
-            outcomes = {astuple(t) for t in block_tallies(scenario, range(50), n=200)}
+            outcomes = set(block_tallies(scenario, range(50), n=200))
             assert len(outcomes) > 1
 
     def test_overwhelming_signal_always_detected(self):
@@ -194,7 +194,7 @@ class TestRunTrial:
             flips = rng.random(shape) < fusion.report_error
             power = scenario.snr_linear * noise.nominal_variance
 
-            expected = _Tally()
+            expected = dict.fromkeys(_Tally._fields, 0)
             for trial in range(BLOCK_TRIALS):
                 is_h0 = truth_rolls[trial] < fusion.prior_h0
                 votes = positives = 0
@@ -222,16 +222,16 @@ class TestRunTrial:
                         decision = energy / (k * noise.bracket.mean) >= threshold
                     positives += decision
                     votes += decision != flips[trial, su]
-                    expected.second_steps += second
+                    expected["second_steps"] += second
                 fused_h1 = votes >= fusion.vote_threshold
                 if is_h0:
-                    expected.su_false_alarms += positives
-                    expected.fused_false_alarms += fused_h1
+                    expected["su_false_alarms"] += positives
+                    expected["fused_false_alarms"] += fused_h1
                 else:
-                    expected.trials_h1 += 1
-                    expected.su_detections += positives
-                    expected.fused_misses += not fused_h1
-            assert result == expected, scheme
+                    expected["trials_h1"] += 1
+                    expected["su_detections"] += positives
+                    expected["fused_misses"] += not fused_h1
+            assert result == _Tally(**expected), scheme
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
@@ -345,7 +345,8 @@ class TestEstimate:
         )
         serial = estimate(scenario)
         with ProcessPoolExecutor(max_workers=3) as pool:
-            parallel = estimate(scenario, draws=SweepDraws(scenario, 3, pool))
+            (draws,) = sweep_draws([scenario], 3, pool)
+            parallel = estimate(scenario, draws=draws)
         assert serial == parallel
 
     def test_block_boundaries_do_not_change_estimates(self):
@@ -360,7 +361,7 @@ class TestEstimate:
                 assert serial.trials == trials
                 assert serial.q_f.observations + serial.q_m.observations == trials
                 for workers in [1, 2, 3]:
-                    draws = SweepDraws(cell, workers, shared)
+                    (draws,) = sweep_draws([cell], workers, shared)
                     assert estimate(cell, draws=draws) == serial
 
     def test_schemes_share_random_numbers(self):
@@ -398,7 +399,7 @@ class TestEstimate:
             for workers, executor in [(1, None), (2, pool)]:
                 for value in spec.sweep_values:
                     cells = [_scenario_for(spec, value, s) for s in spec.schemes]
-                    shared = SweepDraws(cells[0], workers, executor)
+                    (shared,) = sweep_draws(cells[:1], workers, executor)
                     for cell in cells:
                         alone = estimate(cell)
                         shared_estimate = estimate(cell, draws=shared)
@@ -422,6 +423,32 @@ class TestEstimate:
         for scenario, handle in zip(scenarios, handles):
             blocks = -(-scenario.trials // BLOCK_TRIALS)
             assert handle.tallies(scenario) == _run_blocks(scenario, 0, blocks)
+
+    def test_value_spread_over_many_shares_merges_its_pieces(self):
+        # one block at K = 1, then ten blocks at K = 30: at 4 workers the
+        # 16 shares are smaller than one K = 30 block, so the big value is
+        # spread over many shares and merges each of its pieces
+        small = uncertain_scenario(
+            trials=BLOCK_TRIALS, fusion=FusionConfig(num_sus=1, vote_threshold=1)
+        )
+        big = uncertain_scenario(
+            trials=10 * BLOCK_TRIALS, fusion=FusionConfig(num_sus=30, vote_threshold=1)
+        )
+        pool = InlinePool()
+        handles = sweep_draws([small, big], 4, pool)
+        pieces = [
+            (first, stop)
+            for segments in pool.tasks
+            for s, first, stop in segments
+            if s.fusion.num_sus == 30
+        ]
+        assert len(pieces) >= 3
+        # the pieces cover the big value's blocks once, in order
+        assert [b for first, stop in pieces for b in range(first, stop)] == list(
+            range(10)
+        )
+        assert handles[1].tallies(big) == _run_blocks(big, 0, 10)
+        assert handles[0].tallies(small) == _run_blocks(small, 0, 1)
 
     def test_large_sweep_shares_hold_a_fixed_draw_count(self):
         # 20000 trials of fig4 are 5.3M energy draws: ten shares, not 4 x 2
@@ -463,11 +490,14 @@ class TestEstimate:
         # the engine makes no pool: without one, every block is one range
         scenario = uncertain_scenario(trials=600)
         with pytest.raises(ValueError, match="executor"):
-            SweepDraws(scenario, 2)
-        with pytest.raises(ValueError, match="executor"):
-            sweep_draws([scenario], 2)
+            sweep_draws([scenario], 2, None)
         with pytest.raises(ValueError, match="workers"):
-            SweepDraws(scenario, 0)
+            sweep_draws([scenario], 0, None)
+        # a worker count is an integer, checked before any task is queued
+        pool = InlinePool(run=False)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            sweep_draws([scenario], 2.0, pool)
+        assert pool.tasks == []
 
     def test_draws_of_another_sweep_value_rejected(self):
         scenario = uncertain_scenario(scheme=SchemeKind.FIXED, trials=600)
