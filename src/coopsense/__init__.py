@@ -12,12 +12,12 @@ Library layout:
   expectation-normalized and convex-weighted threshold strategies, named
   by ``SchemeKind`` (convex is the expectation rule in this model), and
   the one vectorized kernel that decides them.
-* :mod:`coopsense.fusion` - cooperative error rates of n-out-of-K voting,
-  optimal vote count.
+* :mod:`coopsense.fusion` - ``cooperative_rates``, the one closed form of
+  n-out-of-K voting, its ``CooperativeRates`` record; optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
   block-batched Monte Carlo engine that draws each sweep value once for
   every scheme, on the caller's process pool when given one, and the
-  nominal closed-form rates.
+  nominal closed-form rates, a ``CooperativeRates`` record.
 * :mod:`coopsense.cli_experiments` - command-line sweep runner over JSON
   experiment specs, CSV output.
 """
@@ -30,16 +30,12 @@ from .detector import (
 from .fusion import (
     CooperativeRates,
     FusionConfig,
-    coop_qf,
-    coop_qm,
     cooperative_rates,
     effective_rate,
     optimize_vote_count,
-    total_error,
 )
 from .montecarlo import (
     AnalyticFamily,
-    AnalyticRates,
     RateEstimate,
     Scenario,
     ScenarioEstimate,

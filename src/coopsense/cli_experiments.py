@@ -33,9 +33,8 @@ from importlib import resources
 from pathlib import Path
 
 from .detector import DetectorConfig
-from .fusion import FusionConfig, integer, optimize_vote_count
+from .fusion import CooperativeRates, FusionConfig, integer, optimize_vote_count
 from .montecarlo import (
-    AnalyticRates,
     Scenario,
     ScenarioEstimate,
     estimate,
@@ -436,7 +435,7 @@ def _format_value(value) -> str:
 
 
 def _csv_row(
-    value, scheme: SchemeKind, result: ScenarioEstimate, nominal: AnalyticRates
+    value, scheme: SchemeKind, result: ScenarioEstimate, nominal: CooperativeRates
 ) -> str:
     cells = [
         _format_value(value),
@@ -522,6 +521,8 @@ def run_experiment(
     target = _resolve_output(spec, out_path)
     target.parent.mkdir(parents=True, exist_ok=True)
 
+    # every value's cell was checked at load, and --seed by its replace above
+    cells = [_scenario_for(spec, v, spec.schemes[0]) for v in spec.sweep_values]
     rows = []
     executor = None
     errors = _CELL_ERRORS
@@ -535,20 +536,14 @@ def run_experiment(
         executor = ProcessPoolExecutor(max_workers=workers)
         errors = (*_CELL_ERRORS, BrokenExecutor)  # a worker died, say by OOM
     try:
-        scenarios = []
-        for value in spec.sweep_values:
-            try:
-                scenarios.append(_scenario_for(spec, value, spec.schemes[0]))
-            except errors as exc:
-                raise _cell_failure(spec, value, spec.schemes[0], exc) from exc
         # one handle per sweep value, shared by its schemes' cells; with a
         # pool, the whole sweep is queued before any value is read
-        draws = sweep_draws(scenarios, workers, executor)
-        for value, shared in zip(spec.sweep_values, draws):
+        draws = sweep_draws(cells, workers, executor)
+        for value, cell, shared in zip(spec.sweep_values, cells, draws):
             nominal = None
             for scheme in spec.schemes:
                 try:
-                    scenario = _scenario_for(spec, value, scheme)
+                    scenario = replace(cell, scheme=scheme)
                     if nominal is None:
                         nominal = nominal_rates(scenario)
                     result = estimate(scenario, draws=shared)

@@ -2,12 +2,16 @@
 
 Per-receiver decisions are assumed i.i.d., so the fused rates are binomial
 tails, and reporting-channel flips fold into the per-receiver rates
-(``effective_rate``). Tail terms are accumulated in log space and the
-smaller side of the split is always the one summed directly, which keeps
-both rates accurate at the extremes. The simulated vote count and report
-flips live in the Monte Carlo engine only.
+(``effective_rate``). ``cooperative_rates`` is the one closed form of the
+vote and ``CooperativeRates`` the one record of its result; the rule is
+checked by ``FusionConfig`` alone. Tail terms are accumulated in log space
+and the smaller side of the split is always the one summed directly, which
+keeps both rates accurate at the extremes. ``optimize_vote_count`` scans
+every threshold in one pass over the same terms. The simulated vote count
+and report flips live in the Monte Carlo engine only.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -18,9 +22,6 @@ __all__ = [
     "cooperative_rates",
     "probability",
     "integer",
-    "coop_qf",
-    "coop_qm",
-    "total_error",
     "optimize_vote_count",
     "effective_rate",
 ]
@@ -68,8 +69,11 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class CooperativeRates:
-    """Fused rates; q_e is the prior-weighted sum by construction."""
+    """Per-receiver rates as given (before flips) and the fused rates;
+    q_e is the prior-weighted sum by construction."""
 
+    p_f: float
+    p_d: float
     q_f: float
     q_m: float
     q_e: float
@@ -83,11 +87,19 @@ def cooperative_rates(
     Reporting-channel flips are folded into the per-receiver rates before
     the binomial tails, since the fusion center only sees the flipped bits.
     """
-    q = config.report_error
-    q_f = coop_qf(config.num_sus, config.vote_threshold, effective_rate(p_f, q))
-    q_m = coop_qm(config.num_sus, config.vote_threshold, effective_rate(p_d, q))
+    p_f = probability(p_f, "p_f")
+    p_d = probability(p_d, "p_d")
+    num_sus, n, flip = config.num_sus, config.vote_threshold, config.report_error
+    # plain left-to-right adds, in increasing l (sum() compensates from 3.12 on)
+    q_f = functools.reduce(operator.add, _binomial_terms(
+        num_sus, range(n, num_sus + 1), effective_rate(p_f, flip)), 0.0)
+    q_m = functools.reduce(operator.add, _binomial_terms(
+        num_sus, range(n), effective_rate(p_d, flip)), 0.0)
+    q_f, q_m = min(q_f, 1.0), min(q_m, 1.0)
+    prior_h0 = float(config.prior_h0)
     return CooperativeRates(
-        q_f=q_f, q_m=q_m, q_e=total_error(config.prior_h0, q_f, q_m)
+        p_f=p_f, p_d=p_d, q_f=q_f, q_m=q_m,
+        q_e=prior_h0 * q_f + (1.0 - prior_h0) * q_m,
     )
 
 
@@ -112,47 +124,6 @@ def _binomial_terms(num_sus: int, support: range, p: float) -> list[float]:
     ]
 
 
-def _binomial_sum(num_sus: int, support: range, p: float) -> float:
-    """Sum of C(K, l) p^l (1-p)^(K-l) over l in ``support``, in order."""
-    total = 0.0
-    for term in _binomial_terms(num_sus, support, p):
-        total += term
-    return min(total, 1.0)
-
-
-def _validate_rule(num_sus: int, vote_threshold: int):
-    if integer(num_sus, "num_sus") < 1:
-        raise ValueError(f"num_sus must be >= 1, got {num_sus!r}")
-    if not 1 <= integer(vote_threshold, "vote_threshold") <= num_sus:
-        raise ValueError(
-            f"vote_threshold must lie in [1, {num_sus}], got {vote_threshold!r}"
-        )
-
-
-def coop_qf(num_sus: int, vote_threshold: int, p_f: float) -> float:
-    """Cooperative false-alarm rate: P(at least n of K false alarms)."""
-    _validate_rule(num_sus, vote_threshold)
-    p_f = probability(p_f, "p_f")
-    return _binomial_sum(num_sus, range(vote_threshold, num_sus + 1), p_f)
-
-
-def coop_qm(num_sus: int, vote_threshold: int, p_d: float) -> float:
-    """Cooperative missed-detection rate: P(fewer than n of K detect).
-
-    Computed as the lower binomial sum directly rather than 1 minus the
-    tail, so small values keep their relative accuracy.
-    """
-    _validate_rule(num_sus, vote_threshold)
-    p_d = probability(p_d, "p_d")
-    return _binomial_sum(num_sus, range(0, vote_threshold), p_d)
-
-
-def total_error(prior_h0: float, q_f: float, q_m: float) -> float:
-    """Prior-weighted total error rate alpha*Q_f + (1-alpha)*Q_m."""
-    prior_h0 = probability(prior_h0, "prior_h0")
-    return prior_h0 * q_f + (1.0 - prior_h0) * q_m
-
-
 def optimize_vote_count(
     num_sus: int, p_f: float, p_d: float, prior_h0: float
 ) -> tuple[int, float]:
@@ -160,9 +131,8 @@ def optimize_vote_count(
 
     The K + 1 binomial terms of each rate are computed once: Q_f(n) is the
     suffix sum from l = K down to n and Q_m(n) the prefix sum over l < n,
-    each the directly summed side as in :func:`coop_qf` and
-    :func:`coop_qm`. Ties break toward the smaller threshold (the
-    OR-leaning rule).
+    each the directly summed side as in :func:`cooperative_rates`. Ties
+    break toward the smaller threshold (the OR-leaning rule).
     """
     if integer(num_sus, "num_sus") < 1:
         raise ValueError(f"num_sus must be >= 1, got {num_sus!r}")
@@ -179,7 +149,7 @@ def optimize_vote_count(
     q_m = 0.0
     for n in range(1, num_sus + 1):
         q_m += detect_terms[n - 1]
-        qe = total_error(prior_h0, min(q_f[n], 1.0), min(q_m, 1.0))
+        qe = prior_h0 * min(q_f[n], 1.0) + (1.0 - prior_h0) * min(q_m, 1.0)
         if qe < best_qe:
             best_n, best_qe = n, qe
     return best_n, best_qe

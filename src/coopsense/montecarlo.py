@@ -72,7 +72,7 @@ from statistics import NormalDist
 from typing import TYPE_CHECKING, NamedTuple
 
 from .detector import DetectorConfig, analytic_pd, analytic_pf
-from .fusion import FusionConfig, cooperative_rates, integer
+from .fusion import CooperativeRates, FusionConfig, cooperative_rates, integer
 from .noise_model import NoiseUncertaintyModel
 from .specfun import reg_upper_gamma
 from .threshold_schemes import SchemeKind, decide_scheme
@@ -88,7 +88,6 @@ __all__ = [
     "STREAM_VERSION",
     "Scenario",
     "RateEstimate",
-    "AnalyticRates",
     "ScenarioEstimate",
     "wilson_interval",
     "nominal_rates",
@@ -162,15 +161,6 @@ class RateEstimate:
     upper: float
     successes: int
     observations: int
-
-
-@dataclass(frozen=True)
-class AnalyticRates:
-    p_f: float
-    p_d: float
-    q_f: float
-    q_m: float
-    q_e: float
 
 
 @dataclass(frozen=True)
@@ -321,10 +311,10 @@ def _scheme_tally(scheme: SchemeKind, nominal: _Tally, mean: _Tally) -> _Tally:
     return mean._replace(second_steps=0)
 
 
-def nominal_rates(scenario: Scenario) -> AnalyticRates:
+def nominal_rates(scenario: Scenario) -> CooperativeRates:
     """Family-matched closed forms at the configured operating point
-    (nominal normalization, no uncertainty). They do not depend on the
-    scheme, the trial count or the seed."""
+    (nominal normalization, no uncertainty), fused by ``cooperative_rates``.
+    They do not depend on the scheme, the trial count or the seed."""
     u = scenario.detector.sample_count
     threshold = scenario.detector.threshold
     snr = scenario.snr_linear
@@ -334,8 +324,7 @@ def nominal_rates(scenario: Scenario) -> AnalyticRates:
     else:
         p_f = reg_upper_gamma(u, u * threshold)
         p_d = reg_upper_gamma(u, u * threshold / (1.0 + snr))
-    fused = cooperative_rates(scenario.fusion, p_f, p_d)
-    return AnalyticRates(p_f=p_f, p_d=p_d, q_f=fused.q_f, q_m=fused.q_m, q_e=fused.q_e)
+    return cooperative_rates(scenario.fusion, p_f, p_d)
 
 
 class SweepDraws:

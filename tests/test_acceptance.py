@@ -15,7 +15,7 @@ from scipy import integrate
 
 from coopsense.cli_experiments import CSV_COLUMNS, resolve_spec_path, run_experiment
 from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
-from coopsense.fusion import FusionConfig, coop_qf, coop_qm, optimize_vote_count
+from coopsense.fusion import FusionConfig, cooperative_rates, optimize_vote_count
 from coopsense.montecarlo import AnalyticFamily, Scenario, estimate, sweep_draws
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
@@ -132,8 +132,8 @@ def test_criterion_2_closed_form_vs_simulation():
 
 
 def test_criterion_3_fusion_enumeration():
-    """coop_qf / coop_qm equal exhaustive 2^K enumeration within 1e-12 for
-    all K <= 10 over a 5x5 probability grid."""
+    """cooperative_rates' Q_f / Q_m equal exhaustive 2^K enumeration within
+    1e-12 for all K <= 10 over a 5x5 probability grid."""
     coarse = [0.02, 0.21, 0.50, 0.79, 0.98]
     offsets = [-0.015, -0.005, 0.0, 0.005, 0.015]
     probabilities = [p + d for p in coarse for d in offsets]
@@ -149,8 +149,9 @@ def test_criterion_3_fusion_enumeration():
                 oracle = sum(
                     w for w, c in zip(weights, counts) if c >= n
                 )
-                worst = max(worst, abs(coop_qf(num_sus, n, p) - oracle))
-                worst = max(worst, abs(coop_qm(num_sus, n, p) - (1.0 - oracle)))
+                rates = cooperative_rates(FusionConfig(num_sus, n), p, p)
+                worst = max(worst, abs(rates.q_f - oracle))
+                worst = max(worst, abs(rates.q_m - (1.0 - oracle)))
     report(3, worst <= 1e-12, f"worst |difference| {worst:.2e} (<=1e-12)")
 
 

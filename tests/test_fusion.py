@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from coopsense.fusion import (
     FusionConfig,
-    coop_qf,
-    coop_qm,
     cooperative_rates,
     effective_rate,
     optimize_vote_count,
-    total_error,
 )
 from coopsense.montecarlo import wilson_interval
+
+
+def vote_rates(num_sus, vote_threshold, p, prior_h0=0.5):
+    """Fused rates of a flip-free rule whose receivers all decide H1 at rate
+    p under both hypotheses; without flips p reaches the tails unchanged."""
+    return cooperative_rates(FusionConfig(num_sus, vote_threshold, prior_h0), p, p)
 
 
 def enumerate_vote_rate(num_sus, vote_threshold, p):
@@ -72,13 +75,13 @@ def enumerate_fused_rates(config, p_f, p_d):
 
 class TestVoteTails:
     def test_or_rule_closed_form(self):
-        assert coop_qf(5, 1, 0.1) == pytest.approx(0.40951, abs=1e-12)
+        assert vote_rates(5, 1, 0.1).q_f == pytest.approx(0.40951, abs=1e-12)
 
     def test_and_rule_closed_form(self):
-        assert coop_qf(5, 5, 0.1) == pytest.approx(1e-5, rel=1e-10)
+        assert vote_rates(5, 5, 0.1).q_f == pytest.approx(1e-5, rel=1e-10)
 
     def test_enumeration_anchor(self):
-        assert coop_qf(5, 3, 0.2) == pytest.approx(0.05792, abs=1e-12)
+        assert vote_rates(5, 3, 0.2).q_f == pytest.approx(0.05792, abs=1e-12)
 
     def test_enumeration_equivalence(self):
         probabilities = [0.02, 0.2, 0.5, 0.8, 0.97]
@@ -86,48 +89,42 @@ class TestVoteTails:
             for n in range(1, num_sus + 1):
                 for p in probabilities:
                     oracle = enumerate_vote_rate(num_sus, n, p)
-                    assert coop_qf(num_sus, n, p) == pytest.approx(
-                        oracle, abs=1e-12
-                    )
-                    assert coop_qm(num_sus, n, p) == pytest.approx(
-                        1.0 - oracle, abs=1e-12
-                    )
+                    rates = vote_rates(num_sus, n, p)
+                    assert rates.q_f == pytest.approx(oracle, abs=1e-12)
+                    assert rates.q_m == pytest.approx(1.0 - oracle, abs=1e-12)
 
     def test_completeness_identity(self):
         for num_sus in [1, 3, 7, 15, 20]:
             for p in [0.0, 0.1, 0.5, 0.9, 1.0]:
-                assert coop_qf(num_sus, 1, p) + (1.0 - p) ** num_sus == (
+                assert vote_rates(num_sus, 1, p).q_f + (1.0 - p) ** num_sus == (
                     pytest.approx(1.0, abs=1e-12)
                 )
 
     def test_monotonicity_in_vote_threshold(self):
         for num_sus in range(1, 21):
             for p in [0.05, 0.3, 0.6, 0.95]:
-                qf = [coop_qf(num_sus, n, p) for n in range(1, num_sus + 1)]
-                qm = [coop_qm(num_sus, n, p) for n in range(1, num_sus + 1)]
+                rates = [vote_rates(num_sus, n, p) for n in range(1, num_sus + 1)]
+                qf = [r.q_f for r in rates]
+                qm = [r.q_m for r in rates]
                 assert all(a >= b - 1e-12 for a, b in zip(qf, qf[1:]))
                 assert all(a <= b + 1e-12 for a, b in zip(qm, qm[1:]))
 
     def test_extreme_probabilities(self):
-        assert coop_qf(6, 2, 0.0) == 0.0
-        assert coop_qf(6, 2, 1.0) == 1.0
-        assert coop_qm(6, 2, 1.0) == 0.0
-        assert coop_qm(6, 2, 0.0) == 1.0
+        assert vote_rates(6, 2, 0.0).q_f == 0.0
+        assert vote_rates(6, 2, 1.0).q_f == 1.0
+        assert vote_rates(6, 2, 1.0).q_m == 0.0
+        assert vote_rates(6, 2, 0.0).q_m == 1.0
 
     def test_rejects_invalid_probability(self):
         with pytest.raises(ValueError):
-            coop_qf(5, 2, 1.2)
+            vote_rates(5, 2, 1.2)
         with pytest.raises(ValueError):
-            coop_qm(5, 2, -0.1)
+            vote_rates(5, 2, -0.1)
 
     @pytest.mark.parametrize(
         "rule",
-        [
-            lambda num_sus: optimize_vote_count(num_sus, 0.1, 0.9, 0.5),
-            lambda num_sus: coop_qf(num_sus, 1, 0.1),
-            lambda num_sus: coop_qm(num_sus, 1, 0.9),
-        ],
-        ids=["optimize_vote_count", "coop_qf", "coop_qm"],
+        [lambda num_sus: optimize_vote_count(num_sus, 0.1, 0.9, 0.5)],
+        ids=["optimize_vote_count"],
     )
     def test_rejects_non_integer_num_sus(self, rule):
         with pytest.raises(ValueError, match="num_sus must be an integer"):
@@ -141,18 +138,22 @@ class TestVoteTails:
         hits = int(fused.sum())
         lower, upper = wilson_interval(hits, trials)
         half = (upper - lower) / 2.0
-        assert abs(hits / trials - coop_qf(num_sus, n, p)) <= 4 * half
+        assert abs(hits / trials - vote_rates(num_sus, n, p).q_f) <= 4 * half
 
 
 class TestTotalError:
+    # one receiver: Q_f is p_f and Q_m is 1 - p_d
     def test_weighted_sum(self):
-        assert total_error(0.5, 0.2, 0.1) == pytest.approx(0.15)
+        rates = cooperative_rates(FusionConfig(1, 1, 0.5), 0.2, 0.9)
+        assert rates.q_e == pytest.approx(0.15)
 
     def test_pure_false_alarm(self):
-        assert total_error(1.0, 0.2, 0.9) == pytest.approx(0.2)
+        rates = cooperative_rates(FusionConfig(1, 1, 1.0), 0.2, 0.1)
+        assert rates.q_e == pytest.approx(0.2)
 
     def test_pure_miss(self):
-        assert total_error(0.0, 0.2, 0.9) == pytest.approx(0.9)
+        rates = cooperative_rates(FusionConfig(1, 1, 0.0), 0.2, 0.1)
+        assert rates.q_e == pytest.approx(0.9)
 
 
 class TestOptimizeVoteCount:
@@ -189,9 +190,8 @@ class TestOptimizeVoteCount:
             p_f, p_d, alpha = rng.random(3)
             n_star, qe_star = optimize_vote_count(num_sus, p_f, p_d, alpha)
             for n in range(1, num_sus + 1):
-                qe = total_error(
-                    alpha, coop_qf(num_sus, n, p_f), coop_qm(num_sus, n, p_d)
-                )
+                config = FusionConfig(num_sus, n, alpha)
+                qe = cooperative_rates(config, p_f, p_d).q_e
                 assert qe_star <= qe + 1e-15
 
     def test_one_pass_matches_per_rule_scan_at_large_k(self):
@@ -203,7 +203,7 @@ class TestOptimizeVoteCount:
             p_f, p_d, alpha = (float(v) for v in rng.random(3))
             n_star, qe_star = optimize_vote_count(num_sus, p_f, p_d, alpha)
             scan = [
-                total_error(alpha, coop_qf(num_sus, n, p_f), coop_qm(num_sus, n, p_d))
+                cooperative_rates(FusionConfig(num_sus, n, alpha), p_f, p_d).q_e
                 for n in range(1, num_sus + 1)
             ]
             best = min(scan)
@@ -252,8 +252,25 @@ class TestCooperativeRates:
             num_sus=5, vote_threshold=1, prior_h0=0.5, report_error=0.01
         )
         rates = cooperative_rates(config, p_f=0.0, p_d=1.0)
-        assert rates.q_f == pytest.approx(coop_qf(5, 1, 0.01), rel=1e-12)
-        assert rates.q_m == pytest.approx(coop_qm(5, 1, 0.99), rel=1e-12)
+        assert rates.q_f == pytest.approx(vote_rates(5, 1, 0.01).q_f, rel=1e-12)
+        assert rates.q_m == pytest.approx(vote_rates(5, 1, 0.99).q_m, rel=1e-12)
+
+    def test_keeps_the_per_receiver_rates_before_flips(self):
+        """The record keeps p_f and p_d as given, which the CSV prints as
+        pf_analytic and pd_analytic; only the tails see the flips."""
+        config = FusionConfig(
+            num_sus=5, vote_threshold=2, prior_h0=0.5, report_error=0.01
+        )
+        rates = cooperative_rates(config, p_f=0.125, p_d=0.75)
+        assert (rates.p_f, rates.p_d) == (0.125, 0.75)
+        assert rates.q_f == vote_rates(5, 2, effective_rate(0.125, 0.01)).q_f
+
+    @pytest.mark.parametrize(
+        "rates, name", [((1.5, 0.5), "p_f"), ((0.1, 1.5), "p_d")]
+    )
+    def test_names_the_bad_rate(self, rates, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]"):
+            cooperative_rates(FusionConfig(5, 1), *rates)
 
 
 class TestFusionConfig:
