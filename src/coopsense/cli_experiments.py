@@ -41,7 +41,7 @@ from .montecarlo import (
     nominal_rates,
     sweep_draws,
 )
-from .noise_model import NoiseUncertaintyModel, VarianceBracket
+from .noise_model import NoiseUncertaintyModel, VarianceBracket, confidence_bracket
 from .specfun import ConvergenceError
 from .threshold_schemes import SchemeKind
 
@@ -257,12 +257,10 @@ def _build(path, make, fields, diagnostics, **base):
         return None
 
 
-def _noise(nominal_variance, bracket=None, calibration_count=None, **calibration):
+def _noise(nominal_variance, bracket=None, **calibration):
     if bracket is not None:
         return NoiseUncertaintyModel(nominal_variance, VarianceBracket(*bracket))
-    return NoiseUncertaintyModel.from_calibration(
-        nominal_variance, sample_count=calibration_count, **calibration
-    )
+    return NoiseUncertaintyModel(nominal_variance, confidence_bracket(**calibration))
 
 
 def _sweep(sweep, diagnostics):
@@ -360,7 +358,6 @@ def _parse_spec(document, spec_name, diagnostics):
     base = _build(
         "scenario", Scenario, blocks.get("scenario"), diagnostics,
         snr_db=0.0, detector=detector, noise=noise, fusion=fusion,
-        scheme=schemes[0] if schemes else SchemeKind.FIXED,
     )
     if diagnostics:
         return None
@@ -378,7 +375,7 @@ def _parse_spec(document, spec_name, diagnostics):
     # a sweep value passes exactly the rule of the field it replaces
     for value in sweep_values:
         try:
-            _scenario_for(spec, value, spec.schemes[0])
+            _scenario_for(spec, value)
         except ValueError as exc:
             diagnostics.append(f"sweep.values: {exc}")
     return None if diagnostics else spec
@@ -411,10 +408,10 @@ def validate_spec(path) -> list[str]:
     return []
 
 
-def _scenario_for(spec: ExperimentSpec, value, scheme: SchemeKind) -> Scenario:
+def _scenario_for(spec: ExperimentSpec, value) -> Scenario:
     base = spec.base
     if spec.sweep_axis == "snr_db":
-        return replace(base, scheme=scheme, snr_db=float(value))
+        return replace(base, snr_db=float(value))
     if spec.sweep_axis == "num_sus":
         num_sus = int(value)
         vote_threshold = (
@@ -423,9 +420,9 @@ def _scenario_for(spec: ExperimentSpec, value, scheme: SchemeKind) -> Scenario:
             else num_sus - spec.vote_complement
         )
         fusion = replace(base.fusion, num_sus=num_sus, vote_threshold=vote_threshold)
-        return replace(base, scheme=scheme, fusion=fusion)
+        return replace(base, fusion=fusion)
     detector = replace(base.detector, threshold=float(value))
-    return replace(base, scheme=scheme, detector=detector)
+    return replace(base, detector=detector)
 
 
 def _format_value(value) -> str:
@@ -522,7 +519,7 @@ def run_experiment(
     target.parent.mkdir(parents=True, exist_ok=True)
 
     # every value's cell was checked at load, and --seed by its replace above
-    cells = [_scenario_for(spec, v, spec.schemes[0]) for v in spec.sweep_values]
+    cells = [_scenario_for(spec, v) for v in spec.sweep_values]
     rows = []
     executor = None
     errors = _CELL_ERRORS
@@ -543,10 +540,9 @@ def run_experiment(
             nominal = None
             for scheme in spec.schemes:
                 try:
-                    scenario = replace(cell, scheme=scheme)
                     if nominal is None:
-                        nominal = nominal_rates(scenario)
-                    result = estimate(scenario, draws=shared)
+                        nominal = nominal_rates(cell)
+                    result = estimate(cell, scheme, draws=shared)
                 except errors as exc:
                     raise _cell_failure(spec, value, scheme, exc) from exc
                 rows.append(_csv_row(value, scheme, result, nominal))

@@ -24,12 +24,12 @@ These identities are exercised against direct waveform simulation in the
 test suite. Receivers are simulated i.i.d.: signal draws are per-receiver,
 matching the independence assumed by the binomial fusion model.
 
-The engine's unit of work is a sweep value, not a cell: the scenario up
-to its scheme, which is what the kernel reads and what pool tasks carry
-(with the scheme pinned to ``fixed``). Every scheme tests the same window
-energy against the same threshold and differs only in the noise power it
-divides by: the nominal power for ``fixed`` and the bracket mean for
-every other scheme. So a sweep value is drawn once, each block is decided
+The engine's unit of work is a sweep value, not a cell: a ``Scenario``
+is what the kernel draws and what pool tasks carry, and holds no scheme;
+``estimate`` takes the scheme beside it. Every scheme tests the same
+window energy against the same threshold and differs only in the noise
+power it divides by: the nominal power for ``fixed`` and the bracket mean
+for every other scheme. So a sweep value is drawn once, each block is decided
 once per distinct normalizer by ``threshold_schemes.decide_scheme``, and
 one integer product of those decisions with the (H0, H1) truth indicator
 tallies both; the bracket-mean tally also counts the receivers whose
@@ -67,7 +67,7 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -113,11 +113,10 @@ class AnalyticFamily(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully specified simulation: detector, noise, scheme, fusion."""
+    """One sweep value, all that the engine draws; it holds no scheme."""
 
     detector: DetectorConfig
     noise: NoiseUncertaintyModel
-    scheme: SchemeKind
     fusion: FusionConfig
     snr_db: float
     trials: int
@@ -125,7 +124,6 @@ class Scenario:
     family: AnalyticFamily = AnalyticFamily.EXPONENTIAL
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", SchemeKind(self.scheme))
         object.__setattr__(self, "family", AnalyticFamily(self.family))
         try:
             finite = math.isfinite(self.snr_db) and math.isfinite(self.snr_linear)
@@ -144,12 +142,6 @@ class Scenario:
     @property
     def snr_linear(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-
-# A sweep value is a scenario up to its scheme: the tuple of every other field.
-_sweep_value = operator.attrgetter(
-    *(field.name for field in fields(Scenario) if field.name != "scheme")
-)
 
 
 @dataclass(frozen=True)
@@ -328,14 +320,13 @@ def nominal_rates(scenario: Scenario) -> CooperativeRates:
 
 
 class SweepDraws:
-    """The tallies of one sweep value (a scenario up to its scheme, kept with
-    the scheme pinned to ``fixed``), shared by the ``estimate`` calls of
-    every scheme at that value. ``sweep_draws`` queues its blocks on the
-    caller's pool; else they run here in the first ``tallies`` call."""
+    """The tallies of one sweep value (a scenario), shared by the
+    ``estimate`` calls of every scheme at that value. ``sweep_draws`` queues
+    its blocks on the caller's pool; else they run here in the first
+    ``tallies`` call."""
 
     def __init__(self, scenario: Scenario):
-        self._scenario = replace(scenario, scheme=SchemeKind.FIXED)
-        self._sweep_value = _sweep_value(scenario)
+        self._scenario = scenario
         self._blocks = -(-scenario.trials // BLOCK_TRIALS)
         self._pieces = []  # (pool task, segment slot) pairs, if queued
         self._tallies = None
@@ -343,11 +334,11 @@ class SweepDraws:
     def tallies(self, scenario: Scenario) -> tuple[_Tally, _Tally]:
         """Nominal-power and bracket-mean tallies over every block; runs or
         waits for the blocks on the first call. Raises ``ValueError`` for a
-        scenario of another sweep value."""
-        if _sweep_value(scenario) != self._sweep_value:
+        scenario that differs in any field."""
+        # identity first: a run reads each handle with its own scenario
+        if scenario is not self._scenario and scenario != self._scenario:
             raise ValueError(
-                "these draws belong to another sweep value: the scenario "
-                "differs in more than its scheme"
+                "these draws belong to another sweep value: the scenario differs"
             )
         if self._tallies is None:
             parts = [_piece(*piece) for piece in self._pieces] or [
@@ -414,22 +405,25 @@ def _piece(future, slot: int) -> tuple[_Tally, _Tally]:
     return results[slot]
 
 
-def estimate(scenario: Scenario, draws: SweepDraws | None = None) -> ScenarioEstimate:
-    """Aggregate all trials of a scenario into Monte Carlo rate estimates.
+def estimate(scenario: Scenario, scheme: SchemeKind = SchemeKind.FIXED,
+             draws: SweepDraws | None = None) -> ScenarioEstimate:
+    """Aggregate all trials of a scenario into one scheme's Monte Carlo rates.
 
-    ``draws`` is the ``SweepDraws`` handle of the scenario's sweep value,
-    shared by the cells of every scheme at that value; it must have been
-    made for this scenario up to the scheme, else ``ValueError``. Without
-    it the call runs every block in this process and keeps nothing. The
-    scheme picks the tally it reads: ``fixed`` the nominal-power
-    decisions, every other scheme the bracket-mean ones, and only
-    ``two_step`` counts second steps. Because each block derives its own
-    stream, every estimate is bit-identical for any worker count, shared
-    draws or not.
+    ``scheme`` is a ``SchemeKind`` or its value, else ``ValueError`` before
+    any block runs. ``draws`` is the scenario's ``SweepDraws`` handle,
+    shared by the cells of every scheme at that sweep value; it must have
+    been made for an equal scenario, else ``ValueError``. Without it the
+    call runs every block in this process and keeps nothing. The scheme
+    picks the tally it reads: ``fixed`` the nominal-power decisions, every
+    other scheme the bracket-mean ones, and only ``two_step`` counts second
+    steps. Because each block derives its own stream, every estimate is
+    bit-identical for any worker count, shared draws or not.
     """
+    if type(scheme) is not SchemeKind:  # a member passes with no Enum call
+        scheme = SchemeKind(scheme)
     if draws is None:
         draws = SweepDraws(scenario)
-    tally = _scheme_tally(scenario.scheme, *draws.tallies(scenario))
+    tally = _scheme_tally(scheme, *draws.tallies(scenario))
 
     num_sus = scenario.fusion.num_sus
     trials_h0 = scenario.trials - tally.trials_h1

@@ -68,28 +68,30 @@ class VarianceBracket:
 
 
 def confidence_bracket(
-    sample_mean: float,
-    sample_sd: float,
-    n: int,
-    confidence: float,
+    calibration_mean: float,
+    calibration_sd: float,
+    calibration_count: int,
+    confidence: float = 0.99,
 ) -> VarianceBracket:
-    """Two-sided normal confidence bracket for an estimated noise power.
+    """Two-sided normal confidence bracket around a calibration's mean.
 
-    The half width is kappa * sample_sd / sqrt(n) with kappa the two-sided
-    quantile of ``confidence``. The low endpoint is clamped at
-    ``VARIANCE_FLOOR``.
+    The half width is kappa * calibration_sd / sqrt(calibration_count) with
+    kappa the two-sided quantile of ``confidence``. The low endpoint is
+    clamped at ``VARIANCE_FLOOR``.
     """
-    sample_mean = float(sample_mean)
-    sample_sd = float(sample_sd)
-    if not math.isfinite(sample_mean) or not math.isfinite(sample_sd):
-        raise ValueError("sample_mean and sample_sd must be finite")
-    if sample_sd < 0.0:
-        raise ValueError(f"sample_sd must be >= 0, got {sample_sd!r}")
-    if integer(n, "n") < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    half = two_sided_kappa(confidence) * sample_sd / math.sqrt(n)
-    low = max(sample_mean - half, VARIANCE_FLOOR)
-    high = max(sample_mean + half, VARIANCE_FLOOR)
+    calibration_mean = float(calibration_mean)
+    calibration_sd = float(calibration_sd)
+    if not math.isfinite(calibration_mean) or not math.isfinite(calibration_sd):
+        raise ValueError("calibration_mean and calibration_sd must be finite")
+    if calibration_sd < 0.0:
+        raise ValueError(f"calibration_sd must be >= 0, got {calibration_sd!r}")
+    if integer(calibration_count, "calibration_count") < 2:
+        raise ValueError(
+            f"calibration_count must be an integer >= 2, got {calibration_count!r}"
+        )
+    half = two_sided_kappa(confidence) * calibration_sd / math.sqrt(calibration_count)
+    low = max(calibration_mean - half, VARIANCE_FLOOR)
+    high = max(calibration_mean + half, VARIANCE_FLOOR)
     return VarianceBracket(low=low, high=high)
 
 
@@ -114,17 +116,3 @@ class NoiseUncertaintyModel:
                 f"nominal_variance {self.nominal_variance!r} outside bracket "
                 f"[{self.bracket.low!r}, {self.bracket.high!r}]"
             )
-
-    @classmethod
-    def from_calibration(
-        cls,
-        nominal_variance: float,
-        calibration_mean: float,
-        calibration_sd: float,
-        sample_count: int,
-        confidence: float = 0.99,
-    ) -> "NoiseUncertaintyModel":
-        bracket = confidence_bracket(
-            calibration_mean, calibration_sd, sample_count, confidence
-        )
-        return cls(nominal_variance=nominal_variance, bracket=bracket)

@@ -105,7 +105,6 @@ def test_criterion_2_closed_form_vs_simulation():
     scenario = Scenario(
         detector=DetectorConfig(sample_count=5, threshold=30.0),
         noise=NoiseUncertaintyModel(1.0, VarianceBracket(1.0, 1.0)),
-        scheme=SchemeKind.FIXED,
         fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),
         snr_db=-10.0,
         trials=10**6,
@@ -114,7 +113,7 @@ def test_criterion_2_closed_form_vs_simulation():
     )
     with ProcessPoolExecutor(max_workers=2) as pool:
         (draws,) = sweep_draws([scenario], 2, pool)
-        result = estimate(scenario, draws=draws)
+        result = estimate(scenario, SchemeKind.FIXED, draws=draws)
     pf_ref = analytic_pf(5.0, 30.0)
     pd_ref = analytic_pd(5.0, 0.1, 30.0)
     half_f = (result.p_f.upper - result.p_f.lower) / 2.0

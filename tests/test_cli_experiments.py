@@ -165,7 +165,7 @@ class TestValidation:
         document["scenario"]["fusion"]["vote_threshold_complement"] = 5
         spec = load_spec(write_spec(document))
         votes = [
-            _scenario_for(spec, value, spec.schemes[0]).fusion.vote_threshold
+            _scenario_for(spec, value).fusion.vote_threshold
             for value in spec.sweep_values
         ]
         assert votes == [1, 5, 15]
@@ -208,7 +208,7 @@ class TestValidation:
         assert validate_spec(path) == []
         spec = load_spec(path)
         assert [
-            _scenario_for(spec, value, spec.schemes[0]).fusion.vote_threshold
+            _scenario_for(spec, value).fusion.vote_threshold
             for value in spec.sweep_values
         ] == votes
 
@@ -307,6 +307,20 @@ class TestValidation:
             "scenario.fusion: prior_h0 must lie in [0, 1], got 2.0",
             "scenario: trials must be >= 1, got 0",
         ]
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("calibration_count", 1, "must be an integer >= 2, got 1"),
+            ("calibration_sd", -0.1, "must be >= 0, got -0.1"),
+        ],
+    )
+    def test_calibration_range_error_names_its_key(
+        self, write_spec, capsys, field, value, reason
+    ):
+        path = write_spec(spec_document(**{f"scenario.noise.{field}": value}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"scenario.noise: {field} {reason}\n"
 
     def test_bad_swept_receiver_count_named_with_its_value(self, write_spec):
         document = spec_document(**{
@@ -434,7 +448,6 @@ class TestRunExperiment:
             scenario = Scenario(
                 detector=spec.base.detector,
                 noise=spec.base.noise,
-                scheme=spec.schemes[0],
                 fusion=spec.base.fusion,
                 snr_db=float(row["sweep_value"]),
                 trials=spec.base.trials,
@@ -786,8 +799,7 @@ class TestMalformedSpecs:
                 return
             spec = load_spec(spec_path)
         for value in spec.sweep_values:
-            cells = [_scenario_for(spec, value, scheme) for scheme in spec.schemes]
-            nominal_rates(cells[0])
+            nominal_rates(_scenario_for(spec, value))
 
     # the fields a known axis would replace are neither required nor
     # rejected beside an unknown one, so only the axis is diagnosed
@@ -915,7 +927,7 @@ class TestNominalRange:
                 assert diagnostic.startswith("sweep.values: snr_db")
                 return
             spec = load_spec(spec_path)
-        rates = nominal_rates(_scenario_for(spec, snr_db, spec.schemes[0]))
+        rates = nominal_rates(_scenario_for(spec, snr_db))
         for rate in (rates.p_f, rates.p_d, rates.q_f, rates.q_m, rates.q_e):
             assert 0.0 <= rate <= 1.0
 
@@ -939,8 +951,7 @@ class TestReceiverSweep:
     @staticmethod
     def build_every_cell(spec: ExperimentSpec):
         for value in spec.sweep_values:
-            for scheme in spec.schemes:
-                _scenario_for(spec, value, scheme)
+            _scenario_for(spec, value)
 
     @settings(max_examples=200, deadline=None)
     @given(

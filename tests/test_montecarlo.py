@@ -31,7 +31,11 @@ from coopsense.montecarlo import (
     sweep_draws,
     wilson_interval,
 )
-from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket
+from coopsense.noise_model import (
+    NoiseUncertaintyModel,
+    VarianceBracket,
+    confidence_bracket,
+)
 from coopsense.threshold_schemes import SchemeKind
 
 
@@ -39,7 +43,6 @@ def chi_square_scenario(**overrides):
     base = dict(
         detector=DetectorConfig(sample_count=5, threshold=30.0),
         noise=NoiseUncertaintyModel(1.0, VarianceBracket(1.0, 1.0)),
-        scheme=SchemeKind.FIXED,
         fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),
         snr_db=-10.0,
         trials=1000,
@@ -53,14 +56,15 @@ def chi_square_scenario(**overrides):
 def uncertain_scenario(**overrides):
     base = dict(
         detector=DetectorConfig(sample_count=2000, threshold=1.062),
-        noise=NoiseUncertaintyModel.from_calibration(
+        noise=NoiseUncertaintyModel(
             nominal_variance=1.0,
-            calibration_mean=1.01,
-            calibration_sd=0.03883,
-            sample_count=100,
-            confidence=0.99,
+            bracket=confidence_bracket(
+                calibration_mean=1.01,
+                calibration_sd=0.03883,
+                calibration_count=100,
+                confidence=0.99,
+            ),
         ),
-        scheme=SchemeKind.EXPECTATION,
         fusion=FusionConfig(
             num_sus=5, vote_threshold=1, prior_h0=0.5, report_error=0.001
         ),
@@ -82,13 +86,12 @@ def only(hypothesis, make=None, **overrides):
     return make(fusion=fusion, **overrides)
 
 
-def block_tallies(scenario, blocks, n=BLOCK_TRIALS):
-    """The tally of the scenario's scheme for each block: the kernel tallies
-    both normalizers, and the scheme picks its own."""
+def block_tallies(scenario, scheme, blocks, n=BLOCK_TRIALS):
+    """The tally of ``scheme`` for each block: the kernel tallies both
+    normalizers, and the scheme picks its own."""
     return [
         _scheme_tally(
-            scenario.scheme,
-            *_simulate_block(scenario, _block_rng(scenario.seed, block), n),
+            scheme, *_simulate_block(scenario, _block_rng(scenario.seed, block), n)
         )
         for block in blocks
     ]
@@ -124,22 +127,24 @@ def fig4_scenarios(trials):
     ``trials``."""
     spec = load_spec(resolve_spec_path("fig4"))
     spec = replace(spec, base=replace(spec.base, trials=trials))
-    return [_scenario_for(spec, value, spec.schemes[0]) for value in spec.sweep_values]
+    return [_scenario_for(spec, value) for value in spec.sweep_values]
 
 
 class TestRunTrial:
     """The block kernel: one block of trials from its (seed, block) stream."""
 
     def test_deterministic_in_seed_and_index(self):
-        scenario = uncertain_scenario(scheme=SchemeKind.TWO_STEP)
+        scenario = uncertain_scenario()
         for block in [0, 1, 17, 999]:
-            assert block_tallies(scenario, [block]) == block_tallies(scenario, [block])
+            assert block_tallies(scenario, SchemeKind.TWO_STEP, [block]) == (
+                block_tallies(scenario, SchemeKind.TWO_STEP, [block])
+            )
 
     def test_different_indices_differ(self):
         # fixed reads the nominal-power tally, two_step the bracket-mean one
         for scheme in [SchemeKind.FIXED, SchemeKind.TWO_STEP]:
-            scenario = uncertain_scenario(trials=200, scheme=scheme)
-            outcomes = set(block_tallies(scenario, range(50), n=200))
+            scenario = uncertain_scenario(trials=200)
+            outcomes = set(block_tallies(scenario, scheme, range(50), n=200))
             assert len(outcomes) > 1
 
     def test_overwhelming_signal_always_detected(self):
@@ -156,11 +161,12 @@ class TestRunTrial:
         for make, scheme in product(
             [uncertain_scenario, chi_square_scenario], SchemeKind
         ):
-            h1 = only("h1", make, snr_db=-4000.0, scheme=scheme)
-            h0 = only("h0", make, snr_db=-4000.0, scheme=scheme)
+            h1 = only("h1", make, snr_db=-4000.0)
+            h0 = only("h0", make, snr_db=-4000.0)
             assert h1.snr_linear == 0.0
             for on, off in zip(
-                block_tallies(h1, range(4)), block_tallies(h0, range(4))
+                block_tallies(h1, scheme, range(4)),
+                block_tallies(h0, scheme, range(4)),
             ):
                 assert (on.trials_h1, off.trials_h1) == (BLOCK_TRIALS, 0)
                 assert on.su_detections == off.su_false_alarms
@@ -181,8 +187,8 @@ class TestRunTrial:
             fusion = FusionConfig(
                 num_sus=5, vote_threshold=2, prior_h0=0.5, report_error=0.05
             )
-            scenario = uncertain_scenario(scheme=scheme, fusion=fusion)
-            (result,) = block_tallies(scenario, [block])
+            scenario = uncertain_scenario(fusion=fusion)
+            (result,) = block_tallies(scenario, scheme, [block])
             noise = scenario.noise
             k = scenario.detector.sample_count
             threshold = scenario.detector.threshold
@@ -317,12 +323,12 @@ class TestEstimate:
             ),
             trials=5 * 10**4,
         )
-        q_e_clean = estimate(clean).q_e.value
-        q_e_noisy = estimate(noisy).q_e.value
+        q_e_clean = estimate(clean, SchemeKind.EXPECTATION).q_e.value
+        q_e_noisy = estimate(noisy, SchemeKind.EXPECTATION).q_e.value
         assert abs(q_e_clean - q_e_noisy) < 0.01
 
     def test_single_trial_degenerate_intervals(self):
-        result = estimate(uncertain_scenario(trials=1))
+        result = estimate(uncertain_scenario(trials=1), SchemeKind.EXPECTATION)
         assert result.trials == 1
         for rate in [result.p_d, result.p_f, result.q_f, result.q_m]:
             if rate.observations == 0:
@@ -332,43 +338,41 @@ class TestEstimate:
                 assert 0.0 <= rate.lower <= rate.value <= rate.upper <= 1.0
 
     def test_fixed_truth_modes(self):
-        h0_run = estimate(only("h0", trials=4000))
+        h0_run = estimate(only("h0", trials=4000), SchemeKind.EXPECTATION)
         assert h0_run.p_d.observations == 0
         assert h0_run.p_f.observations == 4000 * 5
-        h1_run = estimate(only("h1", trials=4000))
+        h1_run = estimate(only("h1", trials=4000), SchemeKind.EXPECTATION)
         assert h1_run.p_f.observations == 0
         assert h1_run.p_d.observations == 4000 * 5
 
     def test_parallel_determinism(self):
-        scenario = uncertain_scenario(
-            scheme=SchemeKind.TWO_STEP, trials=30_001, seed=777
-        )
-        serial = estimate(scenario)
+        scenario = uncertain_scenario(trials=30_001, seed=777)
+        serial = estimate(scenario, SchemeKind.TWO_STEP)
         with ProcessPoolExecutor(max_workers=3) as pool:
             (draws,) = sweep_draws([scenario], 3, pool)
-            parallel = estimate(scenario, draws=draws)
+            parallel = estimate(scenario, SchemeKind.TWO_STEP, draws=draws)
         assert serial == parallel
 
     def test_block_boundaries_do_not_change_estimates(self):
         # workers split cells on block boundaries only, including the short
         # last block, so the estimate is the same for any worker count
-        scenario = uncertain_scenario(scheme=SchemeKind.TWO_STEP)
+        scenario = uncertain_scenario()
         B = BLOCK_TRIALS
         with ProcessPoolExecutor(max_workers=3) as shared:
             for trials in [1, B - 1, B, B + 1, 3 * B + 7]:
                 cell = replace(scenario, trials=trials)
-                serial = estimate(cell)
+                serial = estimate(cell, SchemeKind.TWO_STEP)
                 assert serial.trials == trials
                 assert serial.q_f.observations + serial.q_m.observations == trials
                 for workers in [1, 2, 3]:
                     (draws,) = sweep_draws([cell], workers, shared)
-                    assert estimate(cell, draws=draws) == serial
+                    assert estimate(cell, SchemeKind.TWO_STEP, draws) == serial
 
     def test_schemes_share_random_numbers(self):
         # draws never depend on the scheme: convex is expectation exactly,
         # and two_step decides like expectation while counting second steps
         results = {
-            scheme: estimate(uncertain_scenario(scheme=scheme, trials=5000))
+            scheme: estimate(uncertain_scenario(trials=5000), scheme)
             for scheme in [
                 SchemeKind.FIXED,
                 SchemeKind.TWO_STEP,
@@ -398,12 +402,12 @@ class TestEstimate:
         with ProcessPoolExecutor(max_workers=2) as pool:
             for workers, executor in [(1, None), (2, pool)]:
                 for value in spec.sweep_values:
-                    cells = [_scenario_for(spec, value, s) for s in spec.schemes]
-                    (shared,) = sweep_draws(cells[:1], workers, executor)
-                    for cell in cells:
-                        alone = estimate(cell)
-                        shared_estimate = estimate(cell, draws=shared)
-                        assert shared_estimate == alone, (value, cell.scheme)
+                    cell = _scenario_for(spec, value)
+                    (shared,) = sweep_draws([cell], workers, executor)
+                    for scheme in spec.schemes:
+                        alone = estimate(cell, scheme)
+                        shared_estimate = estimate(cell, scheme, draws=shared)
+                        assert shared_estimate == alone, (value, scheme)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sweep_shares_hold_equal_draws(self, workers):
@@ -500,12 +504,15 @@ class TestEstimate:
         assert pool.tasks == []
 
     def test_draws_of_another_sweep_value_rejected(self):
-        scenario = uncertain_scenario(scheme=SchemeKind.FIXED, trials=600)
+        scenario = uncertain_scenario(trials=600)
         shared = SweepDraws(scenario)
-        # any scheme at the same sweep value may read the draws ...
-        for scheme in SchemeKind:
-            estimate(replace(scenario, scheme=scheme), draws=shared)
-        # ... a scenario that differs in anything else may not
+        # any scheme at the same sweep value may read the draws, through
+        # the handle's own scenario or a separate one equal in every field
+        equal = uncertain_scenario(trials=600)
+        assert equal is not scenario and equal == scenario
+        for scheme, cell in product(SchemeKind, [scenario, equal]):
+            assert estimate(cell, scheme, draws=shared) == estimate(scenario, scheme)
+        # ... a scenario that differs in any field may not
         for other in [
             replace(scenario, snr_db=-12.0),
             replace(scenario, seed=100),
@@ -520,8 +527,8 @@ class TestEstimate:
         with pytest.raises(ValueError, match="another sweep value"):
             estimate(replace(scenario, snr_db=-5000.0), draws=silent)
 
-    def test_every_field_but_the_scheme_names_the_sweep_value(self):
-        scenario = uncertain_scenario(scheme=SchemeKind.FIXED, trials=600)
+    def test_every_field_of_the_scenario_names_the_sweep_value(self):
+        scenario = uncertain_scenario(trials=600)
         others = {
             "detector": replace(scenario.detector, threshold=1.05),
             "noise": replace(scenario.noise, nominal_variance=1.01),
@@ -531,14 +538,27 @@ class TestEstimate:
             "seed": 100,
             "family": AnalyticFamily.CHI_SQUARE,
         }
-        assert set(others) == {f.name for f in fields(Scenario)} - {"scheme"}
+        # a scenario holds no scheme: estimate takes it beside the scenario
+        assert set(others) == {f.name for f in fields(Scenario)}
+        assert not hasattr(scenario, "scheme")
         shared = SweepDraws(scenario)
         for name, value in others.items():
             with pytest.raises(ValueError, match="another sweep value"):
                 shared.tallies(replace(scenario, **{name: value}))
-        assert shared.tallies(replace(scenario, scheme=SchemeKind.CONVEX)) == (
-            shared.tallies(scenario)
-        )
+        assert shared.tallies(replace(scenario)) == shared.tallies(scenario)
+
+    def test_scheme_coerced_from_string(self, monkeypatch):
+        scenario = chi_square_scenario(trials=600)
+        for scheme in SchemeKind:
+            assert estimate(scenario, scheme.value) == estimate(scenario, scheme)
+
+        def no_blocks(*args):
+            raise AssertionError("a block ran")
+
+        # an unknown scheme is named before any block runs
+        monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
+        with pytest.raises(ValueError, match="'wavelet'"):
+            estimate(scenario, "wavelet")
 
     def test_wilson_coverage_across_seeds(self):
         # the 95% interval for P_f must cover the closed form in >= 90% of
@@ -557,26 +577,18 @@ class TestEstimate:
         assert covered >= 90
 
     def test_steps_mean_tracks_two_step_usage(self):
-        one_step = estimate(uncertain_scenario(trials=2000))
+        one_step = estimate(uncertain_scenario(trials=2000), SchemeKind.EXPECTATION)
         assert one_step.steps_mean == 1.0
-        two_step = estimate(
-            uncertain_scenario(scheme=SchemeKind.TWO_STEP, trials=2000)
-        )
+        two_step = estimate(uncertain_scenario(trials=2000), SchemeKind.TWO_STEP)
         assert 1.0 < two_step.steps_mean <= 2.0
 
     def test_scheme_ordering_at_low_snr(self):
         # with uncertainty active at -10 dB, the interval and convex schemes
         # must not lose to the miscalibrated fixed threshold on total error
-        trials = 10**6
-        fixed = estimate(
-            uncertain_scenario(scheme=SchemeKind.FIXED, trials=trials)
-        )
-        two_step = estimate(
-            uncertain_scenario(scheme=SchemeKind.TWO_STEP, trials=trials)
-        )
-        convex = estimate(
-            uncertain_scenario(scheme=SchemeKind.CONVEX, trials=trials)
-        )
+        scenario = uncertain_scenario(trials=10**6)
+        fixed = estimate(scenario, SchemeKind.FIXED)
+        two_step = estimate(scenario, SchemeKind.TWO_STEP)
+        convex = estimate(scenario, SchemeKind.CONVEX)
         assert two_step.q_e.value <= fixed.q_e.value
         assert convex.q_e.value <= fixed.q_e.value
 
@@ -618,11 +630,6 @@ class TestScenarioValidation:
 
     def test_snr_conversion(self):
         assert chi_square_scenario(snr_db=-10.0).snr_linear == pytest.approx(0.1)
-
-    def test_scheme_coerced_from_string(self):
-        assert chi_square_scenario(scheme="two_step").scheme is SchemeKind.TWO_STEP
-        with pytest.raises(ValueError):
-            chi_square_scenario(scheme="wavelet")
 
 
 class TestWilsonInterval:

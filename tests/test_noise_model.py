@@ -48,7 +48,7 @@ class TestConfidenceBracket:
 
     @pytest.mark.parametrize("n", [0, 1, -3, math.inf, math.nan, 2.5])
     def test_rejects_bad_n(self, n):
-        with pytest.raises(ValueError, match="n must be an integer"):
+        with pytest.raises(ValueError, match="calibration_count must be an integer"):
             confidence_bracket(1.0, 0.1, n, 0.95)
 
     def test_coverage_at_99(self):
@@ -74,12 +74,14 @@ class TestNoiseUncertaintyModel:
             NoiseUncertaintyModel(nominal_variance=0.5, bracket=bracket)
 
     def test_from_calibration(self):
-        model = NoiseUncertaintyModel.from_calibration(
+        model = NoiseUncertaintyModel(
             nominal_variance=1.0,
-            calibration_mean=1.01,
-            calibration_sd=0.05,
-            sample_count=100,
-            confidence=0.99,
+            bracket=confidence_bracket(
+                calibration_mean=1.01,
+                calibration_sd=0.05,
+                calibration_count=100,
+                confidence=0.99,
+            ),
         )
         assert model.bracket.contains(1.0)
         assert model.bracket.mean == pytest.approx(1.01)

@@ -74,7 +74,7 @@ NUMPY_FREE = {
             f"path = resolve_spec_path({name!r})\n"
             "assert validate_spec(path) == []\n"
             "spec = load_spec(path)\n"
-            "nominal_rates(_scenario_for(spec, spec.sweep_values[0], spec.schemes[0]))"
+            "nominal_rates(_scenario_for(spec, spec.sweep_values[0]))"
         )
         for name in ("fig2", "fig3", "fig4")
     },
