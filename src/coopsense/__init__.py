@@ -8,17 +8,14 @@ Library layout:
   calibration's confidence interval or given directly.
 * :mod:`coopsense.detector` - detector configuration and the chi-square
   closed-form single-detector probabilities.
-* :mod:`coopsense.threshold_schemes` - the fixed, two-step interval,
-  expectation-normalized and convex-weighted threshold strategies, named
-  by ``SchemeKind`` (convex is the expectation rule in this model), and
-  the one vectorized kernel that decides them.
 * :mod:`coopsense.fusion` - ``cooperative_rates``, the one closed form of
   n-out-of-K voting, its ``CooperativeRates`` record; optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
   block-batched Monte Carlo engine: each ``Scenario`` (a sweep value; it
   holds no scheme) is drawn once for every scheme that ``estimate`` reads,
   on the caller's process pool when given one; the nominal closed-form
-  rates, a ``CooperativeRates`` record.
+  rates, a ``CooperativeRates`` record; the paper's threshold schemes,
+  named by ``SchemeKind``, and ``decide_scheme``, their one kernel.
 * :mod:`coopsense.cli_experiments` - command-line sweep runner over JSON
   experiment specs, CSV output.
 """
@@ -40,7 +37,9 @@ from .montecarlo import (
     RateEstimate,
     Scenario,
     ScenarioEstimate,
+    SchemeKind,
     SweepDraws,
+    decide_scheme,
     estimate,
     nominal_rates,
     wilson_interval,
@@ -57,6 +56,5 @@ from .specfun import (
     reg_lower_gamma,
     reg_upper_gamma,
 )
-from .threshold_schemes import SchemeKind, decide_scheme
 
 __version__ = "0.1.0"

@@ -37,13 +37,13 @@ from .fusion import CooperativeRates, FusionConfig, integer, optimize_vote_count
 from .montecarlo import (
     Scenario,
     ScenarioEstimate,
+    SchemeKind,
     estimate,
     nominal_rates,
     sweep_draws,
 )
 from .noise_model import NoiseUncertaintyModel, VarianceBracket, confidence_bracket
 from .specfun import ConvergenceError
-from .threshold_schemes import SchemeKind
 
 __all__ = [
     "CSV_COLUMNS",
@@ -94,8 +94,7 @@ class ExperimentSpec:
     schemes: tuple[SchemeKind, ...]
     base: Scenario
     output: str
-    # set when the spec counts votes as K - n; resolved per swept K
-    vote_complement: int | None = None
+    cells: tuple[Scenario, ...]  # one per sweep value, built at load
 
 
 def resolve_spec_path(spec_arg: str) -> Path:
@@ -326,6 +325,19 @@ def _fusion(fields, axis, sweep_values, diagnostics):
     return _build(path, FusionConfig, fields, diagnostics), complement
 
 
+def _scenario_for(base: Scenario, axis: str, complement, value) -> Scenario:
+    """The cell of one sweep value; ``complement`` is the spec's K - n, or
+    None when it gives ``vote_threshold``."""
+    if axis == "snr_db":
+        return replace(base, snr_db=float(value))
+    if axis == "threshold":
+        return replace(base, detector=replace(base.detector, threshold=float(value)))
+    num_sus = int(value)
+    votes = base.fusion.vote_threshold if complement is None else num_sus - complement
+    fusion = replace(base.fusion, num_sus=num_sus, vote_threshold=votes)
+    return replace(base, fusion=fusion)
+
+
 def _parse_spec(document, spec_name, diagnostics):
     if not isinstance(document, dict):
         diagnostics.append("spec: top level must be a JSON object")
@@ -362,23 +374,34 @@ def _parse_spec(document, spec_name, diagnostics):
     if diagnostics:
         return None
 
+    # a sweep value passes exactly the rule of the field it replaces
+    cells = []
+    for value in sweep_values:
+        try:
+            cells.append(_scenario_for(base, axis, vote_complement, value))
+        except ValueError as exc:
+            diagnostics.append(f"sweep.values: {exc}")
     name = top.get("name", spec_name)
-    spec = ExperimentSpec(
+    return None if diagnostics else ExperimentSpec(
         name=name,
         sweep_axis=axis,
         sweep_values=sweep_values,
         schemes=tuple(schemes),
         base=base,
         output=top.get("output", f"{name}_results.csv"),
-        vote_complement=vote_complement,
+        cells=tuple(cells),
     )
-    # a sweep value passes exactly the rule of the field it replaces
-    for value in sweep_values:
-        try:
-            _scenario_for(spec, value)
-        except ValueError as exc:
-            diagnostics.append(f"sweep.values: {exc}")
-    return None if diagnostics else spec
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is a ValueError, not
+    silently its last value."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ValueError(f"key {key!r} is given twice in one object")
+        document[key] = value
+    return document
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -386,12 +409,14 @@ def load_spec(path) -> ExperimentSpec:
     path = Path(path)
     diagnostics: list[str] = []
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise SpecValidationError([f"spec: file not found: {path}"]) from None
     except OSError as exc:  # a directory, no permission, a failing device
         raise SpecValidationError([f"spec: cannot read: {exc}"]) from None
-    except ValueError as exc:  # malformed JSON, or an integer too long to parse
+    # malformed JSON, a repeated key, an integer too long or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise SpecValidationError([f"spec: not valid JSON: {exc}"]) from None
     spec = _parse_spec(document, path.stem, diagnostics)
     if diagnostics:
@@ -406,23 +431,6 @@ def validate_spec(path) -> list[str]:
     except SpecValidationError as exc:
         return exc.diagnostics
     return []
-
-
-def _scenario_for(spec: ExperimentSpec, value) -> Scenario:
-    base = spec.base
-    if spec.sweep_axis == "snr_db":
-        return replace(base, snr_db=float(value))
-    if spec.sweep_axis == "num_sus":
-        num_sus = int(value)
-        vote_threshold = (
-            base.fusion.vote_threshold
-            if spec.vote_complement is None
-            else num_sus - spec.vote_complement
-        )
-        fusion = replace(base.fusion, num_sus=num_sus, vote_threshold=vote_threshold)
-        return replace(base, fusion=fusion)
-    detector = replace(base.detector, threshold=float(value))
-    return replace(base, detector=detector)
 
 
 def _format_value(value) -> str:
@@ -496,9 +504,10 @@ def run_experiment(
     checked before any pool is made.
     """
     spec = load_spec(spec_path)
+    cells = spec.cells
     if seed is not None:
         try:
-            spec = replace(spec, base=replace(spec.base, seed=seed))
+            cells = [replace(cell, seed=seed) for cell in cells]
         except ValueError as exc:
             raise SpecValidationError([f"--seed: {exc}"]) from None
     if workers is None:
@@ -518,8 +527,6 @@ def run_experiment(
     target = _resolve_output(spec, out_path)
     target.parent.mkdir(parents=True, exist_ok=True)
 
-    # every value's cell was checked at load, and --seed by its replace above
-    cells = [_scenario_for(spec, v) for v in spec.sweep_values]
     rows = []
     executor = None
     errors = _CELL_ERRORS

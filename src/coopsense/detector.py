@@ -1,7 +1,7 @@
 """Single-receiver energy detector: configuration and chi-square closed forms.
 
 The threshold test itself (H1 when the statistic is >= the threshold) has
-one implementation, ``threshold_schemes.decide_scheme``.
+one implementation, ``montecarlo.decide_scheme``.
 
 Both closed-form families describe one detector, whose order u is its
 sample count (u = TW in Digham, Alouini and Simon, IEEE Trans. Commun.

@@ -4,9 +4,10 @@ Per-receiver decisions are assumed i.i.d., so the fused rates are binomial
 tails, and reporting-channel flips fold into the per-receiver rates
 (``effective_rate``). ``cooperative_rates`` is the one closed form of the
 vote and ``CooperativeRates`` the one record of its result; the rule is
-checked by ``FusionConfig`` alone. Tail terms are accumulated in log space
-and the smaller side of the split is always the one summed directly, which
-keeps both rates accurate at the extremes. ``optimize_vote_count`` scans
+checked by ``FusionConfig`` alone. Each binomial term is formed in log
+space, and each rate sums the terms of its own side of the split (q_f the
+vote counts l >= n, q_m those below n) and never subtracts from 1, so
+neither loses its digits to cancellation. ``optimize_vote_count`` scans
 every threshold in one pass over the same terms. The simulated vote count
 and report flips live in the Monte Carlo engine only.
 """

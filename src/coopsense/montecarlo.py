@@ -24,24 +24,25 @@ These identities are exercised against direct waveform simulation in the
 test suite. Receivers are simulated i.i.d.: signal draws are per-receiver,
 matching the independence assumed by the binomial fusion model.
 
-The engine's unit of work is a sweep value, not a cell: a ``Scenario``
-is what the kernel draws and what pool tasks carry, and holds no scheme;
-``estimate`` takes the scheme beside it. Every scheme tests the same
-window energy against the same threshold and differs only in the noise
-power it divides by: the nominal power for ``fixed`` and the bracket mean
-for every other scheme. So a sweep value is drawn once, each block is decided
-once per distinct normalizer by ``threshold_schemes.decide_scheme``, and
-one integer product of those decisions with the (H0, H1) truth indicator
-tallies both; the bracket-mean tally also counts the receivers whose
-two-step interval straddles the threshold. ``_scheme_tally``, the one
-place that maps a scheme to its normalizer, picks the tally ``estimate``
-reads. A ``SweepDraws`` handle carries one sweep value's tallies from the
-first scheme's ``estimate`` call to the others: it runs every block in
-this process in that first call, or waits there for its pieces of the
-caller's pool tasks. ``sweep_draws``, the only code that queues pool work,
-makes every value's handle and cuts the sweep's blocks, in value order,
-into shares of equal energy draws (trials x receivers). The engine never
-makes a pool of its own, and a handle keeps nothing past its lifetime.
+The engine's unit of work is a sweep value, not a cell: a ``Scenario`` is
+what the kernel draws and what pool tasks carry, and holds no scheme;
+``estimate`` takes the scheme beside it. Every scheme (``SchemeKind``
+states the paper's rules) tests the same window energy against the same
+threshold and differs only in the noise power it divides by: the nominal
+power for ``fixed`` and the bracket mean for every other scheme. So a
+sweep value is drawn once, each block is decided once per distinct
+normalizer by ``decide_scheme``, and one integer product of those
+decisions with the (H0, H1) truth indicator tallies both; the bracket-mean
+tally also counts the receivers whose two-step interval straddles the
+threshold. ``_scheme_tally``, the one place that maps a scheme to its
+normalizer, picks the tally ``estimate`` reads. A ``SweepDraws`` handle
+carries one sweep value's tallies from the first scheme's ``estimate``
+call to the others: it runs every block in this process in that first
+call, or waits there for its pieces of the caller's pool tasks.
+``sweep_draws``, the only code that queues pool work, makes every value's
+handle and cuts the sweep's blocks, in value order, into shares of equal
+energy draws (trials x receivers). The engine never makes a pool of its
+own, and a handle keeps nothing past its lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -55,10 +56,11 @@ scenario declares which analytic family both use:
   (energy / (k * power)), signaling is Gaussian, and the scenario SNR is
   per sample.
 
-Only the block kernel uses numpy, and it imports numpy at its first draw:
-importing the package, validating a spec and the closed forms load no
-numpy. A pooled run imports ``numpy.random``, a lazy submodule, before its
-pool forks, so forked workers inherit it.
+Only the block kernel and ``decide_scheme`` use numpy, and each imports it
+where it is called, so numpy loads at the first draw: importing the
+package, validating a spec and the closed forms load no numpy. A pooled
+run imports ``numpy.random``, a lazy submodule, before its pool forks, so
+forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -73,9 +75,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .detector import DetectorConfig, analytic_pd, analytic_pf
 from .fusion import CooperativeRates, FusionConfig, cooperative_rates, integer
-from .noise_model import NoiseUncertaintyModel
+from .noise_model import NoiseUncertaintyModel, VarianceBracket
 from .specfun import reg_upper_gamma
-from .threshold_schemes import SchemeKind, decide_scheme
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -84,6 +85,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AnalyticFamily",
+    "SchemeKind",
+    "decide_scheme",
     "BLOCK_TRIALS",
     "STREAM_VERSION",
     "Scenario",
@@ -109,6 +112,45 @@ _SHARE_DRAWS = 2**19
 class AnalyticFamily(str, enum.Enum):
     CHI_SQUARE = "chi_square"
     EXPONENTIAL = "exponential"
+
+
+class SchemeKind(str, enum.Enum):
+    """The paper's threshold schemes. Each tests one normalized statistic,
+    the window energy divided by sample count times a noise-power
+    normalizer, against the threshold; they differ only in that normalizer
+    and in whether a second interval step is counted (``decide_scheme``,
+    ``_scheme_tally``).
+
+    fixed
+        Normalize by the nominal noise power and threshold once.
+        Miscalibrated whenever the true power drifts away from nominal.
+
+    two_step
+        Evaluate the statistic at both bracket endpoints, giving the
+        interval of values it could take for any admissible noise power.
+        If the whole interval clears (or misses) the threshold the decision
+        is made in one step; if the threshold falls inside the interval, a
+        second and final step re-decides with the expectation-normalized
+        statistic.
+
+    expectation
+        Normalize by the expected noise power (the bracket mean) instead
+        of a per-draw or nominal value.
+
+    convex
+        Normalize by the smallest cyclically-aligned weighted average of
+        the per-component expected noise powers. Weight alignments wrap
+        around so every alignment spans all components, and every weighted
+        average of equal values is that value. In this model every
+        component expects the bracket mean, so the scheme is
+        ``expectation`` exactly and carries no weights or exponent: a
+        scheme is its ``SchemeKind``.
+    """
+
+    FIXED = "fixed"
+    TWO_STEP = "two_step"
+    EXPECTATION = "expectation"
+    CONVEX = "convex"
 
 
 @dataclass(frozen=True)
@@ -226,6 +268,48 @@ class _Tally(NamedTuple):
 
 def _merge(a: tuple[_Tally, _Tally], b: tuple[_Tally, _Tally]) -> tuple[_Tally, _Tally]:
     return tuple(_Tally(*map(operator.add, x, y)) for x, y in zip(a, b))
+
+
+def decide_scheme(
+    energies,
+    sample_count: int,
+    threshold: float,
+    normalizer: float,
+    bracket: VarianceBracket | None = None,
+):
+    """Decisions and second steps for window energies of any shape.
+
+    A receiver decides H1 (``True``) when ``energy / (sample_count *
+    normalizer) >= threshold``. With a ``bracket`` (the two-step scheme,
+    whose ``normalizer`` must be the bracket mean or another value inside
+    it) a receiver takes a second step exactly when its interval
+    ``[energy / (sample_count * high), energy / (sample_count * low)]``
+    straddles the threshold. Its decision is the same either way: the
+    endpoints bracket the mean-normalized statistic (IEEE division is
+    monotone), so whichever step settles it, it is the expectation
+    decision, computed once. Returns ``(decisions, second)``: boolean
+    decisions shaped like ``energies``, and the boolean mask of second
+    steps, shaped alike, or ``None`` without a bracket.
+    """
+    import numpy as np
+
+    if integer(sample_count, "sample_count") < 1:
+        raise ValueError(f"sample_count must be an integer >= 1, got {sample_count!r}")
+    if not math.isfinite(normalizer) or normalizer <= 0.0:
+        raise ValueError(f"normalizer must be finite and > 0, got {normalizer!r}")
+    energies = np.asarray(energies, dtype=float)
+    decisions = energies / (sample_count * normalizer) >= threshold
+    second = None
+    if bracket is not None:
+        if not bracket.contains(normalizer):
+            raise ValueError(
+                f"normalizer {normalizer!r} outside bracket "
+                f"[{bracket.low!r}, {bracket.high!r}]"
+            )
+        second = (energies / (sample_count * bracket.high) < threshold) & (
+            energies / (sample_count * bracket.low) >= threshold
+        )
+    return decisions, second
 
 
 def _simulate_block(

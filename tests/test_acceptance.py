@@ -16,10 +16,15 @@ from scipy import integrate
 from coopsense.cli_experiments import CSV_COLUMNS, resolve_spec_path, run_experiment
 from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
 from coopsense.fusion import FusionConfig, cooperative_rates, optimize_vote_count
-from coopsense.montecarlo import AnalyticFamily, Scenario, estimate, sweep_draws
+from coopsense.montecarlo import (
+    AnalyticFamily,
+    Scenario,
+    SchemeKind,
+    estimate,
+    sweep_draws,
+)
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
-from coopsense.threshold_schemes import SchemeKind
 
 
 def report(criterion: int, passed: bool, detail: str):

@@ -9,7 +9,6 @@ import multiprocessing
 import os
 import re
 import tempfile
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,17 +22,14 @@ from coopsense.cli_experiments import (
     ENV_OUTPUT_DIR,
     ExperimentSpec,
     SpecValidationError,
-    _scenario_for,
     load_spec,
     main,
     resolve_spec_path,
     run_experiment,
     validate_spec,
 )
-from coopsense.fusion import FusionConfig
-from coopsense.montecarlo import AnalyticFamily, Scenario, nominal_rates
+from coopsense.montecarlo import AnalyticFamily, Scenario, SchemeKind, nominal_rates
 from coopsense.specfun import ConvergenceError
-from coopsense.threshold_schemes import SchemeKind
 
 
 def spec_document(**overrides):
@@ -164,10 +160,7 @@ class TestValidation:
         )
         document["scenario"]["fusion"]["vote_threshold_complement"] = 5
         spec = load_spec(write_spec(document))
-        votes = [
-            _scenario_for(spec, value).fusion.vote_threshold
-            for value in spec.sweep_values
-        ]
+        votes = [cell.fusion.vote_threshold for cell in spec.cells]
         assert votes == [1, 5, 15]
 
     def test_complement_checked_against_swept_receivers(self, write_spec):
@@ -207,10 +200,7 @@ class TestValidation:
         path = write_spec(document)
         assert validate_spec(path) == []
         spec = load_spec(path)
-        assert [
-            _scenario_for(spec, value).fusion.vote_threshold
-            for value in spec.sweep_values
-        ] == votes
+        assert [cell.fusion.vote_threshold for cell in spec.cells] == votes
 
     def test_both_vote_conventions_rejected(self, write_spec):
         document = spec_document()
@@ -624,18 +614,30 @@ class TestMainEntry:
         self, write_spec, tmp_path, capsys, monkeypatch
     ):
         simulate = montecarlo._simulate_block
+        # inherited by the forked workers; set once the pool has cancelled
+        release = multiprocessing.Event()
 
         def failing_at_minus_ten_db(scenario, rng, n):
             if scenario.snr_db == -10.0:
                 raise ValueError("block failed")
-            time.sleep(0.05)
+            # every value after the failing one holds its worker until the
+            # pool has cancelled, so both workers and the call queue fill
+            # up and the last share is still pending when the parent reads
+            # the failure; the timeout only ends a run that never cancels
+            if scenario.snr_db > -10.0 and not release.wait(10.0):
+                release.set()
             return simulate(scenario, rng, n)
 
         futures = []
 
+        def on_done(future):
+            if future.cancelled():
+                release.set()
+
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 futures.append(super().submit(*args, **kwargs))
+                futures[-1].add_done_callback(on_done)
                 return futures[-1]
 
         monkeypatch.setattr(montecarlo, "_simulate_block", failing_at_minus_ten_db)
@@ -740,7 +742,8 @@ class TestBundledSpecs:
         spec = load_spec(resolve_spec_path("fig3"))
         assert spec.base.fusion.num_sus == 6
         assert spec.base.fusion.vote_threshold == 1
-        assert spec.vote_complement == 5
+        # K - 5 votes at the K = 6 of every cell
+        assert {cell.fusion.vote_threshold for cell in spec.cells} == {1}
 
     def test_fig2_parameters(self):
         spec = load_spec(resolve_spec_path("fig2"))
@@ -798,8 +801,9 @@ class TestMalformedSpecs:
             if diagnostics:
                 return
             spec = load_spec(spec_path)
-        for value in spec.sweep_values:
-            nominal_rates(_scenario_for(spec, value))
+        assert len(spec.cells) == len(spec.sweep_values)
+        for cell in spec.cells:
+            nominal_rates(cell)
 
     # the fields a known axis would replace are neither required nor
     # rejected beside an unknown one, so only the axis is diagnosed
@@ -809,6 +813,32 @@ class TestMalformedSpecs:
         path = write_spec(with_leaf(BUNDLED[name], ("sweep", "axis"), axis))
         (found,) = validate_spec(path)
         assert found.startswith("sweep.axis: ")
+
+    # a repeated key would otherwise take its last value and pass as "ok"
+    @pytest.mark.parametrize(
+        "path, token",
+        [(("scenario", "trials"), '100, "trials": 200'),
+         (("scenario", "fusion", "vote_threshold"), '1, "vote_threshold": 2')],
+        ids=["trials", "vote_threshold"],
+    )
+    def test_repeated_key_is_the_one_diagnostic(self, write_spec, capsys, path, token):
+        spec_path = write_spec(with_leaf(BUNDLED["fig2"], path, token))
+        assert main(["validate", str(spec_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        key = path[-1]
+        assert line == f"spec: not valid JSON: key {key!r} is given twice in one object"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_deep_nesting_is_the_one_diagnostic(
+        self, write_spec, tmp_path, capsys, command
+    ):
+        nest = "[" * 100_000 + "]" * 100_000
+        spec_path = write_spec(with_leaf(BUNDLED["fig2"], ("name",), nest))
+        out = ["--out", str(tmp_path / "out.csv")] if command == "run" else []
+        assert main([command, str(spec_path), *out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("spec: not valid JSON: maximum recursion depth")
+        assert list(tmp_path.iterdir()) == [spec_path]
 
 
 class TestBigIntegers:
@@ -927,7 +957,9 @@ class TestNominalRange:
                 assert diagnostic.startswith("sweep.values: snr_db")
                 return
             spec = load_spec(spec_path)
-        rates = nominal_rates(_scenario_for(spec, snr_db))
+        (cell,) = spec.cells
+        assert cell.snr_db == snr_db
+        rates = nominal_rates(cell)
         for rate in (rates.p_f, rates.p_d, rates.q_f, rates.q_m, rates.q_e):
             assert 0.0 <= rate <= 1.0
 
@@ -948,11 +980,6 @@ class TestReceiverSweep:
         "scenario.snr_db": -10.0,
     })
 
-    @staticmethod
-    def build_every_cell(spec: ExperimentSpec):
-        for value in spec.sweep_values:
-            _scenario_for(spec, value)
-
     @settings(max_examples=200, deadline=None)
     @given(
         values=st.lists(st.integers(0, 12), min_size=1, max_size=5),
@@ -969,26 +996,17 @@ class TestReceiverSweep:
             spec = load_document(document)
         except SpecValidationError:
             spec = None
-        else:
-            self.build_every_cell(spec)
 
-        # the same cells from a spec assembled directly, bypassing validation
-        template = load_document(self.TEMPLATE)
+        # the same cells built directly from the vote rule, bypassing validation
+        base = load_document(self.TEMPLATE).base
+        votes = [k - given if complement else given for k in values]
         try:
-            base_fusion = (
-                template.base.fusion
-                if complement
-                else FusionConfig(num_sus=max(given, 1), vote_threshold=given)
+            cells = tuple(
+                replace(base, fusion=replace(base.fusion, num_sus=k, vote_threshold=n))
+                for k, n in zip(values, votes)
             )
-            assembled = replace(
-                template,
-                sweep_values=tuple(values),
-                vote_complement=given if complement else None,
-                base=replace(template.base, fusion=base_fusion),
-            )
-            self.build_every_cell(assembled)
         except ValueError:
-            builds = False
-        else:
-            builds = True
-        assert (spec is not None) == builds
+            cells = None
+        assert (spec is not None) == (cells is not None)
+        if spec is not None:
+            assert spec.cells == cells

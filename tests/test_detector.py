@@ -17,9 +17,8 @@ import pytest
 from scipy import integrate
 
 from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
-from coopsense.montecarlo import wilson_interval
+from coopsense.montecarlo import decide_scheme, wilson_interval
 from coopsense.specfun import reg_upper_gamma
-from coopsense.threshold_schemes import decide_scheme
 
 PF_ANCHOR_U5_G30 = 8.566412107825924e-4
 PD_ANCHOR_U5_SNR01_G30 = 0.00105520

@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsense import montecarlo
-from coopsense.cli_experiments import _scenario_for, load_spec, resolve_spec_path
+from coopsense.cli_experiments import load_spec, resolve_spec_path
 from coopsense.detector import DetectorConfig, analytic_pf
 from coopsense.fusion import FusionConfig
 from coopsense.montecarlo import (
     BLOCK_TRIALS,
     AnalyticFamily,
     Scenario,
+    SchemeKind,
     SweepDraws,
     _block_rng,
     _run_blocks,
@@ -36,7 +37,6 @@ from coopsense.noise_model import (
     VarianceBracket,
     confidence_bracket,
 )
-from coopsense.threshold_schemes import SchemeKind
 
 
 def chi_square_scenario(**overrides):
@@ -125,9 +125,8 @@ def share_draws(segments):
 def fig4_scenarios(trials):
     """The bundled fig4 sweep (K = 1 to 30 receivers, 20 values) cut to
     ``trials``."""
-    spec = load_spec(resolve_spec_path("fig4"))
-    spec = replace(spec, base=replace(spec.base, trials=trials))
-    return [_scenario_for(spec, value) for value in spec.sweep_values]
+    return [replace(cell, trials=trials)
+            for cell in load_spec(resolve_spec_path("fig4")).cells]
 
 
 class TestRunTrial:
@@ -401,8 +400,7 @@ class TestEstimate:
         spec = load_spec(path)
         with ProcessPoolExecutor(max_workers=2) as pool:
             for workers, executor in [(1, None), (2, pool)]:
-                for value in spec.sweep_values:
-                    cell = _scenario_for(spec, value)
+                for value, cell in zip(spec.sweep_values, spec.cells):
                     (shared,) = sweep_draws([cell], workers, executor)
                     for scheme in spec.schemes:
                         alone = estimate(cell, scheme)

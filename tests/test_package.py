@@ -68,13 +68,12 @@ def test_import_loads_neither_numpy_random_nor_a_process_pool():
 NUMPY_FREE = {
     **{
         f"spec-{name}": (
-            "from coopsense.cli_experiments import _scenario_for, load_spec, "
+            "from coopsense.cli_experiments import load_spec, "
             "resolve_spec_path, validate_spec\n"
             "from coopsense.montecarlo import nominal_rates\n"
             f"path = resolve_spec_path({name!r})\n"
             "assert validate_spec(path) == []\n"
-            "spec = load_spec(path)\n"
-            "nominal_rates(_scenario_for(spec, spec.sweep_values[0]))"
+            "nominal_rates(load_spec(path).cells[0])"
         )
         for name in ("fig2", "fig3", "fig4")
     },

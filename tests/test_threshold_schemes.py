@@ -1,5 +1,6 @@
 """Tests for the enhanced threshold strategies and their decision kernel."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsense.detector import analytic_pf
+from coopsense.montecarlo import SchemeKind, decide_scheme
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket
-from coopsense.threshold_schemes import SchemeKind, decide_scheme
 
 
 def interval_rule(energies, k, threshold, bracket):
@@ -298,3 +299,9 @@ class TestKernelProperties:
         else:
             assert scalar[1] is None and array[1] is None
 
+
+
+def test_help_explains_every_scheme():
+    # the paper's rules are stated once, in the docstring of the scheme names
+    lines = inspect.getdoc(SchemeKind).splitlines()
+    assert all(kind.value in lines for kind in SchemeKind)
