@@ -262,9 +262,20 @@ def _noise(nominal_variance, bracket=None, **calibration):
     return NoiseUncertaintyModel(nominal_variance, confidence_bracket(**calibration))
 
 
+def _diagnose_repeats(entries, path, diagnostics):
+    """One diagnostic per entry listed more than once; equal numbers are
+    one entry (-10 and -10.0 are one sweep value)."""
+    seen, repeated = set(), set()
+    for entry in entries:
+        if entry in seen and entry not in repeated:
+            repeated.add(entry)
+            diagnostics.append(f"{path}: {entry!r} is listed more than once")
+        seen.add(entry)
+
+
 def _sweep(sweep, diagnostics):
     """The sweep's axis and values, each value of the JSON type of the field
-    it replaces; no values after a diagnostic."""
+    it replaces and listed once; no values after a diagnostic."""
     if sweep is None:
         return None, ()
     axis, values = sweep["axis"], sweep["values"]
@@ -282,6 +293,8 @@ def _sweep(sweep, diagnostics):
             _typed(value, kind)
         except ValueError as exc:
             diagnostics.append(f"sweep.values: {exc}")
+    if len(diagnostics) == before:
+        _diagnose_repeats(values, "sweep.values", diagnostics)
     return axis, tuple(values) if len(diagnostics) == before else ()
 
 
@@ -352,6 +365,7 @@ def _parse_spec(document, spec_name, diagnostics):
             schemes.append(SchemeKind(entry))
         except ValueError as exc:
             diagnostics.append(f"schemes: {exc}")
+    _diagnose_repeats([scheme.value for scheme in schemes], "schemes", diagnostics)
     if top.get("schemes") == []:
         diagnostics.append("schemes: must list at least one scheme")
 

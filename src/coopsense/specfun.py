@@ -10,15 +10,20 @@ real work:
     * near the transition at large order (u >= 100 and |x - u| < 0.3 u),
       Temme's uniform asymptotic expansion (DLMF 8.12.8-8.12.12; DiDonato
       and Morris, ACM TOMS 12(4), 1986, the method of cephes ``igam``). It
-      returns P and Q both directly, at a cost that does not grow with u:
-      its sum over powers of 1/u is one polynomial in eta per order, built
+      forms the side asked for directly (one erfc, no complement), at a
+      cost that does not grow with u: its sum over powers of 1/u is one
+      polynomial in eta per order, built with sqrt(2 pi u) and sqrt(u/2)
       on that order's first call and kept for the last 16 orders;
     * otherwise the classic split: power series for the lower function
       when x < u + 1, Lentz-style continued fraction for the upper function
-      otherwise, each O(sqrt(u)) iterations near the transition. Both are
-      scaled by x^u e^-x / Gamma(u), taken in log space so large arguments
-      neither overflow nor lose the leading digits; at u >= 100 the
-      Stirling series cancels the large terms of that log analytically.
+      otherwise, each O(sqrt(u)) iterations near the transition. At an
+      integer order u < 100 (every order the closed forms take is one:
+      the sample count, and u + j in the Marcum series) the continued
+      fraction terminates and is summed exactly, u - 1 steps of a nested
+      finite sum. Both are scaled by x^u e^-x / Gamma(u), taken in log
+      space so large arguments neither overflow nor lose the leading
+      digits; at u >= 100 the Stirling series cancels the large terms of
+      that log analytically.
 
 ``marcum_q``
     Generalized Marcum Q-function Q_u(a, b), the tail of a noncentral
@@ -34,7 +39,7 @@ real work:
     * series, where the summands peak at j = x s <= 400: the small side
       summed in its stable direction only (Q terms upward, P terms
       downward), from a start just past the summands' tail, at a few
-      flops per term, stopped relative to the sum itself; the gamma pair
+      flops per term, stopped relative to the sum itself; the gamma side
       at the start shares its log prefactor with the recurrence step;
     * far field, x s > 400: the trapezoidal rule on the contour integral
       through the saddle, a Gaussian of width 1/sqrt(2 x s + u) times a
@@ -44,8 +49,11 @@ real work:
     The series runs only while x s <= 400, so no call's cost grows with x,
     and no finite argument reaches a ``ConvergenceError``.
 
-``MAX_ITERATIONS`` bounds every iterative loop; exceeding it raises
-:class:`ConvergenceError` rather than returning a silently wrong value.
+Each public function admits a valid call by one chained comparison, which
+NaN fails too; only a call that fails it runs the checks that name the
+invalid argument. ``MAX_ITERATIONS`` bounds every iterative loop;
+exceeding it raises :class:`ConvergenceError` rather than returning a
+silently wrong value.
 """
 
 import functools
@@ -98,7 +106,19 @@ def _upper_continued_fraction(order: float, x: float, log_prefactor: float) -> f
     """Modified Lentz continued fraction for the regularized upper gamma.
 
     Q(u, x) = x^u e^-x / Gamma(u) * CF,  valid for x >= order + 1.
+
+    At an integer order n below ``_TEMME_MIN_ORDER`` the fraction
+    terminates (a_i = -i (i - n) is 0 at i = n) and is summed as the exact
+    nested sum CF = h / x, h = 1 + (n-1)/x (1 + (n-2)/x (... (1 + 1/x))),
+    in n - 1 steps. Above that order the finite sum would take n steps
+    where the fraction takes a few dozen, so real and large orders keep
+    the fraction.
     """
+    if order < _TEMME_MIN_ORDER and order % 1.0 == 0.0:
+        h = 1.0
+        for i in range(1, int(order)):
+            h = 1.0 + h * i / x
+        return math.exp(log_prefactor) * (h / x)
     tiny = 1e-300
     b = x + 1.0 - order
     c = 1.0 / tiny
@@ -223,17 +243,13 @@ def _temme_rows():
 _TEMME_ROWS = _temme_rows()
 
 
-def _in_temme_window(order: float, x: float) -> bool:
-    """True where Temme's expansion serves both the gamma pair and the gamma
-    side that starts the Marcum series."""
-    return order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order
-
-
 @functools.lru_cache(maxsize=16)
-def _temme_polynomial(order: float) -> tuple[float, ...]:
-    """sum_k c_k(eta) order^-k as one polynomial in eta, coefficients
-    highest power first: the rows of ``_TEMME_ROWS`` that reach ``order``,
-    each scaled by order^-k. Cached per order (a few hundred bytes each)."""
+def _temme_constants(order: float) -> tuple[tuple[float, ...], float, float]:
+    """The order's share of Temme's expansion: sum_k c_k(eta) order^-k as
+    one polynomial in eta, coefficients highest power first (the rows of
+    ``_TEMME_ROWS`` that reach ``order``, each scaled by order^-k), then
+    sqrt(2 pi order) and sqrt(order / 2). Cached per order (a few hundred
+    bytes each)."""
     width = len(_TEMME_ROWS[0][1])
     coefficients = [0.0] * width
     inv_order = 1.0 / order
@@ -245,24 +261,24 @@ def _temme_polynomial(order: float) -> tuple[float, ...]:
         for n, d in enumerate(row, width - len(row)):
             coefficients[n] += d * scale
         scale *= inv_order
-    return tuple(coefficients)
+    return tuple(coefficients), math.sqrt(2.0 * math.pi * order), math.sqrt(0.5 * order)
 
 
-def _temme_pair(order: float, x: float) -> tuple[float, float]:
-    """(P, Q) from Temme's expansion; both sides directly, no complement.
-
-    sum_k c_k(eta) a^-k is one polynomial in eta per order, built on that
-    order's first call, so each call is one Horner loop.
-    """
+def _temme_side(order: float, x: float, upper: bool) -> float:
+    """Q(order, x) if ``upper`` else P(order, x) from Temme's expansion,
+    each side directly, no complement. One Horner loop and one erfc."""
+    coefficients, root_2pi_order, root_half_order = _temme_constants(order)
     sigma = (x - order) / order
     half_eta_sq = max(sigma - math.log1p(sigma), 0.0)
     eta = math.copysign(math.sqrt(2.0 * half_eta_sq), sigma)
     total = 0.0
-    for c in _temme_polynomial(order):
+    for c in coefficients:
         total = total * eta + c
-    r = math.exp(-order * half_eta_sq) * total / math.sqrt(2.0 * math.pi * order)
-    y = eta * math.sqrt(0.5 * order)
-    return 0.5 * math.erfc(-y) - r, 0.5 * math.erfc(y) + r
+    r = math.exp(-order * half_eta_sq) * total / root_2pi_order
+    y = eta * root_half_order
+    if upper:
+        return 0.5 * math.erfc(y) + r
+    return 0.5 * math.erfc(-y) - r
 
 
 def _log_prefactor(order: float, x: float) -> float:
@@ -295,49 +311,52 @@ def _log_prefactor(order: float, x: float) -> float:
     return core + 0.5 * math.log(order / (2.0 * math.pi)) - stirling_tail
 
 
-def _reg_gamma_pair(order: float, x: float) -> tuple[float, float]:
-    """Return (P, Q) = (regularized lower, regularized upper) at (order, x)."""
+def _gamma_side(order: float, x: float, upper: bool) -> float:
+    """Q(order, x) if ``upper`` else P(order, x), for 0 < order < inf and
+    0 <= x < inf: Temme's expansion in its window (order >= 100,
+    |x - order| < 0.3 order), else the classic split."""
+    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+        return _temme_side(order, x, upper)
+    return _classic_side(order, x, upper)
+
+
+def _classic_side(order: float, x: float, upper: bool) -> float:
+    """Q(order, x) if ``upper`` else P(order, x) from the series or the
+    continued fraction. The side that is computed directly is the
+    numerically favourable one; the other is its complement."""
     if x == 0.0:
-        return 0.0, 1.0
-    if _in_temme_window(order, x):
-        return _temme_pair(order, x)
-    return _classic_pair(order, x)
-
-
-def _classic_pair(order: float, x: float) -> tuple[float, float]:
-    """(P, Q) from the series or the continued fraction, for x > 0.
-
-    The side that is computed directly is the numerically favourable one;
-    the other is obtained by complementation.
-    """
+        return 1.0 if upper else 0.0
     log_pref = _log_prefactor(order, x)
     if log_pref < -745.0:
         # prefactor underflows: all the mass is on one side
-        return (1.0, 0.0) if x > order else (0.0, 1.0)
+        if upper:
+            return 0.0 if x > order else 1.0
+        return 1.0 if x > order else 0.0
     if x < order + 1.0:
         p = _lower_series(order, x, log_pref)
-        return p, 1.0 - p
+        return 1.0 - p if upper else p
     q = _upper_continued_fraction(order, x, log_pref)
-    return 1.0 - q, q
+    return q if upper else 1.0 - q
 
 
-def _validate_gamma_args(order: float, x: float) -> tuple[float, float]:
-    order = float(order)
-    x = float(x)
+def _reject_gamma_args(order: float, x: float) -> None:
+    """Raise the ValueError that names the first invalid argument."""
     _require_finite("order", order)
     _require_finite("x", x)
     if order <= 0.0:
         raise ValueError(f"order must be > 0, got {order!r}")
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x!r}")
-    return order, x
 
 
 def reg_lower_gamma(order: float, x: float) -> float:
     """Regularized lower incomplete gamma P(order, x) in [0, 1]."""
-    order, x = _validate_gamma_args(order, x)
-    p, _ = _reg_gamma_pair(order, x)
-    return min(max(p, 0.0), 1.0)
+    order = float(order)
+    x = float(x)
+    if not (0.0 < order < math.inf and 0.0 <= x < math.inf):
+        _reject_gamma_args(order, x)
+    p = _gamma_side(order, x, False)
+    return p if 0.0 <= p <= 1.0 else min(max(p, 0.0), 1.0)
 
 
 def reg_upper_gamma(order: float, x: float) -> float:
@@ -347,12 +366,18 @@ def reg_upper_gamma(order: float, x: float) -> float:
     [e^-6, e^2.5]: P and Q are each within 1e-11 relative of the reference
     wherever it is at least 1e-290. The reference is scipy.special, except
     at order >= 200 with |x - order| > 0.4 order, where scipy is itself
-    only good to ~2e-11 and frozen 40-digit mpmath values stand in. Also
-    within 1e-8 absolute of adaptive quadrature for order <= 200, x <= 400.
+    only good to ~2e-11 and frozen 40-digit mpmath values stand in. At
+    integer orders 1 to 99 with x from order + 1 to 40 (order + 1), the
+    finite sum's region, Q is within 1e-11 relative of 40-digit mpmath
+    too. Also within 1e-8 absolute of adaptive quadrature for order <= 200,
+    x <= 400.
     """
-    order, x = _validate_gamma_args(order, x)
-    _, q = _reg_gamma_pair(order, x)
-    return min(max(q, 0.0), 1.0)
+    order = float(order)
+    x = float(x)
+    if not (0.0 < order < math.inf and 0.0 <= x < math.inf):
+        _reject_gamma_args(order, x)
+    q = _gamma_side(order, x, True)
+    return q if 0.0 <= q <= 1.0 else min(max(q, 0.0), 1.0)
 
 
 # Marcum Q by region (Gil, Segura and Temme, "Algorithm 939: Computation of
@@ -393,8 +418,9 @@ def _scaled_gamma_side(order: float, x: float, log_pref: float, upper: bool) -> 
     """Q(order, x) if ``upper`` else P(order, x), divided by
     exp(log_pref) = x^order e^-x / Gamma(order), the factor the series and
     the continued fraction take out anyway."""
-    if _in_temme_window(order, x):
-        g = _temme_pair(order, x)[1 if upper else 0]
+    # Temme's window, as in _gamma_side
+    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+        g = _temme_side(order, x, upper)
     elif x < order + 1.0:
         p = _lower_series(order, x, 0.0)
         if not upper:
@@ -558,6 +584,17 @@ def _marcum_contour(order: float, x: float, delta: float, log_bound: float,
     return value if upper else -value
 
 
+def _reject_marcum_args(order: float, a: float, b: float) -> None:
+    """Raise the ValueError that names the first invalid argument."""
+    _require_finite("order", order)
+    _require_finite("a", a)
+    _require_finite("b", b)
+    if order <= 0.0:
+        raise ValueError(f"order must be > 0, got {order!r}")
+    if a < 0.0 or b < 0.0:
+        raise ValueError(f"a and b must be >= 0, got a={a!r}, b={b!r}")
+
+
 def marcum_q(order: float, a: float, b: float) -> float:
     """Generalized Marcum Q-function Q_order(a, b) in [0, 1].
 
@@ -582,14 +619,8 @@ def marcum_q(order: float, a: float, b: float) -> float:
     order = float(order)
     a = float(a)
     b = float(b)
-    _require_finite("order", order)
-    _require_finite("a", a)
-    _require_finite("b", b)
-    if order <= 0.0:
-        raise ValueError(f"order must be > 0, got {order!r}")
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"a and b must be >= 0, got a={a!r}, b={b!r}")
-
+    if not (0.0 < order < math.inf and 0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        _reject_marcum_args(order, a, b)
     if b == 0.0:
         return 1.0
     if a > _NORMAL_LIMIT or b > _NORMAL_LIMIT:
@@ -629,4 +660,4 @@ def marcum_q(order: float, a: float, b: float) -> float:
     else:
         small = _marcum_series(order, x, y, int(mode), upper, log_bound)
     result = small if upper else 1.0 - small
-    return min(max(result, 0.0), 1.0)
+    return result if 0.0 <= result <= 1.0 else min(max(result, 0.0), 1.0)

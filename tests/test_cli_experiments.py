@@ -828,6 +828,16 @@ class TestMalformedSpecs:
         key = path[-1]
         assert line == f"spec: not valid JSON: key {key!r} is given twice in one object"
 
+    # a repeat would otherwise write the same CSV rows twice
+    def test_repeated_scheme_is_the_one_diagnostic(self, write_spec):
+        path = write_spec(with_leaf(BUNDLED["fig2"], ("schemes",), '["fixed", "convex", "fixed"]'))
+        assert validate_spec(path) == ["schemes: 'fixed' is listed more than once"]
+
+    def test_repeated_sweep_value_is_the_one_diagnostic(self, write_spec):
+        # equal numbers repeat whatever their JSON spelling
+        path = write_spec(with_leaf(BUNDLED["fig2"], ("sweep", "values"), "[-10, -12, -10.0]"))
+        assert validate_spec(path) == ["sweep.values: -10.0 is listed more than once"]
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_deep_nesting_is_the_one_diagnostic(
         self, write_spec, tmp_path, capsys, command
@@ -1007,6 +1017,8 @@ class TestReceiverSweep:
             )
         except ValueError:
             cells = None
+        if len(set(values)) < len(values):
+            cells = None  # a value listed twice is diagnosed
         assert (spec is not None) == (cells is not None)
         if spec is not None:
             assert spec.cells == cells

@@ -18,7 +18,7 @@ from coopsense.cli_experiments import resolve_spec_path, run_experiment
 
 GOLDEN_SHA256 = {
     "fig2": "991229da3223efd1bd8a9bd91e8c261edd4e054ec51611b190d10151f9150399",
-    "fig3": "a6b439ca4dbb7d8aa6563808a56aec39a21fbeb1072b75a58c4f177767e292dd",
+    "fig3": "12a4c7fb65f7335582e6e686a43415ff24e436dc02e2e74a499912073aa89cab",
     "fig4": "2068856b82abffc5c50a4b2dac13eeaf5efff59ffcb2ca3d3ac4d6f4cdace5bb",
 }
 

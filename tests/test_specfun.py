@@ -49,6 +49,7 @@ float literals.
 """
 
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -334,6 +335,16 @@ def assert_pair_matches_scipy(orders, xs, rel):
             assert abs(got - want) <= 1e-300 or want >= 1e-290, (order, x)
 
 
+def temme_pair(order, x):
+    """(P, Q) from Temme's expansion, each side formed on its own."""
+    return specfun._temme_side(order, x, False), specfun._temme_side(order, x, True)
+
+
+def classic_pair(order, x):
+    """(P, Q) from the series or the continued fraction."""
+    return specfun._classic_side(order, x, False), specfun._classic_side(order, x, True)
+
+
 class TestGammaEnvelope:
     """The gamma pair pinned over the orders and arguments the specs reach,
     across all three regimes."""
@@ -360,9 +371,7 @@ class TestGammaEnvelope:
         inside = np.abs(xs - order) < 0.3 * order
         assert inside.any() and not inside.all()
         for x in xs:
-            temme = specfun._temme_pair(order, float(x))
-            classic = specfun._classic_pair(order, float(x))
-            for a, b in zip(temme, classic):
+            for a, b in zip(temme_pair(order, float(x)), classic_pair(order, float(x))):
                 assert abs(a - b) <= 1e-12 * b or b < 1e-290, (order, x)
         assert_pair_matches_scipy(np.full(xs.size, order), xs, 1e-11)
 
@@ -371,10 +380,80 @@ class TestGammaEnvelope:
         for order in (100.0 * (1.0 - 1e-12), 100.0, 100.0 * (1.0 + 1e-9)):
             for sigma in np.linspace(-0.29, 0.29, 13):
                 x = order * (1.0 + sigma)
-                temme = specfun._temme_pair(order, x)
-                classic = specfun._classic_pair(order, x)
-                for a, b in zip(temme, classic):
+                for a, b in zip(temme_pair(order, x), classic_pair(order, x)):
                     assert abs(a - b) <= 1e-12 * b, (order, x)
+
+
+def mpmath_upper(order, x):
+    """Q(order, x) at 40 significant digits, rounded to double."""
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(order, x, mpmath.inf, regularized=True))
+
+
+class TestIntegerOrder:
+    """Below order 100 an integer order's continued fraction terminates and
+    is summed as a finite sum; a real order keeps the fraction."""
+
+    def test_finite_sum_matches_mpmath(self):
+        # x from order + 1 (the fraction's least x) to 40 (order + 1), past
+        # where Q underflows for the larger orders
+        for order in range(1, 100):
+            for x in (order + 1.0) * 40.0 ** np.linspace(0.0, 1.0, 15):
+                want = mpmath_upper(order, float(x))
+                got = reg_upper_gamma(order, float(x))
+                if want >= 1e-290:
+                    assert abs(got - want) <= 1e-11 * want, (order, x, got, want)
+                else:
+                    assert abs(got - want) <= 1e-290, (order, x, got, want)
+                assert reg_lower_gamma(order, float(x)) == 1.0 - got
+
+    @pytest.mark.parametrize("order", [4.5, 5.0 - 1e-9, 5.0 + 1e-9, 98.5])
+    def test_real_order_keeps_the_fraction(self, order):
+        # a finite sum of int(order) terms would be off by ~1e-9 relative
+        # or more at these orders
+        xs = (order + 1.0) * np.exp(np.linspace(0.0, 2.5, 26))
+        assert_pair_matches_scipy(np.full(xs.size, order), xs, 1e-11)
+
+    def test_marcum_series_at_integer_orders(self):
+        rng = np.random.default_rng(50)
+        for order in range(1, 51):
+            for z in (-3.0, -1.0, 0.0, 1.0, 3.0):
+                x = rng.uniform(0.1, 50.0)
+                y = max(order + x + z * math.sqrt(order + 2.0 * x), 0.5)
+                a, b = math.sqrt(2.0 * x), math.sqrt(2.0 * y)
+                # the series region: the summands peak at x s below 400,
+                # s the saddle of the mixture, and within 3 standard
+                # deviations of the mean no Chernoff bound decides
+                peak = 0.5 * (math.sqrt(order * order + 4.0 * x * y) - order)
+                assert peak < specfun._FAR_FIELD_MODE
+                want = mpmath_marcum(order, a, b)
+                got = marcum_q(order, a, b)
+                assert abs(got - want) <= 1e-12 * want, (order, a, b, got, want)
+
+
+def mpmath_marcum(order, a, b):
+    """Q_order(a, b) at 40 significant digits for integer order: the Poisson
+    mixture sum_j e^-x x^j / j! Q(order + j, y), with Q(order + j + 1, y) =
+    Q(order + j, y) + y^(order + j) e^-y / (order + j)!, summed until the
+    terms past their peak, at j = x s for the mixture's saddle s, fall
+    below 1e-50 of the sum (the terms are log-concave in j)."""
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(a) ** 2 / 2, mpmath.mpf(b) ** 2 / 2
+        peak = (mpmath.sqrt(order**2 + 4 * x * y) - order) / 2
+        q = mpmath.gammainc(order, y, mpmath.inf, regularized=True)
+        step = y ** order * mpmath.exp(-y) / mpmath.factorial(order)
+        weight = mpmath.exp(-x)
+        total = weight * q
+        j = 0
+        while True:
+            j += 1
+            q += step
+            step *= y / (order + j)
+            weight *= x / j
+            term = weight * q
+            total += term
+            if j > peak and term < total * mpmath.mpf(10) ** -50:
+                return float(total)
 
 
 def _stirling_coefficients(count):
@@ -498,8 +577,7 @@ class TestTemmePolynomial:
     def test_matches_row_by_row_sum(self, order):
         for sigma in np.linspace(-0.3, 0.3, 121)[1:-1]:
             x = order * (1.0 + sigma)
-            got = specfun._temme_pair(order, x)
-            for a, b in zip(got, row_by_row_pair(order, x)):
+            for a, b in zip(temme_pair(order, x), row_by_row_pair(order, x)):
                 assert abs(a - b) <= 1e-15 * b or b < 1e-290, (order, x)
 
     def test_bundled_nominal_points(self):
@@ -508,7 +586,7 @@ class TestTemmePolynomial:
 
     def test_cache_bounded_over_marcum_grid(self):
         # the grid's series start at many orders 2000 + j, one build each
-        cache = specfun._temme_polynomial
+        cache = specfun._temme_constants
         cache.cache_clear()
         rng = np.random.default_rng(2000)
         for signal in 2.0 * 100.0 ** rng.random(24):
@@ -717,6 +795,48 @@ class TestMarcumCost:
                     assert 0.0 <= value <= 1.0
                     slowest = max(slowest, best)
         assert slowest < 1e-3
+
+
+GAMMA_REJECTIONS = [
+    ((math.nan, 1.0), "order must be finite, got nan"),
+    ((math.inf, 1.0), "order must be finite, got inf"),
+    ((-math.inf, 1.0), "order must be finite, got -inf"),
+    ((0.0, 1.0), "order must be > 0, got 0.0"),
+    ((-2.0, 1.0), "order must be > 0, got -2.0"),
+    ((1.0, math.nan), "x must be finite, got nan"),
+    ((1.0, math.inf), "x must be finite, got inf"),
+    ((1.0, -math.inf), "x must be finite, got -inf"),
+    ((1.0, -0.5), "x must be >= 0, got -0.5"),
+    ((0, -1), "order must be > 0, got 0.0"),
+]
+MARCUM_REJECTIONS = [
+    ((math.nan, 1.0, 1.0), "order must be finite, got nan"),
+    ((math.inf, 1.0, 1.0), "order must be finite, got inf"),
+    ((-math.inf, 1.0, 1.0), "order must be finite, got -inf"),
+    ((0.0, 1.0, 1.0), "order must be > 0, got 0.0"),
+    ((-1.0, 1.0, 1.0), "order must be > 0, got -1.0"),
+    ((1.0, math.nan, 1.0), "a must be finite, got nan"),
+    ((1.0, math.inf, 1.0), "a must be finite, got inf"),
+    ((1.0, 1.0, math.nan), "b must be finite, got nan"),
+    ((1.0, 1.0, -math.inf), "b must be finite, got -inf"),
+    ((1.0, -0.1, 1.0), "a and b must be >= 0, got a=-0.1, b=1.0"),
+    ((1.0, 1.0, -0.1), "a and b must be >= 0, got a=1.0, b=-0.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [pytest.param(f, args, message, id=f"{f.__name__}{list(args)}")
+     for f, rejections in ((reg_lower_gamma, GAMMA_REJECTIONS),
+                           (reg_upper_gamma, GAMMA_REJECTIONS),
+                           (marcum_q, MARCUM_REJECTIONS))
+     for args, message in rejections],
+)
+def test_guard_keeps_each_message(function, args, message):
+    # the one comparison that admits a valid call hands every invalid one
+    # to the checks that name it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
 
 
 def test_budget_constants_documented():
