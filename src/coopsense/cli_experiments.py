@@ -299,10 +299,10 @@ def _sweep(sweep, diagnostics):
 
 
 def _fusion(fields, axis, sweep_values, diagnostics):
-    """The base ``FusionConfig`` and the spec's vote complement (None when it
-    gives ``vote_threshold``). The vote convention is checked, naming the
-    spec's field, at every K >= 1 the spec runs: its ``num_sus`` or each
-    swept one. A ``num_sus`` sweep builds the base at its largest K, which
+    """The base ``FusionConfig`` and the vote threshold n of every receiver
+    count K the spec runs (its ``num_sus`` or each swept one), resolved from
+    the spec's convention and checked, naming the spec's field, at every
+    K >= 1. A ``num_sus`` sweep builds the base at its largest K, which
     every cell replaces (below 1, the reason names ``sweep.values``)."""
     if fields is None:
         return None, None
@@ -322,11 +322,11 @@ def _fusion(fields, axis, sweep_values, diagnostics):
         return None, None
     (field,) = given
     n = fields.pop(field)
-    complement = None if field == "vote_threshold" else n
-    votes = {k: n if complement is None else k - n for k in counts}
+    direct = field == "vote_threshold"
+    votes = {k: n if direct else k - n for k in counts}
     bad = [k for k in counts if k >= 1 and not 1 <= votes[k] <= k]
     if bad:
-        rule = "[1, K]" if complement is None else "[0, K - 1]"
+        rule = "[1, K]" if direct else "[0, K - 1]"
         diagnostics.append(
             f"scenario.fusion.{field}: must lie in {rule} at every receiver "
             f"count K the spec runs (violated at K = {bad[:3]}), got {n}"
@@ -335,19 +335,17 @@ def _fusion(fields, axis, sweep_values, diagnostics):
     k = max(counts)
     fields.update(num_sus=k, vote_threshold=votes[k])
     path = "sweep.values" if swept and k < 1 else "scenario.fusion"
-    return _build(path, FusionConfig, fields, diagnostics), complement
+    return _build(path, FusionConfig, fields, diagnostics), votes
 
 
-def _scenario_for(base: Scenario, axis: str, complement, value) -> Scenario:
-    """The cell of one sweep value; ``complement`` is the spec's K - n, or
-    None when it gives ``vote_threshold``."""
+def _scenario_for(base: Scenario, axis: str, votes, value) -> Scenario:
+    """The cell of one sweep value; ``votes`` maps each receiver count the
+    spec runs to its vote threshold."""
     if axis == "snr_db":
         return replace(base, snr_db=float(value))
     if axis == "threshold":
         return replace(base, detector=replace(base.detector, threshold=float(value)))
-    num_sus = int(value)
-    votes = base.fusion.vote_threshold if complement is None else num_sus - complement
-    fusion = replace(base.fusion, num_sus=num_sus, vote_threshold=votes)
+    fusion = replace(base.fusion, num_sus=value, vote_threshold=votes[value])
     return replace(base, fusion=fusion)
 
 
@@ -377,7 +375,7 @@ def _parse_spec(document, spec_name, diagnostics):
         diagnostics, threshold=0.0,
     )
     noise = _build("scenario.noise", _noise, blocks.get("scenario.noise"), diagnostics)
-    fusion, vote_complement = _fusion(
+    fusion, votes = _fusion(
         blocks.get("scenario.fusion"), axis, sweep_values, diagnostics
     )
     # Scenario checks only its own fields, so a failed sub-block is None here
@@ -392,7 +390,7 @@ def _parse_spec(document, spec_name, diagnostics):
     cells = []
     for value in sweep_values:
         try:
-            cells.append(_scenario_for(base, axis, vote_complement, value))
+            cells.append(_scenario_for(base, axis, votes, value))
         except ValueError as exc:
             diagnostics.append(f"sweep.values: {exc}")
     name = top.get("name", spec_name)
@@ -447,17 +445,11 @@ def validate_spec(path) -> list[str]:
     return []
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_row(
     value, scheme: SchemeKind, result: ScenarioEstimate, nominal: CooperativeRates
 ) -> str:
     cells = [
-        _format_value(value),
+        str(value),
         scheme.value,
         repr(float(result.p_d.value)),
         repr(float(result.p_d.lower)),
@@ -493,7 +485,7 @@ def _cell_failure(
     spec: ExperimentSpec, value, scheme: SchemeKind, exc: Exception
 ) -> SpecValidationError:
     return SpecValidationError([
-        f"cell {spec.sweep_axis}={_format_value(value)} "
+        f"cell {spec.sweep_axis}={value} "
         f"{scheme.value}: {type(exc).__name__}: {exc}"
     ])
 
@@ -626,23 +618,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        diagnostics = validate_spec(resolve_spec_path(args.spec))
-        if diagnostics:
-            for line in diagnostics:
-                print(line, file=sys.stderr)
-            return 2
-        print("ok")
-        return 0
-
-    if args.command == "run":
+    if args.command in ("validate", "run"):
+        spec_path = resolve_spec_path(args.spec)
         try:
-            run_experiment(
-                resolve_spec_path(args.spec),
-                out_path=args.out,
-                seed=args.seed,
-                workers=args.workers,
-            )
+            if args.command == "validate":
+                load_spec(spec_path)
+                print("ok")
+            else:
+                run_experiment(
+                    spec_path, out_path=args.out, seed=args.seed, workers=args.workers
+                )
         except SpecValidationError as exc:
             for line in exc.diagnostics:
                 print(line, file=sys.stderr)

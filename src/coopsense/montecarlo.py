@@ -465,9 +465,9 @@ def sweep_draws(
 
 
 def _run_share(segments: list[tuple[Scenario, int, int]]) -> list:
-    """Tallies of each ``(scenario, first, stop)`` segment of a pool task; a
-    segment that raises ends the task with its exception in its own slot,
-    noted with the worker's traceback, which pickling would drop."""
+    """The outcome of each ``(scenario, first, stop)`` segment of a pool
+    task: its tallies, or the exception it raised, noted with the worker's
+    traceback, which pickling would drop."""
     results = []
     for segment in segments:
         try:
@@ -476,17 +476,15 @@ def _run_share(segments: list[tuple[Scenario, int, int]]) -> list:
             import traceback  # only a failure pays its import
 
             exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
-            return [*results, exc]
+            results.append(exc)
     return results
 
 
 def _piece(future, slot: int) -> tuple[_Tally, _Tally]:
-    results = future.result()
-    if slot >= len(results):
-        raise RuntimeError("an earlier sweep value of this pool task failed")
-    if isinstance(results[slot], Exception):
-        raise results[slot]
-    return results[slot]
+    result = future.result()[slot]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def estimate(scenario: Scenario, scheme: SchemeKind = SchemeKind.FIXED,

@@ -58,6 +58,7 @@ silently wrong value.
 
 import functools
 import math
+import operator
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -234,7 +235,10 @@ def _temme_rows():
     for k, row in enumerate(_TEMME_D):
         floor = _TEMME_TOLERANCE * _TEMME_MIN_ORDER**k
         last = max(n for n, d in enumerate(row) if abs(d) * eta_max**n >= floor)
-        bound = sum(abs(d) * eta_max**n for n, d in enumerate(row))
+        # plain left-to-right adds (sum() compensates from 3.12 on), so every
+        # reach is the same on every Python version
+        bound = functools.reduce(
+            operator.add, (abs(d) * eta_max**n for n, d in enumerate(row)), 0.0)
         reach = (bound / _TEMME_TOLERANCE) ** (1.0 / k) if k else math.inf
         rows.append((reach, row[last::-1]))
     return tuple(rows)
@@ -621,8 +625,6 @@ def marcum_q(order: float, a: float, b: float) -> float:
     b = float(b)
     if not (0.0 < order < math.inf and 0.0 <= a < math.inf and 0.0 <= b < math.inf):
         _reject_marcum_args(order, a, b)
-    if b == 0.0:
-        return 1.0
     if a > _NORMAL_LIMIT or b > _NORMAL_LIMIT:
         # b^2 against mean 2 order + a^2 and standard deviation
         # 2 sqrt(order + a^2); the skewness is O(1/a)

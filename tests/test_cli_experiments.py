@@ -587,6 +587,48 @@ class TestMainEntry:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("spec: cannot read") and str(tmp_path) in line
 
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            (json.dumps(spec_document(**{"scenario.fusion.vote_threshold": ...})),
+             "scenario.fusion.vote_threshold: required field is missing"),
+            ("[1, 2]", "spec: top level must be a JSON object"),
+            (json.dumps(spec_document(schemes=[])),
+             "schemes: must list at least one scheme"),
+            (with_leaf(spec_document(**{"scenario.noise": {
+                "nominal_variance": 1.0, "bracket": [1.0, 1.02]}}),
+                ("scenario", "noise", "bracket", 0), "NaN"),
+             "scenario.noise: bracket endpoints must be finite"),
+        ],
+        ids=["no-vote-key", "top-level-list", "no-scheme", "nan-bracket"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_spec_diagnostic_is_the_one_stderr_line(
+        self, write_spec, capsys, command, text, diagnostic
+    ):
+        assert main([command, str(write_spec(text))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [diagnostic]
+        assert captured.out == ""
+
+    def test_optimize_n_without_receivers(self, capsys):
+        code = main(
+            ["optimize-n", "--k", "0", "--pf", "0.1", "--pd", "0.9",
+             "--alpha", "0.5"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["num_sus must be >= 1, got 0"]
+
+    def test_output_error_leaves_no_temp_file(self, write_spec, tmp_path, capsys):
+        path = write_spec(spec_document(**{"scenario.trials": 100}))
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["run", str(path), "--out", str(out), "--workers", "1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("output error:")
+        assert sorted(tmp_path.iterdir()) == [path, out]
+        assert list(out.iterdir()) == []
+
     def test_failing_cell_named_and_no_csv(
         self, write_spec, tmp_path, capsys, monkeypatch
     ):

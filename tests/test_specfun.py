@@ -540,6 +540,14 @@ class TestTemmeCoefficients:
         assert reach == sorted(reach, reverse=True)
         assert reach[-1] >= specfun._TEMME_MIN_ORDER
 
+    def test_row_reach_pinned_on_every_python(self):
+        # the reaches are plain left-to-right sums: the same bits whether or
+        # not sum() compensates (it does from Python 3.12 on)
+        assert [repr(r) for r, _ in specfun._TEMME_ROWS] == [
+            "inf", "336119367190436.9", "22639563.408396248", "42927.99763543213",
+            "3282.4205265631044", "525.3602289492326", "205.93407890611016",
+        ]
+
 
 def row_by_row_pair(order, x):
     """Temme's (P, Q) with sum_k c_k(eta) order^-k taken row by row: each
@@ -638,6 +646,14 @@ class TestMarcumQ:
 
     def test_zero_threshold(self):
         assert marcum_q(3.0, 1.5, 0.0) == 1.0
+
+    # b = 0 has no branch of its own: a = 0 and a tiny a take the central
+    # term Q(order, 0), a moderate a the P side 1 - e^-x P(order, 0), and a
+    # huge a the normal limit
+    @pytest.mark.parametrize("a", [0.0, 1e-150, 0.5, 1e200])
+    @pytest.mark.parametrize("order", [0.5, 5.0, 2000.0, 1e300])
+    def test_zero_threshold_through_every_branch(self, order, a):
+        assert marcum_q(order, a, 0.0) == 1.0
 
     def test_frozen_monte_carlo_oracle(self):
         assert abs(marcum_q(2.0, 1.0, 2.0) - MC_MARCUM_2_1_2) <= 4 * MC_MARCUM_2_1_2_SE

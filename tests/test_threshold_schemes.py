@@ -1,4 +1,5 @@
-"""Tests for the enhanced threshold strategies and their decision kernel."""
+"""Tests for the threshold schemes (``montecarlo.SchemeKind``) and their
+one decision kernel, ``montecarlo.decide_scheme``."""
 
 import inspect
 import math
@@ -44,6 +45,9 @@ def uncertain_noise():
 
 
 class TestStatisticInterval:
+    """``decide_scheme``'s second-step mask: the bracket's interval of the
+    normalized energy against the threshold."""
+
     def test_degenerate_bracket_collapses(self):
         parts = np.random.default_rng(1).standard_normal((2, 16))
         power = np.abs(math.sqrt(0.5) * (parts[0] + 1j * parts[1])) ** 2
@@ -110,6 +114,9 @@ class TestTwoStepDecide:
 
 
 class TestExpectationStatistic:
+    """``decide_scheme`` without a bracket: the energy normalized by one
+    noise power against the threshold."""
+
     def test_matches_energy_statistic_when_exact(self):
         # the mean power of a 32-sample noise waveform of variance 2 (unit
         # real and imaginary parts) over that variance
