@@ -129,7 +129,7 @@ def fig4_scenarios(trials):
             for cell in load_spec(resolve_spec_path("fig4")).cells]
 
 
-class TestRunTrial:
+class TestSimulateBlock:
     """The block kernel ``_simulate_block``: one block of trials from its
     (seed, block) stream."""
 

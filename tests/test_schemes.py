@@ -44,7 +44,7 @@ def uncertain_noise():
     )
 
 
-class TestStatisticInterval:
+class TestSecondStepMask:
     """``decide_scheme``'s second-step mask: the bracket's interval of the
     normalized energy against the threshold."""
 
@@ -113,7 +113,7 @@ class TestTwoStepDecide:
         assert self.decide(60.0, 1.5, 2.0, 30.0) == (True, False)  # [30, 40]
 
 
-class TestExpectationStatistic:
+class TestOneNormalizer:
     """``decide_scheme`` without a bracket: the energy normalized by one
     noise power against the threshold."""
 
