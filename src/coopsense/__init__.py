@@ -11,11 +11,12 @@ Library layout:
 * :mod:`coopsense.fusion` - ``cooperative_rates``, the one closed form of
   n-out-of-K voting, its ``CooperativeRates`` record; optimal vote count.
 * :mod:`coopsense.montecarlo` - deterministic, worker-count-invariant
-  block-batched Monte Carlo engine: each ``Scenario`` (a sweep value; it
-  holds no scheme) is drawn once for every scheme that ``estimate`` reads,
-  on the caller's process pool when given one; the nominal closed-form
-  rates, a ``CooperativeRates`` record; the paper's threshold schemes,
-  named by ``SchemeKind``, and ``decide_scheme``, their one kernel.
+  block-batched Monte Carlo engine: one ``SweepDraws`` per sweep draws
+  each ``Scenario`` (a sweep value; it holds no scheme) once for every
+  scheme that ``estimate`` reads, on the caller's process pool when given
+  one; the nominal closed-form rates, a ``CooperativeRates`` record; the
+  paper's threshold schemes, named by ``SchemeKind``, and
+  ``decide_scheme``, their one kernel.
 * :mod:`coopsense.cli_experiments` - command-line sweep runner over JSON
   experiment specs, CSV output.
 """

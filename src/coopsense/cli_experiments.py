@@ -38,9 +38,9 @@ from .montecarlo import (
     Scenario,
     ScenarioEstimate,
     SchemeKind,
+    SweepDraws,
     estimate,
     nominal_rates,
-    sweep_draws,
 )
 from .noise_model import NoiseUncertaintyModel, VarianceBracket, confidence_bracket
 from .specfun import ConvergenceError
@@ -216,10 +216,9 @@ def _read(document, diagnostics):
             continue  # the block itself is missing or not an object
         entry, axis = _REPLACED_BY.get(path, (None, None))
         replaced = entry in given and axis in (None, given[entry])
-        # a key that a sweep axis replaces is optional beside an unknown
-        # axis, which is diagnosed on its own
-        unsure = entry == "sweep.axis" and entry in given and (
-            given[entry] not in tuple(_SWEEP_FIELDS))
+        # a key that a sweep axis replaces is optional unless the axis is
+        # known: a missing, malformed or unknown sweep is diagnosed on its own
+        unsure = entry == "sweep.axis" and given.get(entry) not in tuple(_SWEEP_FIELDS)
         if key not in given[parent]:
             if required and not replaced and not unsure:
                 diagnose(path, "required field is missing")
@@ -499,15 +498,16 @@ def run_experiment(
 ) -> Path:
     """Run every (sweep value, scheme) cell and write the CSV atomically.
 
-    A sweep value is drawn once: its cells share one ``SweepDraws`` handle,
-    simulated in the value's first ``estimate`` call, or, with more than one
-    worker, queued before the first cell runs as shares of equal energy
-    draws, at least four per worker, and waited for in each value's first
-    ``estimate`` call. The nominal closed forms are evaluated once per sweep
-    value, in its first cell. A cell that fails raises ``SpecValidationError``
-    naming the sweep value, the scheme and the reason; queued work is
-    cancelled and no CSV is written. ``workers`` must be an integer >= 1,
-    checked before any pool is made.
+    A sweep value is drawn once: the run makes one ``SweepDraws``, and a
+    value's cells share its tallies, simulated in the value's first
+    ``estimate`` call, or, with more than one worker, queued before the
+    first cell runs as shares of equal energy draws, at least four per
+    worker, and waited for in each value's first ``estimate`` call. The
+    nominal closed forms are evaluated once per sweep value, in its first
+    cell. A cell that fails raises ``SpecValidationError`` naming the sweep
+    value, the scheme and the reason; queued work is cancelled and no CSV
+    is written. ``workers`` must be an integer >= 1, checked before any
+    pool is made.
     """
     spec = load_spec(spec_path)
     cells = spec.cells
@@ -546,16 +546,16 @@ def run_experiment(
         executor = ProcessPoolExecutor(max_workers=workers)
         errors = (*_CELL_ERRORS, BrokenExecutor)  # a worker died, say by OOM
     try:
-        # one handle per sweep value, shared by its schemes' cells; with a
-        # pool, the whole sweep is queued before any value is read
-        draws = sweep_draws(cells, workers, executor)
-        for value, cell, shared in zip(spec.sweep_values, cells, draws):
+        # one SweepDraws for the sweep, each value shared by its schemes'
+        # cells; with a pool, the whole sweep is queued before any value is read
+        draws = SweepDraws(cells, workers, executor)
+        for value, cell in zip(spec.sweep_values, cells):
             nominal = None
             for scheme in spec.schemes:
                 try:
                     if nominal is None:
                         nominal = nominal_rates(cell)
-                    result = estimate(cell, scheme, draws=shared)
+                    result = estimate(cell, scheme, draws=draws)
                 except errors as exc:
                     raise _cell_failure(spec, value, scheme, exc) from exc
                 rows.append(_csv_row(value, scheme, result, nominal))

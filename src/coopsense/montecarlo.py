@@ -35,14 +35,14 @@ normalizer by ``decide_scheme``, and one integer product of those
 decisions with the (H0, H1) truth indicator tallies both; the bracket-mean
 tally also counts the receivers whose two-step interval straddles the
 threshold. ``_scheme_tally``, the one place that maps a scheme to its
-normalizer, picks the tally ``estimate`` reads. A ``SweepDraws`` handle
-carries one sweep value's tallies from the first scheme's ``estimate``
-call to the others: it runs every block in this process in that first
-call, or waits there for its pieces of the caller's pool tasks.
-``sweep_draws``, the only code that queues pool work, makes every value's
-handle and cuts the sweep's blocks, in value order, into shares of equal
-energy draws (trials x receivers). The engine never makes a pool of its
-own, and a handle keeps nothing past its lifetime.
+normalizer, picks the tally ``estimate`` reads. A ``SweepDraws`` is the
+sweep: it carries each value's tallies from the first scheme's
+``estimate`` call to the others, running the value's blocks in this
+process in that first call, or waiting there for its pieces of the
+caller's pool tasks. It is the only code that queues pool work: made with
+an executor, it cuts the sweep's blocks, in value order, into shares of
+equal energy draws (trials x receivers). The engine never makes a pool of
+its own, and a ``SweepDraws`` keeps nothing past its lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -95,7 +95,6 @@ __all__ = [
     "wilson_interval",
     "nominal_rates",
     "SweepDraws",
-    "sweep_draws",
     "estimate",
 ]
 
@@ -404,64 +403,64 @@ def nominal_rates(scenario: Scenario) -> CooperativeRates:
 
 
 class SweepDraws:
-    """The tallies of one sweep value (a scenario), shared by the
-    ``estimate`` calls of every scheme at that value. ``sweep_draws`` queues
-    its blocks on the caller's pool; else they run here in the first
-    ``tallies`` call."""
+    """The tallies of a sweep's values (its scenarios), each shared by the
+    ``estimate`` calls of every scheme at that value. With the caller's
+    ``executor``, the blocks, in value order, are queued at once as
+    contiguous shares that hold equal energy draws (trials x receivers) to
+    within a block, ~2^19 draws each and at least four per worker; a value
+    may have pieces in several shares. Else a value's blocks run here in
+    its first ``tallies`` call."""
 
-    def __init__(self, scenario: Scenario):
-        self._scenario = scenario
-        self._blocks = -(-scenario.trials // BLOCK_TRIALS)
-        self._pieces = []  # (pool task, segment slot) pairs, if queued
-        self._tallies = None
+    def __init__(self, scenarios: list[Scenario], workers: int = 1,
+                 executor: Executor | None = None):
+        if integer(workers, "workers") < 1 or (workers > 1 and executor is None):
+            raise ValueError(f"workers must be 1, or more with an executor: {workers!r}")
+        self._scenarios = tuple(scenarios)
+        self._values = {id(s): value for value, s in enumerate(self._scenarios)}
+        self._pieces = [[] for _ in self._scenarios]  # (pool task, segment slot)
+        self._tallies = [None] * len(self._scenarios)
+        if executor is None:
+            return
+        total = sum(s.trials * s.fusion.num_sus for s in self._scenarios)
+        count = max(4 * workers, total // _SHARE_DRAWS)
+        shares = [{} for _ in range(count)]
+        done = 0  # energy draws of the sweep values before this one
+        for value, s in enumerate(self._scenarios):
+            for block in range(-(-s.trials // BLOCK_TRIALS)):
+                # a block joins the share in whose part of the draws it starts
+                start = done + block * BLOCK_TRIALS * s.fusion.num_sus
+                shares[start * count // total].setdefault(value, []).append(block)
+            done += s.trials * s.fusion.num_sus
+        for share in filter(None, shares):
+            segments = [(self._scenarios[value], run[0], run[-1] + 1)
+                        for value, run in share.items()]
+            future = executor.submit(_run_share, segments)
+            for slot, value in enumerate(share):
+                self._pieces[value].append((future, slot))
 
     def tallies(self, scenario: Scenario) -> tuple[_Tally, _Tally]:
-        """Nominal-power and bracket-mean tallies over every block; runs or
-        waits for the blocks on the first call. Raises ``ValueError`` for a
-        scenario that differs in any field."""
-        # identity first: a run reads each handle with its own scenario
-        if scenario is not self._scenario and scenario != self._scenario:
-            raise ValueError(
-                "these draws belong to another sweep value: the scenario differs"
-            )
-        if self._tallies is None:
-            parts = [_piece(*piece) for piece in self._pieces] or [
-                _run_blocks(self._scenario, 0, self._blocks)
-            ]
-            self._tallies = functools.reduce(_merge, parts)
-        return self._tallies
-
-
-def sweep_draws(
-    scenarios: list[Scenario], workers: int, executor: Executor | None
-) -> list[SweepDraws]:
-    """A ``SweepDraws`` handle per sweep value. With the caller's
-    ``executor``, the blocks, in value order, are queued as contiguous
-    shares that hold equal energy draws (trials x receivers) to within a
-    block, ~2^19 draws each and at least four per worker; a value may have
-    pieces in several shares, which its handle merges."""
-    if integer(workers, "workers") < 1 or (workers > 1 and executor is None):
-        raise ValueError(f"workers must be 1, or more with an executor: {workers!r}")
-    handles = [SweepDraws(scenario) for scenario in scenarios]
-    if executor is None:
-        return handles
-    total = sum(s.trials * s.fusion.num_sus for s in scenarios)
-    count = max(4 * workers, total // _SHARE_DRAWS)
-    shares = [{} for _ in range(count)]
-    done = 0  # energy draws of the sweep values before this one
-    for handle in handles:
-        num_sus = handle._scenario.fusion.num_sus
-        for block in range(handle._blocks):
-            # a block joins the share in whose part of the draws it starts
-            start = done + block * BLOCK_TRIALS * num_sus
-            shares[start * count // total].setdefault(handle, []).append(block)
-        done += handle._scenario.trials * num_sus
-    for share in filter(None, shares):
-        segments = [(h._scenario, run[0], run[-1] + 1) for h, run in share.items()]
-        future = executor.submit(_run_share, segments)
-        for slot, handle in enumerate(share):
-            handle._pieces.append((future, slot))
-    return handles
+        """Nominal-power and bracket-mean tallies over every block of the
+        scenario's value; runs or waits for its blocks on the first call,
+        and raises a failed piece's exception. Raises ``ValueError`` for a
+        scenario equal to no value of the sweep."""
+        # identity first: a run reads each value with its own scenario
+        value = self._values.get(id(scenario))
+        if value is None:
+            if scenario not in self._scenarios:
+                raise ValueError(
+                    "these draws belong to another sweep value: the scenario differs"
+                )
+            value = self._scenarios.index(scenario)
+        if self._tallies[value] is None:
+            parts = []
+            for future, slot in self._pieces[value]:
+                parts.append(future.result()[slot])
+                if isinstance(parts[-1], Exception):
+                    raise parts[-1]
+            s = self._scenarios[value]
+            parts = parts or [_run_blocks(s, 0, -(-s.trials // BLOCK_TRIALS))]
+            self._tallies[value] = functools.reduce(_merge, parts)
+        return self._tallies[value]
 
 
 def _run_share(segments: list[tuple[Scenario, int, int]]) -> list:
@@ -480,22 +479,15 @@ def _run_share(segments: list[tuple[Scenario, int, int]]) -> list:
     return results
 
 
-def _piece(future, slot: int) -> tuple[_Tally, _Tally]:
-    result = future.result()[slot]
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def estimate(scenario: Scenario, scheme: SchemeKind = SchemeKind.FIXED,
              draws: SweepDraws | None = None) -> ScenarioEstimate:
     """Aggregate all trials of a scenario into one scheme's Monte Carlo rates.
 
     ``scheme`` is a ``SchemeKind`` or its value, else ``ValueError`` before
-    any block runs. ``draws`` is the scenario's ``SweepDraws`` handle,
-    shared by the cells of every scheme at that sweep value; it must have
-    been made for an equal scenario, else ``ValueError``. Without it the
-    call runs every block in this process and keeps nothing. The scheme
+    any block runs. ``draws`` is the ``SweepDraws`` of the scenario's
+    sweep, shared by the cells of every scheme; one of its values must
+    equal the scenario, else ``ValueError``. Without it the call runs
+    every block in this process and keeps nothing. The scheme
     picks the tally it reads: ``fixed`` the nominal-power decisions, every
     other scheme the bracket-mean ones, and only ``two_step`` counts second
     steps. Because each block derives its own stream, every estimate is
@@ -504,7 +496,7 @@ def estimate(scenario: Scenario, scheme: SchemeKind = SchemeKind.FIXED,
     if type(scheme) is not SchemeKind:  # a member passes with no Enum call
         scheme = SchemeKind(scheme)
     if draws is None:
-        draws = SweepDraws(scenario)
+        draws = SweepDraws([scenario])
     tally = _scheme_tally(scheme, *draws.tallies(scenario))
 
     num_sus = scenario.fusion.num_sus

@@ -20,8 +20,8 @@ from coopsense.montecarlo import (
     AnalyticFamily,
     Scenario,
     SchemeKind,
+    SweepDraws,
     estimate,
-    sweep_draws,
 )
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
@@ -117,7 +117,7 @@ def test_criterion_2_closed_form_vs_simulation():
         family=AnalyticFamily.CHI_SQUARE,
     )
     with ProcessPoolExecutor(max_workers=2) as pool:
-        (draws,) = sweep_draws([scenario], 2, pool)
+        draws = SweepDraws([scenario], 2, pool)
         result = estimate(scenario, SchemeKind.FIXED, draws=draws)
     pf_ref = analytic_pf(5.0, 30.0)
     pd_ref = analytic_pd(5.0, 0.1, 30.0)

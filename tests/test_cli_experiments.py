@@ -856,6 +856,29 @@ class TestMalformedSpecs:
         (found,) = validate_spec(path)
         assert found.startswith("sweep.axis: ")
 
+    # nor beside a sweep that is missing or is no object with an axis
+    @pytest.mark.parametrize(
+        "sweep, expected",
+        [("5", ["sweep: expected an object, got 5"]),
+         ("null", ["sweep: expected an object, got None"]),
+         ('"x"', ["sweep: expected an object, got 'x'"]),
+         ("[]", ["sweep: expected an object, got []"]),
+         ("{}", ["sweep.axis: required field is missing",
+                 "sweep.values: required field is missing"]),
+         ('{"values": [1]}', ["sweep.axis: required field is missing"]),
+         (None, ["sweep: required field is missing"])],
+        ids=["5", "null", "string", "list", "empty", "no_axis", "missing"],
+    )
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_missing_or_malformed_sweep_is_its_own_diagnostic(
+        self, write_spec, name, sweep, expected
+    ):
+        if sweep is None:
+            document = {k: v for k, v in BUNDLED[name].items() if k != "sweep"}
+        else:
+            document = with_leaf(BUNDLED[name], ("sweep",), sweep)
+        assert validate_spec(write_spec(document)) == expected
+
     # a repeated key would otherwise take its last value and pass as "ok"
     @pytest.mark.parametrize(
         "path, token",

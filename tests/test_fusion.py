@@ -217,6 +217,12 @@ class TestReportingErrors:
         assert effective_rate(1.0, 0.001) == pytest.approx(0.999)
         assert effective_rate(0.4, 0.0) == 0.4
 
+    @pytest.mark.parametrize("flip_probability", [0.6, -0.1])
+    def test_rejects_flip_probability_outside_half(self, flip_probability):
+        message = rf"^flip_probability must lie in \[0, 0\.5\], got {flip_probability}$"
+        with pytest.raises(ValueError, match=message):
+            effective_rate(0.1, flip_probability)
+
 
 class TestCooperativeRates:
     @settings(max_examples=100, deadline=None)

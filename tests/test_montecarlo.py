@@ -29,7 +29,6 @@ from coopsense.montecarlo import (
     _Tally,
     estimate,
     nominal_rates,
-    sweep_draws,
     wilson_interval,
 )
 from coopsense.noise_model import (
@@ -349,7 +348,7 @@ class TestEstimate:
         scenario = uncertain_scenario(trials=30_001, seed=777)
         serial = estimate(scenario, SchemeKind.TWO_STEP)
         with ProcessPoolExecutor(max_workers=3) as pool:
-            (draws,) = sweep_draws([scenario], 3, pool)
+            draws = SweepDraws([scenario], 3, pool)
             parallel = estimate(scenario, SchemeKind.TWO_STEP, draws=draws)
         assert serial == parallel
 
@@ -365,7 +364,7 @@ class TestEstimate:
                 assert serial.trials == trials
                 assert serial.q_f.observations + serial.q_m.observations == trials
                 for workers in [1, 2, 3]:
-                    (draws,) = sweep_draws([cell], workers, shared)
+                    draws = SweepDraws([cell], workers, shared)
                     assert estimate(cell, SchemeKind.TWO_STEP, draws) == serial
 
     def test_schemes_share_random_numbers(self):
@@ -392,7 +391,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
     def test_shared_draws_match_standalone_estimates(self, tmp_path, name):
-        # one handle per sweep value serves every scheme exactly as a
+        # the draws of one sweep value serve every scheme exactly as a
         # standalone estimate of that cell would
         document = json.loads(resolve_spec_path(name).read_text(encoding="utf-8"))
         document["scenario"]["trials"] = 1500
@@ -402,7 +401,7 @@ class TestEstimate:
         with ProcessPoolExecutor(max_workers=2) as pool:
             for workers, executor in [(1, None), (2, pool)]:
                 for value, cell in zip(spec.sweep_values, spec.cells):
-                    (shared,) = sweep_draws([cell], workers, executor)
+                    shared = SweepDraws([cell], workers, executor)
                     for scheme in spec.schemes:
                         alone = estimate(cell, scheme)
                         shared_estimate = estimate(cell, scheme, draws=shared)
@@ -414,7 +413,7 @@ class TestEstimate:
         # of the blocks (K = 1..10) 55 of the 265 receiver columns
         scenarios = fig4_scenarios(1100)
         pool = InlinePool()
-        handles = sweep_draws(scenarios, workers, pool)
+        draws = SweepDraws(scenarios, workers, pool)
         shares = 4 * workers  # at least four shares per worker
         assert len(pool.tasks) == shares
         # some value is cut at a share boundary and merges two pieces
@@ -423,9 +422,9 @@ class TestEstimate:
         block_draws = BLOCK_TRIALS * max(s.fusion.num_sus for s in scenarios)
         for segments in pool.tasks:
             assert abs(share_draws(segments) - total / shares) < block_draws
-        for scenario, handle in zip(scenarios, handles):
+        for scenario in scenarios:
             blocks = -(-scenario.trials // BLOCK_TRIALS)
-            assert handle.tallies(scenario) == _run_blocks(scenario, 0, blocks)
+            assert draws.tallies(scenario) == _run_blocks(scenario, 0, blocks)
 
     def test_value_spread_over_many_shares_merges_its_pieces(self):
         # one block at K = 1, then ten blocks at K = 30: at 4 workers the
@@ -438,7 +437,7 @@ class TestEstimate:
             trials=10 * BLOCK_TRIALS, fusion=FusionConfig(num_sus=30, vote_threshold=1)
         )
         pool = InlinePool()
-        handles = sweep_draws([small, big], 4, pool)
+        draws = SweepDraws([small, big], 4, pool)
         pieces = [
             (first, stop)
             for segments in pool.tasks
@@ -450,14 +449,16 @@ class TestEstimate:
         assert [b for first, stop in pieces for b in range(first, stop)] == list(
             range(10)
         )
-        assert handles[1].tallies(big) == _run_blocks(big, 0, 10)
-        assert handles[0].tallies(small) == _run_blocks(small, 0, 1)
+        assert draws.tallies(big) == _run_blocks(big, 0, 10)
+        assert draws.tallies(small) == _run_blocks(small, 0, 1)
+        # a separate scenario equal to a later value reads that value's tallies
+        assert draws.tallies(replace(big)) is draws.tallies(big)
 
     def test_large_sweep_shares_hold_a_fixed_draw_count(self):
         # 20000 trials of fig4 are 5.3M energy draws: ten shares, not 4 x 2
         scenarios = fig4_scenarios(20_000)
         pool = InlinePool(run=False)
-        sweep_draws(scenarios, 2, pool)
+        SweepDraws(scenarios, 2, pool)
         total = sum(s.trials * s.fusion.num_sus for s in scenarios)
         assert len(pool.tasks) == total // montecarlo._SHARE_DRAWS == 10
         for segments in pool.tasks:
@@ -475,38 +476,38 @@ class TestEstimate:
         # one block per value, two values per share: -10 dB opens the second
         scenarios = [uncertain_scenario(snr_db=-12.0 + snr, trials=100) for snr in range(8)]
         pool = InlinePool()
-        handles = sweep_draws(scenarios, 1, pool)
+        draws = SweepDraws(scenarios, 1, pool)
         assert [len(segments) for segments in pool.tasks] == [2, 2, 2, 2]
         for index in (1, 4):
-            assert handles[index].tallies(scenarios[index]) == run_blocks(
+            assert draws.tallies(scenarios[index]) == run_blocks(
                 scenarios[index], 0, 1
             )
         with pytest.raises(ArithmeticError, match="block failed") as failure:
-            handles[2].tallies(scenarios[2])
+            draws.tallies(scenarios[2])
         # the worker's traceback survives pickling as a note on the error
         (note,) = failure.value.__notes__
         assert "in failing" in note and "block failed" in note
         # the share's next value still ran: its tallies are its own
-        assert handles[3].tallies(scenarios[3]) == run_blocks(scenarios[3], 0, 1)
+        assert draws.tallies(scenarios[3]) == run_blocks(scenarios[3], 0, 1)
 
     def test_block_ranges_need_the_callers_pool(self):
         # the engine makes no pool: without one, every block is one range
         scenario = uncertain_scenario(trials=600)
         with pytest.raises(ValueError, match="executor"):
-            sweep_draws([scenario], 2, None)
+            SweepDraws([scenario], 2, None)
         with pytest.raises(ValueError, match="workers"):
-            sweep_draws([scenario], 0, None)
+            SweepDraws([scenario], 0, None)
         # a worker count is an integer, checked before any task is queued
         pool = InlinePool(run=False)
         with pytest.raises(ValueError, match="workers must be an integer"):
-            sweep_draws([scenario], 2.0, pool)
+            SweepDraws([scenario], 2.0, pool)
         assert pool.tasks == []
 
     def test_draws_of_another_sweep_value_rejected(self):
         scenario = uncertain_scenario(trials=600)
-        shared = SweepDraws(scenario)
+        shared = SweepDraws([scenario])
         # any scheme at the same sweep value may read the draws, through
-        # the handle's own scenario or a separate one equal in every field
+        # the sweep's own scenario or a separate one equal in every field
         equal = uncertain_scenario(trials=600)
         assert equal is not scenario and equal == scenario
         for scheme, cell in product(SchemeKind, [scenario, equal]):
@@ -522,7 +523,7 @@ class TestEstimate:
                 estimate(other, draws=shared)
         # two SNRs whose linear signal both underflow to 0.0 are still two
         # sweep values
-        silent = SweepDraws(replace(scenario, snr_db=-4000.0))
+        silent = SweepDraws([replace(scenario, snr_db=-4000.0)])
         with pytest.raises(ValueError, match="another sweep value"):
             estimate(replace(scenario, snr_db=-5000.0), draws=silent)
 
@@ -540,7 +541,7 @@ class TestEstimate:
         # a scenario holds no scheme: estimate takes it beside the scenario
         assert set(others) == {f.name for f in fields(Scenario)}
         assert not hasattr(scenario, "scheme")
-        shared = SweepDraws(scenario)
+        shared = SweepDraws([scenario])
         for name, value in others.items():
             with pytest.raises(ValueError, match="another sweep value"):
                 shared.tallies(replace(scenario, **{name: value}))

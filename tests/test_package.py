@@ -64,7 +64,8 @@ def test_import_loads_neither_numpy_random_nor_a_process_pool():
     assert fresh_python(probe).strip() == "[]"
 
 
-# validation and the closed forms never draw, so none of them loads numpy
+# validation, the closed forms and a serial SweepDraws before its first read
+# never draw, so none of them loads numpy
 NUMPY_FREE = {
     **{
         f"spec-{name}": (
@@ -85,6 +86,11 @@ NUMPY_FREE = {
         "from coopsense.cli_experiments import main\n"
         "assert main(['optimize-n', '--k', '10', '--pf', '0.1', '--pd', '0.9', "
         "'--alpha', '0.5']) == 0"
+    ),
+    "sweep-draws-serial": (
+        "from coopsense.cli_experiments import load_spec, resolve_spec_path\n"
+        "from coopsense.montecarlo import SweepDraws\n"
+        "SweepDraws(load_spec(resolve_spec_path('fig2')).cells)"
     ),
 }
 

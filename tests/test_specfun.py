@@ -257,6 +257,12 @@ class TestRegUpperGamma:
     def test_full_mass_at_zero(self):
         assert reg_upper_gamma(1.0, 0.0) == 1.0
 
+    def test_underflowing_ratio_is_exact(self):
+        # x / order underflows to 0.0: the log prefactor is -inf, so the
+        # pair is exactly (0, 1)
+        assert reg_upper_gamma(1e10, 5e-324) == 1.0
+        assert reg_lower_gamma(1e10, 5e-324) == 0.0
+
     def test_order_one_is_exp(self):
         assert reg_upper_gamma(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
 
