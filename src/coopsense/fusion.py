@@ -37,11 +37,14 @@ def probability(value: float, name: str = "probability") -> float:
 
 
 def integer(value, name: str) -> int:
-    """Validate a count: an int or a numpy integer, not a float such as ``3.0``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """Validate a count: an int or a numpy integer, not a bool or a float
+    such as ``3.0``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

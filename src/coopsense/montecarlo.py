@@ -31,18 +31,20 @@ states the paper's rules) tests the same window energy against the same
 threshold and differs only in the noise power it divides by: the nominal
 power for ``fixed`` and the bracket mean for every other scheme. So a
 sweep value is drawn once, each block is decided once per distinct
-normalizer by ``decide_scheme``, and one integer product of those
-decisions with the (H0, H1) truth indicator tallies both; the bracket-mean
-tally also counts the receivers whose two-step interval straddles the
-threshold. ``_scheme_tally``, the one place that maps a scheme to its
-normalizer, picks the tally ``estimate`` reads. A ``SweepDraws`` is the
-sweep: it carries each value's tallies from the first scheme's
-``estimate`` call to the others, running the value's blocks in this
-process in that first call, or waiting there for its pieces of the
-caller's pool tasks. It is the only code that queues pool work: made with
-an executor, it cuts the sweep's blocks, in value order, into shares of
-equal energy draws (trials x receivers). The engine never makes a pool of
-its own, and a ``SweepDraws`` keeps nothing past its lifetime.
+normalizer by ``decide_scheme``, the one threshold comparison, and one
+integer product of those decisions with the (H0, H1) truth indicator
+tallies both. The bracket-mean tally also counts two-step's second steps:
+the receivers whose interval straddles the threshold, decided H1 at the
+bracket's low end and not at its high end. ``_scheme_tally``, the one
+place that maps a scheme to its normalizer, picks the tally ``estimate``
+reads. A ``SweepDraws`` is the sweep: it carries each value's tallies
+from the first scheme's ``estimate`` call to the others, running the
+value's blocks in this process in that first call, or waiting there for
+its pieces of the caller's pool tasks. It is the only code that queues
+pool work: made with an executor, it cuts the sweep's blocks, in value
+order, into shares of equal energy draws (trials x receivers). The engine
+never makes a pool of its own, and a ``SweepDraws`` keeps nothing past
+its lifetime.
 
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
@@ -75,7 +77,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .detector import DetectorConfig, analytic_pd, analytic_pf
 from .fusion import CooperativeRates, FusionConfig, cooperative_rates, integer
-from .noise_model import NoiseUncertaintyModel, VarianceBracket
+from .noise_model import NoiseUncertaintyModel
 from .specfun import reg_upper_gamma
 
 if TYPE_CHECKING:
@@ -116,9 +118,9 @@ class AnalyticFamily(str, enum.Enum):
 class SchemeKind(str, enum.Enum):
     """The paper's threshold schemes. Each tests one normalized statistic,
     the window energy divided by sample count times a noise-power
-    normalizer, against the threshold; they differ only in that normalizer
-    and in whether a second interval step is counted (``decide_scheme``,
-    ``_scheme_tally``).
+    normalizer, against the threshold (``decide_scheme``, the one
+    comparison); they differ only in that normalizer and in whether a
+    second interval step is counted (``_scheme_tally``).
 
     fixed
         Normalize by the nominal noise power and threshold once.
@@ -269,26 +271,13 @@ def _merge(a: tuple[_Tally, _Tally], b: tuple[_Tally, _Tally]) -> tuple[_Tally, 
     return tuple(_Tally(*map(operator.add, x, y)) for x, y in zip(a, b))
 
 
-def decide_scheme(
-    energies,
-    sample_count: int,
-    threshold: float,
-    normalizer: float,
-    bracket: VarianceBracket | None = None,
-):
-    """Decisions and second steps for window energies of any shape.
-
-    A receiver decides H1 (``True``) when ``energy / (sample_count *
-    normalizer) >= threshold``. With a ``bracket`` (the two-step scheme,
-    whose ``normalizer`` must be the bracket mean or another value inside
-    it) a receiver takes a second step exactly when its interval
-    ``[energy / (sample_count * high), energy / (sample_count * low)]``
-    straddles the threshold. Its decision is the same either way: the
-    endpoints bracket the mean-normalized statistic (IEEE division is
-    monotone), so whichever step settles it, it is the expectation
-    decision, computed once. Returns ``(decisions, second)``: boolean
-    decisions shaped like ``energies``, and the boolean mask of second
-    steps, shaped alike, or ``None`` without a bracket.
+def decide_scheme(energies, sample_count: int, threshold: float, normalizer: float):
+    """Decisions for window energies of any shape: a receiver decides H1
+    (``True``) when ``energy / (sample_count * normalizer) >= threshold``.
+    Returns boolean decisions shaped like ``energies``. This comparison is
+    every scheme's one decision rule; the schemes differ only in the
+    normalizer, and two-step's second steps are the receivers decided H1
+    at the bracket's low end and not at its high end (``_simulate_block``).
     """
     import numpy as np
 
@@ -296,19 +285,7 @@ def decide_scheme(
         raise ValueError(f"sample_count must be an integer >= 1, got {sample_count!r}")
     if not math.isfinite(normalizer) or normalizer <= 0.0:
         raise ValueError(f"normalizer must be finite and > 0, got {normalizer!r}")
-    energies = np.asarray(energies, dtype=float)
-    decisions = energies / (sample_count * normalizer) >= threshold
-    second = None
-    if bracket is not None:
-        if not bracket.contains(normalizer):
-            raise ValueError(
-                f"normalizer {normalizer!r} outside bracket "
-                f"[{bracket.low!r}, {bracket.high!r}]"
-            )
-        second = (energies / (sample_count * bracket.high) < threshold) & (
-            energies / (sample_count * bracket.low) >= threshold
-        )
-    return decisions, second
+    return np.asarray(energies, dtype=float) / (sample_count * normalizer) >= threshold
 
 
 def _simulate_block(
@@ -316,7 +293,8 @@ def _simulate_block(
 ) -> tuple[_Tally, _Tally]:
     """Tallies of ``n`` trials of the scenario's sweep value drawn from
     ``rng`` in the documented order: decided on the nominal power, then on
-    the bracket mean with the two-step second steps counted."""
+    the bracket mean, with two-step's second steps counted from decisions
+    at the bracket ends."""
     import numpy as np
 
     fusion = scenario.fusion
@@ -342,8 +320,13 @@ def _simulate_block(
         scale = variances + np.where(h1, signal, 0.0)[:, None]
         energies = scale * rng.standard_gamma(k, size=shape)
 
-    nominal, _ = decide_scheme(energies, k, threshold, noise.nominal_variance)
-    mean, second = decide_scheme(energies, k, threshold, bracket.mean, bracket)
+    nominal = decide_scheme(energies, k, threshold, noise.nominal_variance)
+    mean = decide_scheme(energies, k, threshold, bracket.mean)
+    # two-step's second steps: E / (k * high) <= E / (k * low) for E >= 0
+    # (IEEE multiply and divide are monotone), so every H1 at the high end
+    # is H1 at the low end, and the difference counts the straddles
+    h1_low, h1_high = (np.count_nonzero(decide_scheme(energies, k, threshold, end))
+                       for end in (bracket.low, bracket.high))
     # one row per normalizer; both rows see the same report flips
     decisions = np.stack((nominal, mean))
     reported = decisions
@@ -360,7 +343,7 @@ def _simulate_block(
     return tuple(
         _Tally(trials_h1, *su, fused_h0, trials_h1 - fused_h1, second_steps)
         for su, (fused_h0, fused_h1), second_steps in zip(
-            counts[:2], counts[2:], (0, int(np.count_nonzero(second)))
+            counts[:2], counts[2:], (0, int(h1_low - h1_high))
         )
     )
 

@@ -488,6 +488,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers, message", [
         (2.0, "--workers: workers must be an integer, got 2.0"),
         (0, "--workers: workers must be >= 1, got 0"),
+        (True, "--workers: workers must be an integer, got True"),
     ])
     def test_worker_count_checked_before_a_pool_is_made(
         self, write_spec, tmp_path, monkeypatch, workers, message

@@ -119,7 +119,7 @@ class TestPfPmFromPdf:
         energies = np.abs(samples) ** 2
         statistics = energies / variance
         hits = sum(
-            bool(decide_scheme(float(e), 1, threshold, variance)[0])
+            bool(decide_scheme(float(e), 1, threshold, variance))
             for e in energies[:200]
         )
         assert hits == int(np.sum(statistics[:200] >= threshold))

@@ -622,6 +622,8 @@ class TestScenarioValidation:
             ("seed", math.nan),
             ("trials", 100.0),
             ("seed", 7.0),
+            ("trials", True),
+            ("seed", True),
         ],
     )
     def test_rejects_non_integer_counts(self, field, value):

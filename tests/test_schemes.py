@@ -29,12 +29,20 @@ def interval_rule(energies, k, threshold, bracket):
     return decisions, second
 
 
+def second_steps(energies, k, threshold, bracket):
+    """Two-step's second steps as the engine counts them: decided H1 at the
+    bracket's low end and not at its high end."""
+    return decide_scheme(energies, k, threshold, bracket.low) & ~decide_scheme(
+        energies, k, threshold, bracket.high
+    )
+
+
 def assert_statistic(energy, k, normalizer, expected, rel=1e-12, abs=0.0):
     """The kernel's statistic equals ``expected`` within the tolerance: it
     clears a threshold just below that band and misses one just above."""
     tol = max(abs, rel * math.fabs(expected))
-    assert decide_scheme(energy, k, expected - tol, normalizer)[0]
-    assert not decide_scheme(energy, k, expected + tol, normalizer)[0]
+    assert decide_scheme(energy, k, expected - tol, normalizer)
+    assert not decide_scheme(energy, k, expected + tol, normalizer)
 
 
 def uncertain_noise():
@@ -45,8 +53,8 @@ def uncertain_noise():
 
 
 class TestSecondStepMask:
-    """``decide_scheme``'s second-step mask: the bracket's interval of the
-    normalized energy against the threshold."""
+    """Two-step's second steps from ``decide_scheme`` at the bracket ends:
+    the bracket's interval of the normalized energy against the threshold."""
 
     def test_degenerate_bracket_collapses(self):
         parts = np.random.default_rng(1).standard_normal((2, 16))
@@ -56,8 +64,7 @@ class TestSecondStepMask:
         reference = float(np.mean(power)) / 0.8
         assert_statistic(energy, 16, bracket.mean, reference)
         for threshold in (0.5 * reference, reference, 2.0 * reference):
-            _, second = decide_scheme(energy, 16, threshold, bracket.mean, bracket)
-            assert not second
+            assert not second_steps(energy, 16, threshold, bracket)
 
     def test_direct_arithmetic(self):
         # energy 8, k=2, bracket [1, 4]: the interval is exactly [1, 4]
@@ -68,10 +75,8 @@ class TestSecondStepMask:
             (4.0, False, True),
             (math.nextafter(4.0, 5.0), False, False),
         ]:
-            assert decide_scheme(8.0, 2, threshold, bracket.mean, bracket) == (
-                decision,
-                second,
-            )
+            assert decide_scheme(8.0, 2, threshold, bracket.mean) == decision
+            assert second_steps(8.0, 2, threshold, bracket) == second
 
     def test_interval_contains_every_interior_statistic(self):
         # a receiver settled in one step gets the same decision under every
@@ -86,7 +91,8 @@ class TestSecondStepMask:
             inner = float(rng.uniform(low_v, high_v))
             value = energy / (k * inner)
             threshold = float(rng.uniform(0.0, 2.0 * value))
-            decision, second = decide_scheme(energy, k, threshold, inner, bracket)
+            decision = decide_scheme(energy, k, threshold, inner)
+            second = second_steps(energy, k, threshold, bracket)
             assert decision == (value >= threshold)
             if not second:
                 assert (energy / (k * high_v) >= threshold) == decision
@@ -97,7 +103,10 @@ class TestTwoStepDecide:
     # energy E, k=1 and bracket [low, high] give the interval [E/high, E/low]
     def decide(self, energy, low, high, threshold):
         bracket = VarianceBracket(low=low, high=high)
-        return decide_scheme(energy, 1, threshold, bracket.mean, bracket)
+        return (
+            decide_scheme(energy, 1, threshold, bracket.mean),
+            second_steps(energy, 1, threshold, bracket),
+        )
 
     def test_interval_above(self):
         assert self.decide(70.0, 1.75, 2.0, 30.0) == (True, False)  # [35, 40]
@@ -114,8 +123,8 @@ class TestTwoStepDecide:
 
 
 class TestOneNormalizer:
-    """``decide_scheme`` without a bracket: the energy normalized by one
-    noise power against the threshold."""
+    """``decide_scheme``: the energy normalized by one noise power against
+    the threshold."""
 
     def test_matches_energy_statistic_when_exact(self):
         # the mean power of a 32-sample noise waveform of variance 2 (unit
@@ -143,16 +152,15 @@ class TestOneNormalizer:
         variances = rng.uniform(bracket.low, bracket.high, size=trials)
         energies = variances * rng.standard_gamma(k, size=trials)
         # accumulated-scale statistic: 2 * energy / normalizer
-        pf_fixed = np.mean(decide_scheme(2.0 * energies, 1, threshold, nominal)[0])
-        pf_expect = np.mean(
-            decide_scheme(2.0 * energies, 1, threshold, bracket.mean)[0]
-        )
+        pf_fixed = np.mean(decide_scheme(2.0 * energies, 1, threshold, nominal))
+        pf_expect = np.mean(decide_scheme(2.0 * energies, 1, threshold, bracket.mean))
         assert abs(pf_expect - design_pf) < abs(pf_fixed - design_pf)
 
 
 class TestDecideEnhanced:
     """Per-scheme decisions: the nominal power (``fixed``) or the bracket
-    mean (every other scheme) feeding decide_scheme."""
+    mean (every other scheme) feeding decide_scheme, and two-step's second
+    steps from decisions at the bracket ends."""
 
     # energy 40, k=2, bracket [0.5, 0.8] (mean 0.65)
     energy, k = 40.0, 2
@@ -161,28 +169,16 @@ class TestDecideEnhanced:
         # interval [25, 40], threshold 20
         noise = uncertain_noise()
         normalizer = noise.bracket.mean
-        assert decide_scheme(self.energy, self.k, 20.0, normalizer, noise.bracket) == (
-            True,
-            False,
-        )
+        assert decide_scheme(self.energy, self.k, 20.0, normalizer)
+        assert not second_steps(self.energy, self.k, 20.0, noise.bracket)
 
     def test_two_step_straddle_matches_expectation_in_two_steps(self):
         noise = uncertain_noise()
         threshold = 30.0  # inside [25, 40]
-        decision, second = decide_scheme(
-            self.energy,
-            self.k,
-            threshold,
-            noise.bracket.mean,
-            noise.bracket,
-        )
-        expectation, _ = decide_scheme(
-            self.energy,
-            self.k,
-            threshold,
-            noise.bracket.mean,
-        )
-        assert second
+        # the paper's rule, step by step, against the kernel's one comparison
+        decision, _ = interval_rule(self.energy, self.k, threshold, noise.bracket)
+        expectation = decide_scheme(self.energy, self.k, threshold, noise.bracket.mean)
+        assert second_steps(self.energy, self.k, threshold, noise.bracket)
         assert decision == expectation
 
     def test_fixed_single_call(self):
@@ -190,12 +186,12 @@ class TestDecideEnhanced:
             1.0, VarianceBracket(1.0, 1.0)
         ).nominal_variance
         assert normalizer == 1.0
-        assert decide_scheme(self.energy, self.k, 19.0, normalizer) == (True, None)
+        assert decide_scheme(self.energy, self.k, 19.0, normalizer) == True
         # the statistic is exactly 20.0
-        assert decide_scheme(self.energy, self.k, 20.0, normalizer)[0]
+        assert decide_scheme(self.energy, self.k, 20.0, normalizer)
         assert not decide_scheme(
             self.energy, self.k, math.nextafter(20.0, 21.0), normalizer
-        )[0]
+        )
 
     def test_never_more_than_two_steps(self):
         rng = np.random.default_rng(7)
@@ -209,24 +205,23 @@ class TestDecideEnhanced:
         for _ in range(400):
             energy = float(rng.uniform(0.0, 80.0))
             for scheme in schemes:
-                bracket = noise.bracket if scheme == SchemeKind.TWO_STEP else None
                 normalizer = (
                     noise.nominal_variance
                     if scheme == SchemeKind.FIXED
                     else noise.bracket.mean
                 )
-                _, second = decide_scheme(
-                    energy,
-                    self.k,
-                    float(rng.uniform(1, 60)),
-                    normalizer,
-                    bracket,
-                )
-                # at most one step beyond the first, and only for two_step
-                if bracket is None:
-                    assert second is None
-                else:
-                    assert second.dtype == bool and second.shape == ()
+                threshold = float(rng.uniform(1, 60))
+                decision = decide_scheme(energy, self.k, threshold, normalizer)
+                assert decision.dtype == bool and decision.shape == ()
+                # at most one step beyond the first, and only for two_step:
+                # H1 at the high end is H1 at the low end, so the count of
+                # the steps is 1 or 2
+                if scheme == SchemeKind.TWO_STEP:
+                    ends = [
+                        int(decide_scheme(energy, self.k, threshold, end))
+                        for end in (noise.bracket.low, noise.bracket.high)
+                    ]
+                    assert 1 + ends[0] - ends[1] in (1, 2)
 
     @pytest.mark.parametrize(
         "args,name",
@@ -235,7 +230,7 @@ class TestDecideEnhanced:
             ((1.0, 1.5, 1.0, 1.0), "sample_count"),
             ((1.0, 1, 1.0, -1.0), "normalizer"),
             ((1.0, 1, 1.0, math.nan), "normalizer"),
-            ((1.0, 1, 1.0, 0.9, VarianceBracket(low=0.5, high=0.8)), "outside bracket"),
+            ((1.0, True, 1.0, 1.0), "sample_count must be an integer"),
             ((1.0, math.inf, 1.0, 1.0), "sample_count must be an integer"),
             ((1.0, math.nan, 1.0, 1.0), "sample_count must be an integer"),
         ],
@@ -254,8 +249,8 @@ class TestDecideEnhanced:
         for i in range(energies.size):
             snr = float(rng.uniform(1.0, 4.0))
             energies[i] = float((bracket.mean * (1 + snr)) * rng.standard_gamma(4))
-        decisions, second = decide_scheme(energies, 4, 1.8, bracket.mean, bracket)
-        resolved = ~second
+        decisions = decide_scheme(energies, 4, 1.8, bracket.mean)
+        resolved = ~second_steps(energies, 4, 1.8, bracket)
         fixed = energies / (4 * bracket.mean) >= 1.8
         agreed = int(np.count_nonzero(fixed[resolved] == decisions[resolved]))
         assert resolved.sum() > 0
@@ -277,14 +272,12 @@ class TestKernelProperties:
         self, energies, k, low, width, threshold
     ):
         bracket = VarianceBracket(low=low, high=low + width)
-        two_step, second = decide_scheme(energies, k, threshold, bracket.mean, bracket)
-        expectation, none = decide_scheme(energies, k, threshold, bracket.mean)
+        expectation = decide_scheme(energies, k, threshold, bracket.mean)
+        second = second_steps(energies, k, threshold, bracket)
         oracle, oracle_second = interval_rule(energies, k, threshold, bracket)
-        assert np.array_equal(two_step, expectation)
-        assert np.array_equal(two_step, oracle)
+        assert np.array_equal(expectation, oracle)
         assert np.array_equal(second, oracle_second)
-        assert second.dtype == bool and second.shape == two_step.shape
-        assert none is None
+        assert second.dtype == bool and second.shape == expectation.shape
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,15 +290,40 @@ class TestKernelProperties:
     def test_scalar_matches_one_element_array(
         self, energy, k, threshold, normalizer, two_step
     ):
-        bracket = VarianceBracket(low=0.5, high=0.8) if two_step else None
-        scalar = decide_scheme(energy, k, threshold, normalizer, bracket)
-        array = decide_scheme([energy], k, threshold, normalizer, bracket)
-        assert scalar[0] == array[0][0] and np.shape(scalar[0]) == ()
+        scalar = decide_scheme(energy, k, threshold, normalizer)
+        array = decide_scheme([energy], k, threshold, normalizer)
+        assert scalar == array[0] and np.shape(scalar) == ()
         if two_step:
-            assert scalar[1] == array[1][0] and np.shape(scalar[1]) == ()
-        else:
-            assert scalar[1] is None and array[1] is None
+            bracket = VarianceBracket(low=0.5, high=0.8)
+            scalar = second_steps(energy, k, threshold, bracket)
+            array = second_steps([energy], k, threshold, bracket)
+            assert scalar == array[0] and np.shape(scalar) == ()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        energies=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40),
+        k=st.integers(1, 10**6),
+        low=st.floats(1e-12, 1e300),
+        width=st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
+        threshold=st.floats(0.0, 1e300),
+    )
+    def test_decisions_nest_across_the_bracket(
+        self, energies, k, low, width, threshold
+    ):
+        # the engine counts two-step's second steps as count(H1 at low) -
+        # count(H1 at high), exact only because the decisions nest:
+        # E / (k * high) <= E / (k * mean) <= E / (k * low) in floating point
+        bracket = VarianceBracket(low=low, high=low + width)
+        # a quotient past the largest double rounds to inf, which still nests
+        with np.errstate(over="ignore"):
+            at_high, at_mean, at_low = (
+                decide_scheme(energies, k, threshold, end)
+                for end in (bracket.high, bracket.mean, bracket.low)
+            )
+        assert np.all(at_mean[at_high]) and np.all(at_low[at_mean])
+        assert np.count_nonzero(at_low) - np.count_nonzero(at_high) == np.count_nonzero(
+            at_low & ~at_high
+        )
 
 
 def test_help_explains_every_scheme():
