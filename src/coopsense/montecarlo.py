@@ -177,6 +177,17 @@ class Scenario:
                 "snr_db must be finite, with a finite linear SNR "
                 f"10^(snr_db / 10), got {self.snr_db!r}"
             )
+        # each threshold test divides by sample_count * normalizer, and every
+        # normalizer lies in the bracket (a spec block that failed is None)
+        if self.detector is not None and self.noise is not None:
+            count, high = self.detector.sample_count, self.noise.bracket.high
+            try:
+                finite = count * high < math.inf
+            except OverflowError:  # a sample count beyond the float range
+                finite = False
+            if not finite:
+                raise ValueError("detector.sample_count * noise.bracket.high must be "
+                                 f"a finite double, got {count!r} * {high!r}")
         if integer(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not 0 <= integer(self.seed, "seed") < 2**64:

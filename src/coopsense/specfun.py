@@ -16,14 +16,14 @@ real work:
       on that order's first call and kept for the last 16 orders;
     * otherwise the classic split: power series for the lower function
       when x < u + 1, Lentz-style continued fraction for the upper function
-      otherwise, each O(sqrt(u)) iterations near the transition. At an
-      integer order u < 100 (every order the closed forms take is one:
-      the sample count, and u + j in the Marcum series) the continued
-      fraction terminates and is summed exactly, u - 1 steps of a nested
-      finite sum. Both are scaled by x^u e^-x / Gamma(u), taken in log
-      space so large arguments neither overflow nor lose the leading
-      digits; at u >= 100 the Stirling series cancels the large terms of
-      that log analytically.
+      otherwise (its denominators stay at least 2, so no zero guards), each
+      O(sqrt(u)) iterations near the transition. At an integer order u < 100
+      (every order the closed forms take is one: the sample count, and u + j
+      in the Marcum series) the continued fraction terminates and is summed
+      exactly, u - 1 steps of a nested finite sum. Their callers scale both
+      by x^u e^-x / Gamma(u), taken in log space so large arguments neither
+      overflow nor lose the leading digits; at u >= 100 the Stirling series
+      cancels the large terms of that log analytically.
 
 ``marcum_q``
     Generalized Marcum Q-function Q_u(a, b), the tail of a noncentral
@@ -40,14 +40,15 @@ real work:
       summed in its stable direction only (Q terms upward, P terms
       downward), from a start just past the summands' tail, at a few
       flops per term, stopped relative to the sum itself; the gamma side
-      at the start shares its log prefactor with the recurrence step;
+      at the start shares its log prefactor with the recurrence step, and
+      at a P-side start it never needs the continued fraction;
     * far field, x s > 400: the trapezoidal rule on the contour integral
       through the saddle, a Gaussian of width 1/sqrt(2 x s + u) times a
       slow phase, with a fixed number (about 20) of nodes;
     * a or b above 1e150: the normal law of the chi-square.
 
     The series runs only while x s <= 400, so no call's cost grows with x,
-    and no finite argument reaches a ``ConvergenceError``.
+    and no call in its pinned range reaches a ``ConvergenceError``.
 
 Each public function admits a valid call by one chained comparison, which
 NaN fails too; only a call that fails it runs the checks that name the
@@ -83,11 +84,9 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _lower_series(order: float, x: float, log_prefactor: float) -> float:
-    """Series for the regularized lower gamma, valid for x < order + 1.
-
-    P(u, x) = x^u e^-x / Gamma(u+1) * sum_n x^n / ((u+1)(u+2)...(u+n)).
-    """
+def _lower_series(order: float, x: float) -> float:
+    """The sum in P(u, x) = x^u e^-x / Gamma(u) / u * sum_n x^n / ((u+1)...(u+n)),
+    valid for x < order + 1; the caller applies the prefactor."""
     term = 1.0
     total = 1.0
     denom = order
@@ -96,17 +95,16 @@ def _lower_series(order: float, x: float, log_prefactor: float) -> float:
         term *= x / denom
         total += term
         if abs(term) < abs(total) * TERM_TOLERANCE:
-            # prefactor uses Gamma(u+1) = u * Gamma(u)
-            return math.exp(log_prefactor) * total / order
+            return total
     raise ConvergenceError(
         f"lower gamma series did not converge for order={order}, x={x}"
     )
 
 
-def _upper_continued_fraction(order: float, x: float, log_prefactor: float) -> float:
-    """Modified Lentz continued fraction for the regularized upper gamma.
-
-    Q(u, x) = x^u e^-x / Gamma(u) * CF,  valid for x >= order + 1.
+def _upper_continued_fraction(order: float, x: float) -> float:
+    """Modified Lentz continued fraction CF in Q(u, x) = CF x^u e^-x / Gamma(u),
+    valid for x >= order + 1; the caller applies the prefactor. Where it
+    runs, c and 1/d stay at least 2, so it needs no zero guards.
 
     At an integer order n below ``_TEMME_MIN_ORDER`` the fraction
     terminates (a_i = -i (i - n) is 0 at i = n) and is summed as the exact
@@ -119,26 +117,22 @@ def _upper_continued_fraction(order: float, x: float, log_prefactor: float) -> f
         h = 1.0
         for i in range(1, int(order)):
             h = 1.0 + h * i / x
-        return math.exp(log_prefactor) * (h / x)
-    tiny = 1e-300
+        return h / x
     b = x + 1.0 - order
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    c = math.inf
+    d = 1.0 / b
     h = d
     for i in range(1, MAX_ITERATIONS + 1):
+        # c_i, 1/d_i >= x - u + i + 1 >= 2 by induction (|a_i| / c_(i-1) <= i),
+        # so neither needs a zero guard; c_0 = inf makes c_1 = b_1
         an = -i * (i - order)
         b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < TERM_TOLERANCE:
-            return math.exp(log_prefactor) * h
+            return h
     raise ConvergenceError(
         f"upper gamma continued fraction did not converge for order={order}, x={x}"
     )
@@ -315,15 +309,6 @@ def _log_prefactor(order: float, x: float) -> float:
     return core + 0.5 * math.log(order / (2.0 * math.pi)) - stirling_tail
 
 
-def _gamma_side(order: float, x: float, upper: bool) -> float:
-    """Q(order, x) if ``upper`` else P(order, x), for 0 < order < inf and
-    0 <= x < inf: Temme's expansion in its window (order >= 100,
-    |x - order| < 0.3 order), else the classic split."""
-    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
-        return _temme_side(order, x, upper)
-    return _classic_side(order, x, upper)
-
-
 def _classic_side(order: float, x: float, upper: bool) -> float:
     """Q(order, x) if ``upper`` else P(order, x) from the series or the
     continued fraction. The side that is computed directly is the
@@ -337,9 +322,9 @@ def _classic_side(order: float, x: float, upper: bool) -> float:
             return 0.0 if x > order else 1.0
         return 1.0 if x > order else 0.0
     if x < order + 1.0:
-        p = _lower_series(order, x, log_pref)
+        p = math.exp(log_pref) * _lower_series(order, x) / order
         return 1.0 - p if upper else p
-    q = _upper_continued_fraction(order, x, log_pref)
+    q = math.exp(log_pref) * _upper_continued_fraction(order, x)
     return q if upper else 1.0 - q
 
 
@@ -353,14 +338,23 @@ def _reject_gamma_args(order: float, x: float) -> None:
         raise ValueError(f"x must be >= 0, got {x!r}")
 
 
-def reg_lower_gamma(order: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(order, x) in [0, 1]."""
+def _regularized_gamma(order: float, x: float, upper: bool) -> float:
+    """Q(order, x) if ``upper`` else P(order, x) in [0, 1]: Temme's expansion
+    in its window (order >= 100, |x - order| < 0.3 order), else the classic split."""
     order = float(order)
     x = float(x)
     if not (0.0 < order < math.inf and 0.0 <= x < math.inf):
         _reject_gamma_args(order, x)
-    p = _gamma_side(order, x, False)
-    return p if 0.0 <= p <= 1.0 else min(max(p, 0.0), 1.0)
+    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+        g = _temme_side(order, x, upper)
+    else:
+        g = _classic_side(order, x, upper)
+    return g if 0.0 <= g <= 1.0 else min(max(g, 0.0), 1.0)
+
+
+def reg_lower_gamma(order: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(order, x) in [0, 1]."""
+    return _regularized_gamma(order, x, False)
 
 
 def reg_upper_gamma(order: float, x: float) -> float:
@@ -376,12 +370,7 @@ def reg_upper_gamma(order: float, x: float) -> float:
     too. Also within 1e-8 absolute of adaptive quadrature for order <= 200,
     x <= 400.
     """
-    order = float(order)
-    x = float(x)
-    if not (0.0 < order < math.inf and 0.0 <= x < math.inf):
-        _reject_gamma_args(order, x)
-    q = _gamma_side(order, x, True)
-    return q if 0.0 <= q <= 1.0 else min(max(q, 0.0), 1.0)
+    return _regularized_gamma(order, x, True)
 
 
 # Marcum Q by region (Gil, Segura and Temme, "Algorithm 939: Computation of
@@ -421,20 +410,19 @@ _SINH_TAIL = tuple(1.0 / math.factorial(n) for n in range(15, 2, -2))
 def _scaled_gamma_side(order: float, x: float, log_pref: float, upper: bool) -> float:
     """Q(order, x) if ``upper`` else P(order, x), divided by
     exp(log_pref) = x^order e^-x / Gamma(order), the factor the series and
-    the continued fraction take out anyway."""
-    # Temme's window, as in _gamma_side
+    the continued fraction leave to their caller."""
+    # Temme's window, as in _regularized_gamma
     if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
         g = _temme_side(order, x, upper)
     elif x < order + 1.0:
-        p = _lower_series(order, x, 0.0)
+        p = _lower_series(order, x) / order
         if not upper:
             return p
         g = 1.0 - p * math.exp(log_pref)
     else:
-        q = _upper_continued_fraction(order, x, 0.0)
-        if upper:
-            return q
-        g = 1.0 - q * math.exp(log_pref)
+        # only Q: the P side starts at order = u + int(x' s) + reach, and its
+        # x = x' s^2 + u s <= u + x' s < order + 1 (mixture's x', saddle s <= 1)
+        return _upper_continued_fraction(order, x)
     return math.exp(math.log(g) - log_pref) if g > 0.0 else 0.0
 
 

@@ -8,6 +8,8 @@ import math
 import multiprocessing
 import os
 import re
+import runpy
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -122,6 +124,19 @@ class TestValidation:
         path = write_spec(spec_document(**{"scenario.fusion.num_sus": 0}))
         diagnostics = validate_spec(path)
         assert any("num_sus" in d for d in diagnostics)
+
+    def test_overflowing_denominator_is_one_diagnostic(self, write_spec):
+        # sample_count * bracket.high = 4 * 1e308 is past the largest double
+        document = spec_document(**{
+            "scenario.detector.sample_count": 4,
+            "scenario.noise": {"nominal_variance": 1e307, "bracket": [1.0, 1e308]},
+            "scenario.fusion.num_sus": 1,
+            "scenario.fusion.prior_h0": 1.0,
+        })
+        assert validate_spec(write_spec(document)) == [
+            "scenario: detector.sample_count * noise.bracket.high must be a "
+            "finite double, got 4 * 1e+308"
+        ]
 
     def test_vote_threshold_above_receivers_diagnosed(self, write_spec):
         path = write_spec(spec_document(**{"scenario.fusion.vote_threshold": 9}))
@@ -485,6 +500,19 @@ class TestRunExperiment:
                        quiet=True)
         assert sizes == pools
 
+    def test_unknown_cpu_count_runs_serially(self, write_spec, tmp_path, monkeypatch):
+        # no affinity mask and no CPU count: one worker, so no pool
+        def no_pool(max_workers):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        path = write_spec(spec_document())
+        out = run_experiment(path, out_path=tmp_path / "out.csv", quiet=True)
+        serial = run_experiment(path, out_path=tmp_path / "w1.csv", workers=1, quiet=True)
+        assert out.read_bytes() == serial.read_bytes()
+
     @pytest.mark.parametrize("workers, message", [
         (2.0, "--workers: workers must be an integer, got 2.0"),
         (0, "--workers: workers must be >= 1, got 0"),
@@ -568,6 +596,16 @@ class TestMainEntry:
     def test_validate_ok(self, write_spec, capsys):
         path = write_spec(spec_document())
         assert main(["validate", str(path)]) == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        # `python -m coopsense.cli_experiments validate fig2`; the module is
+        # run afresh, so the imported copy steps aside meanwhile
+        monkeypatch.delitem(sys.modules, "coopsense.cli_experiments")
+        monkeypatch.setattr(sys, "argv", ["coopsense", "validate", "fig2"])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("coopsense.cli_experiments", run_name="__main__")
+        assert excinfo.value.code == 0
         assert "ok" in capsys.readouterr().out
 
     def test_validate_bad_spec_exit_code(self, write_spec, capsys):

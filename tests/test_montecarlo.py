@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import re
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields, replace
 from itertools import product
@@ -604,6 +606,27 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="finite linear SNR"):
             replace(base, snr_db=3100.0)
         assert math.isfinite(replace(base, snr_db=3082.0).snr_linear)
+
+    # the reproduction of an overflowed normalized statistic: with
+    # 4 * 1e308 = inf, every enhanced quotient was 0 or NaN, and
+    # `expectation` read p_f 0.0 against 0.865 under `fixed`
+    @pytest.mark.parametrize("sample_count", [4, 10**400], ids=["4", "10**400"])
+    def test_rejects_an_overflowing_denominator(self, sample_count):
+        with pytest.raises(ValueError, match=re.escape(
+                "detector.sample_count * noise.bracket.high must be a finite "
+                f"double, got {sample_count!r} * 1e+308")):
+            uncertain_scenario(
+                detector=DetectorConfig(sample_count=sample_count, threshold=1.0),
+                noise=NoiseUncertaintyModel(1e307, VarianceBracket(1.0, 1e308)),
+                fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=1.0),
+            )
+
+    def test_accepts_the_largest_finite_denominator(self):
+        scenario = uncertain_scenario(
+            detector=DetectorConfig(sample_count=1, threshold=1.0),
+            noise=NoiseUncertaintyModel(1e307, VarianceBracket(1.0, sys.float_info.max)),
+        )
+        assert scenario.detector.sample_count * scenario.noise.bracket.high < math.inf
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

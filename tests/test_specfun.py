@@ -34,7 +34,14 @@ Frozen oracle values and their provenance:
     -660, -700 and -750 above it, at orders 0.5, 5, 2000 and 5000;
   - FAR: orders 0.5, 5, 2000 and 5000 at x = 1e3 and 3e4 with y at -7,
     -0.5, 0, 0.5, 6 and 30 standard deviations from the mean, and both
-    sides of the series/contour switch (x s = 400) at orders 5 and 2000.
+    sides of the series/contour switch (x s = 400) at orders 5 and 2000;
+  - REACH: the two P-side series calls, found by random search, whose
+    terms beyond the first start still counted, so the start moved out
+    once.
+
+* FROZEN_MARCUM_UNDERFLOW: Q_order(a, b) at order 1e-150, a = 1e-50,
+  b = 1e-30 from the same mixture with mpmath ``gammainc`` at 40 digits,
+  rounded to double: 5.000000000000000076e-101.
 
 * FROZEN_NOMINAL_Q: (x, Q(2000, x)) from mpmath 1.3 ``gammainc`` at 40
   significant digits (checked against 60), rounded to double, at every
@@ -211,6 +218,11 @@ FROZEN_MARCUM_FAR = [
     (2000.0, 28.319604517012593, 66.9656365128505, 0.9988938657020517),
     (2000.0, 28.319604517012593, 71.55140478305638, 0.0016160931787681959),
 ]
+FROZEN_MARCUM_REACH = [
+    (2333.0, 1.3792703654027885, 67.86675964314921, 0.7381181612127115),
+    (919.0, 1.3476030127337015, 39.99626499871488, 0.9999820066497803),
+]
+FROZEN_MARCUM_UNDERFLOW = (1e-150, 1e-50, 1e-30, 5e-101)
 FROZEN_NOMINAL_Q = [
     (2124.0, 0.00321678547095747),
     (2102.970297029703, 0.01155717649722986),
@@ -789,6 +801,94 @@ class TestMarcumFrozen:
         limit = -54 if want == 1.0 else -1075
         assert chernoff_exponent(order, a, b) < limit * math.log(2.0)
         assert marcum_q(order, a, b) == want
+
+
+def spy_scaled_gamma_side(monkeypatch):
+    """Record the arguments of every ``_scaled_gamma_side`` call: one per
+    start of the Marcum series."""
+    calls = []
+    real = specfun._scaled_gamma_side
+
+    def spy(order, x, log_pref, upper):
+        calls.append((order, x, upper))
+        return real(order, x, log_pref, upper)
+
+    monkeypatch.setattr(specfun, "_scaled_gamma_side", spy)
+    return calls
+
+
+class TestMarcumSeries:
+    """The branches of ``_marcum_series`` and ``_scaled_gamma_side``."""
+
+    @pytest.mark.parametrize("order, a, b, want", FROZEN_MARCUM_REACH)
+    def test_start_moves_out_when_the_terms_beyond_it_count(
+        self, monkeypatch, order, a, b, want
+    ):
+        calls = spy_scaled_gamma_side(monkeypatch)
+        assert want == mpmath_marcum(order, a, b)
+        assert marcum_q(order, a, b) == want
+        # the P side started twice: the second start is the doubled reach
+        assert [upper for _, _, upper in calls] == [False, False]
+        assert calls[1][0] > calls[0][0]
+
+    def test_underflowed_weight_ends_the_march(self, monkeypatch):
+        # at order 1e-150 the Q side starts at j = 0 with its weight scaled
+        # by y^order e^-y / Gamma(order) ~ 1e-150; two steps on, the weight
+        # has fallen by x^2 / 2 ~ 1e-201 and underflows, so that term is
+        # exactly 0 and the march stops there, every term that counts summed
+        order, a, b, want = FROZEN_MARCUM_UNDERFLOW
+        calls = spy_scaled_gamma_side(monkeypatch)
+        assert_marcum_matches([FROZEN_MARCUM_UNDERFLOW])
+        assert calls == [(order, 0.5 * b * b, True)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        order=st.floats(0.5, 1e5),
+        x=st.floats(1e-3, 400.0),
+        z=st.floats(0.0, 8.0),
+    )
+    def test_p_side_never_needs_the_fraction(self, order, x, z):
+        # the P side (y <= x + order) starts at order + mode + reach with
+        # mode = int(x s), s <= 1, and y = x s^2 + order s <= order + x s,
+        # so its gamma argument stays below the fraction's order + 1
+        # (or inside Temme's window), where _scaled_gamma_side has no P
+        y = max(x + order - z * math.sqrt(order + 2.0 * x), 0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_scaled_gamma_side(patch)
+            value = marcum_q(order, math.sqrt(2.0 * x), math.sqrt(2.0 * y))
+        assert 0.0 <= value <= 1.0
+        for n, y_arg, upper in calls:
+            temme = (n >= specfun._TEMME_MIN_ORDER
+                     and abs(y_arg - n) < specfun._TEMME_MAX_SIGMA * n)
+            assert upper or temme or y_arg < n + 1.0, (n, y_arg)
+
+
+class TestIterationBudget:
+    """``MAX_ITERATIONS`` bounds every loop; running out raises."""
+
+    def test_lower_series(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_ITERATIONS", 1)
+        with pytest.raises(specfun.ConvergenceError, match=re.escape(
+                "lower gamma series did not converge for order=5.0, x=5.0")):
+            reg_lower_gamma(5.0, 5.0)
+
+    def test_continued_fraction(self, monkeypatch):
+        # a real order keeps the fraction
+        monkeypatch.setattr(specfun, "MAX_ITERATIONS", 1)
+        with pytest.raises(specfun.ConvergenceError, match=re.escape(
+                "upper gamma continued fraction did not converge for order=4.5, x=10.0")):
+            reg_upper_gamma(4.5, 10.0)
+
+    @pytest.mark.parametrize("budget, starts", [(4, 0), (20, 1)])
+    def test_marcum_series(self, monkeypatch, budget, starts):
+        # a budget below the first reach never starts the series; one above
+        # it starts once, and the Q side's march runs out of steps
+        calls = spy_scaled_gamma_side(monkeypatch)
+        monkeypatch.setattr(specfun, "MAX_ITERATIONS", budget)
+        with pytest.raises(specfun.ConvergenceError, match=re.escape(
+                "marcum_q series did not converge for order=5.0, x=2.0, y=12.5")):
+            marcum_q(5.0, 2.0, 5.0)
+        assert [upper for _, _, upper in calls] == [True] * starts
 
 
 class TestMarcumCost:
