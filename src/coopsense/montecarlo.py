@@ -31,10 +31,12 @@ states the paper's rules) tests the same window energy against the same
 threshold and differs only in the noise power it divides by: the nominal
 power for ``fixed`` and the bracket mean for every other scheme. So a
 sweep value is drawn once, each block is decided once per distinct
-normalizer by ``decide_scheme``, the one threshold comparison, and one
-integer product of those decisions with the (H0, H1) truth indicator
-tallies both. The bracket-mean tally also counts two-step's second steps:
-the receivers whose interval straddles the threshold, decided H1 at the
+normalizer by ``decide_scheme``, the one threshold comparison. Each
+normalizer's tally is made of whole-array totals, over all trials and over
+the H1 trials, of its decisions and of the trials whose one vote count
+(reported decisions summed per trial) reaches the threshold. The
+bracket-mean tally also counts two-step's second steps: the receivers
+whose interval straddles the threshold, decided H1 at the
 bracket's low end and not at its high end. ``_scheme_tally``, the one
 place that maps a scheme to its normalizer, picks the tally ``estimate``
 reads. A ``SweepDraws`` is the sweep: it carries each value's tallies
@@ -247,13 +249,7 @@ def wilson_interval(successes: int, observations: int) -> tuple[float, float]:
 def _rate(successes: int, observations: int) -> RateEstimate:
     lower, upper = wilson_interval(successes, observations)
     value = successes / observations if observations > 0 else math.nan
-    return RateEstimate(
-        value=value,
-        lower=lower,
-        upper=upper,
-        successes=successes,
-        observations=observations,
-    )
+    return RateEstimate(value, lower, upper, successes, observations)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -305,7 +301,8 @@ def _simulate_block(
     """Tallies of ``n`` trials of the scenario's sweep value drawn from
     ``rng`` in the documented order: decided on the nominal power, then on
     the bracket mean, with two-step's second steps counted from decisions
-    at the bracket ends."""
+    at the bracket ends. Every count is a Python ``int``: a total of the
+    decisions, or of the trials whose reported votes reach the threshold."""
     import numpy as np
 
     fusion = scenario.fusion
@@ -338,25 +335,23 @@ def _simulate_block(
     # is H1 at the low end, and the difference counts the straddles
     h1_low, h1_high = (np.count_nonzero(decide_scheme(energies, k, threshold, end))
                        for end in (bracket.low, bracket.high))
-    # one row per normalizer; both rows see the same report flips
-    decisions = np.stack((nominal, mean))
-    reported = decisions
-    if fusion.report_error > 0.0:
-        reported = decisions ^ (rng.random(shape) < fusion.report_error)
-
-    fused = np.count_nonzero(reported, axis=2) >= fusion.vote_threshold
-    positives = np.count_nonzero(decisions, axis=2)
-    # receiver positives and fused H1 decisions of each normalizer, summed
-    # over the H0 and over the H1 trials: false alarms and detections
-    truth = np.stack((~h1, h1), axis=1)
-    counts = (np.concatenate((positives, fused)) @ truth).tolist()
+    reported = (nominal, mean)
+    if fusion.report_error > 0.0:  # both normalizers see the same report flips
+        flips = rng.random(shape) < fusion.report_error
+        reported = (nominal ^ flips, mean ^ flips)
+    ones = np.ones(fusion.num_sus, dtype=np.intp)
     trials_h1 = int(np.count_nonzero(h1))
-    return tuple(
-        _Tally(trials_h1, *su, fused_h0, trials_h1 - fused_h1, second_steps)
-        for su, (fused_h0, fused_h1), second_steps in zip(
-            counts[:2], counts[2:], (0, int(h1_low - h1_high))
-        )
-    )
+
+    def tally(decisions, reported, second_steps: int) -> _Tally:
+        # each trial's votes by integer matmul; totals over all and H1 trials
+        fused = reported @ ones >= fusion.vote_threshold
+        positives, detections, fused_h1, fused_hits = (
+            int(np.count_nonzero(a))
+            for a in (decisions, decisions & h1[:, None], fused, fused & h1))
+        return _Tally(trials_h1, positives - detections, detections,
+                      fused_h1 - fused_hits, trials_h1 - fused_hits, second_steps)
+
+    return tuple(map(tally, (nominal, mean), reported, (0, int(h1_low - h1_high))))
 
 
 def _run_blocks(scenario: Scenario, first: int, stop: int) -> tuple[_Tally, _Tally]:

@@ -98,6 +98,103 @@ def block_tallies(scenario, scheme, blocks, n=BLOCK_TRIALS):
     ]
 
 
+def oracle_tallies(scenario, block, n=BLOCK_TRIALS):
+    """Each scheme's tally of ``n`` trials of block ``block``: replays the
+    documented draw order and applies each scheme's rule, written out here,
+    trial by trial in Python floats."""
+    fusion, noise = scenario.fusion, scenario.noise
+    bracket = noise.bracket
+    k = scenario.detector.sample_count
+    threshold = scenario.detector.threshold
+    power = scenario.snr_linear * noise.nominal_variance
+    shape = (n, fusion.num_sus)
+    rng = _block_rng(scenario.seed, block)
+    is_h1 = [roll >= fusion.prior_h0 for roll in rng.random(n).tolist()]
+    variances = rng.uniform(bracket.low, bracket.high, shape).tolist()
+    if scenario.family == AnalyticFamily.CHI_SQUARE:
+        threshold = threshold / (2.0 * k)
+        noncentrality = [[(2.0 * power if h1 else 0.0) / v for v in row]
+                         for h1, row in zip(is_h1, variances)]
+        draws = rng.noncentral_chisquare(2.0 * k, noncentrality).tolist()
+        energies = [[0.5 * v * draw for v, draw in zip(row, drawn)]
+                    for row, drawn in zip(variances, draws)]
+    else:
+        draws = rng.standard_gamma(k, shape).tolist()
+        energies = [[(v + power if h1 else v) * draw for v, draw in zip(row, drawn)]
+                    for h1, row, drawn in zip(is_h1, variances, draws)]
+    flips = [[False] * fusion.num_sus] * n
+    if fusion.report_error > 0.0:
+        flips = (rng.random(shape) < fusion.report_error).tolist()
+
+    expected = {scheme: dict.fromkeys(_Tally._fields, 0) for scheme in SchemeKind}
+    for scheme, counts in expected.items():
+        for trial in range(n):
+            votes = positives = 0
+            for energy, flip in zip(energies[trial], flips[trial]):
+                if scheme == SchemeKind.FIXED:
+                    decision = energy / (k * noise.nominal_variance) >= threshold
+                elif scheme == SchemeKind.TWO_STEP:
+                    low = energy / (k * bracket.high)
+                    high = energy / (k * bracket.low)
+                    if low >= threshold:
+                        decision = True
+                    elif high < threshold:
+                        decision = False
+                    else:
+                        counts["second_steps"] += 1
+                        decision = energy / (k * bracket.mean) >= threshold
+                else:
+                    # every component expects the bracket mean, so the
+                    # convex normalizer is that mean
+                    decision = energy / (k * bracket.mean) >= threshold
+                positives += decision
+                votes += decision != flip
+            fused_h1 = votes >= fusion.vote_threshold
+            if is_h1[trial]:
+                counts["trials_h1"] += 1
+                counts["su_detections"] += positives
+                counts["fused_misses"] += not fused_h1
+            else:
+                counts["su_false_alarms"] += positives
+                counts["fused_false_alarms"] += fused_h1
+    return {scheme: _Tally(**counts) for scheme, counts in expected.items()}
+
+
+@st.composite
+def oracle_cases(draw):
+    """A scenario of either family, a block index and a partial block's
+    trial count, drawn so that decisions and votes go both ways."""
+    family = draw(st.sampled_from(AnalyticFamily))
+    num_sus = draw(st.integers(1, 12))
+    fusion = FusionConfig(
+        num_sus=num_sus,
+        vote_threshold=draw(st.integers(1, num_sus)),
+        prior_h0=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)),
+        report_error=draw(st.just(0.0) | st.floats(0.05, 0.3)),
+    )
+    low = draw(st.floats(0.5, 2.0))
+    bracket = VarianceBracket(low, draw(st.just(low) | st.floats(low, 1.5 * low)))
+    # the nominal power at either bracket end, its mean or in between
+    where = draw(st.sampled_from(["low", "high", "mean"]) | st.floats(0.0, 1.0))
+    if isinstance(where, str):
+        nominal = getattr(bracket, where)
+    else:
+        nominal = min(bracket.high, low + where * (bracket.high - low))
+    k = draw(st.integers(1, 40))
+    # the chi-square threshold lives on the accumulated scale, 2k per unit
+    scale = 2.0 * k if family == AnalyticFamily.CHI_SQUARE else 1.0
+    scenario = Scenario(
+        detector=DetectorConfig(sample_count=k, threshold=scale * draw(st.floats(0.5, 2.0))),
+        noise=NoiseUncertaintyModel(nominal, bracket),
+        fusion=fusion,
+        snr_db=draw(st.floats(-10.0, 5.0)),
+        trials=BLOCK_TRIALS,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        family=family,
+    )
+    return scenario, draw(st.integers(0, 1000)), draw(st.integers(1, BLOCK_TRIALS - 1))
+
+
 class InlinePool:
     """Keeps each submitted task's ``(scenario, first, stop)`` segments and,
     if ``run``, runs it at once in this process, its result pickled and
@@ -175,70 +272,40 @@ class TestSimulateBlock:
                 assert on.second_steps == off.second_steps
 
     def test_su_decisions_match_inline_oracle(self):
-        # replays one block's documented draw order and checks the kernel's
-        # tally against each scheme's rule written out here, trial by trial
-        block = 3
-        for scheme in [
-            SchemeKind.FIXED,
-            SchemeKind.TWO_STEP,
-            SchemeKind.EXPECTATION,
-            SchemeKind.CONVEX,
-        ]:
-            # flips frequent enough to change fused outcomes within a block
-            fusion = FusionConfig(
-                num_sus=5, vote_threshold=2, prior_h0=0.5, report_error=0.05
-            )
-            scenario = uncertain_scenario(fusion=fusion)
-            (result,) = block_tallies(scenario, scheme, [block])
-            noise = scenario.noise
-            k = scenario.detector.sample_count
-            threshold = scenario.detector.threshold
-            shape = (BLOCK_TRIALS, fusion.num_sus)
-            rng = _block_rng(scenario.seed, block)
-            truth_rolls = rng.random(BLOCK_TRIALS)
-            variances = rng.uniform(noise.bracket.low, noise.bracket.high, shape)
-            gammas = rng.standard_gamma(k, shape)
-            flips = rng.random(shape) < fusion.report_error
-            power = scenario.snr_linear * noise.nominal_variance
+        # flips frequent enough to change fused outcomes within a block
+        fusion = FusionConfig(num_sus=5, vote_threshold=2, prior_h0=0.5, report_error=0.05)
+        scenario = uncertain_scenario(fusion=fusion)
+        expected = oracle_tallies(scenario, 3)
+        for scheme in SchemeKind:
+            assert block_tallies(scenario, scheme, [3]) == [expected[scheme]], scheme
 
-            expected = dict.fromkeys(_Tally._fields, 0)
-            for trial in range(BLOCK_TRIALS):
-                is_h0 = truth_rolls[trial] < fusion.prior_h0
-                votes = positives = 0
-                for su in range(fusion.num_sus):
-                    variance = float(variances[trial, su])
-                    energy = (variance if is_h0 else variance + power) * float(
-                        gammas[trial, su]
-                    )
-                    second = False
-                    if scheme == SchemeKind.FIXED:
-                        decision = energy / (k * noise.nominal_variance) >= threshold
-                    elif scheme == SchemeKind.TWO_STEP:
-                        low = energy / (k * noise.bracket.high)
-                        high = energy / (k * noise.bracket.low)
-                        if low >= threshold:
-                            decision = True
-                        elif high < threshold:
-                            decision = False
-                        else:
-                            second = True
-                            decision = energy / (k * noise.bracket.mean) >= threshold
-                    else:
-                        # every component expects the bracket mean, so the
-                        # convex normalizer is that mean
-                        decision = energy / (k * noise.bracket.mean) >= threshold
-                    positives += decision
-                    votes += decision != flips[trial, su]
-                    expected["second_steps"] += second
-                fused_h1 = votes >= fusion.vote_threshold
-                if is_h0:
-                    expected["su_false_alarms"] += positives
-                    expected["fused_false_alarms"] += fused_h1
-                else:
-                    expected["trials_h1"] += 1
-                    expected["su_detections"] += positives
-                    expected["fused_misses"] += not fused_h1
-            assert result == _Tally(**expected), scheme
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=oracle_cases())
+    def test_both_tallies_match_the_oracle(self, case):
+        scenario, block, n = case
+        nominal, mean = _simulate_block(scenario, _block_rng(scenario.seed, block), n)
+        expected = oracle_tallies(scenario, block, n)
+        assert (nominal, mean) == (expected[SchemeKind.FIXED], expected[SchemeKind.TWO_STEP])
+        for scheme in SchemeKind:
+            assert _scheme_tally(scheme, nominal, mean) == expected[scheme], scheme
+
+    def test_every_count_is_a_python_int(self):
+        # a numpy integer passes every equality here but fails json.dump
+        scenario = uncertain_scenario(trials=BLOCK_TRIALS + 100)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = SweepDraws([scenario], 2, pool).tallies(scenario)
+        for tallies in [
+            _simulate_block(scenario, _block_rng(scenario.seed, 0), 100),
+            _run_blocks(scenario, 0, 2),
+            SweepDraws([scenario]).tallies(scenario),
+            pooled,
+        ]:
+            for tally in tallies:
+                assert [type(count) for count in tally] == [int] * len(tally), tally
+        for scheme in SchemeKind:
+            result = estimate(scenario, scheme)
+            for rate in [result.p_d, result.p_f, result.q_f, result.q_m, result.q_e]:
+                assert (type(rate.successes), type(rate.observations)) == (int, int)
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):

@@ -39,10 +39,6 @@ Frozen oracle values and their provenance:
     terms beyond the first start still counted, so the start moved out
     once.
 
-* FROZEN_MARCUM_UNDERFLOW: Q_order(a, b) at order 1e-150, a = 1e-50,
-  b = 1e-30 from the same mixture with mpmath ``gammainc`` at 40 digits,
-  rounded to double: 5.000000000000000076e-101.
-
 * FROZEN_NOMINAL_Q: (x, Q(2000, x)) from mpmath 1.3 ``gammainc`` at 40
   significant digits (checked against 60), rounded to double, at every
   distinct nominal point of the bundled exponential-family specs:
@@ -222,7 +218,6 @@ FROZEN_MARCUM_REACH = [
     (2333.0, 1.3792703654027885, 67.86675964314921, 0.7381181612127115),
     (919.0, 1.3476030127337015, 39.99626499871488, 0.9999820066497803),
 ]
-FROZEN_MARCUM_UNDERFLOW = (1e-150, 1e-50, 1e-30, 5e-101)
 FROZEN_NOMINAL_Q = [
     (2124.0, 0.00321678547095747),
     (2102.970297029703, 0.01155717649722986),
@@ -831,16 +826,6 @@ class TestMarcumSeries:
         assert [upper for _, _, upper in calls] == [False, False]
         assert calls[1][0] > calls[0][0]
 
-    def test_underflowed_weight_ends_the_march(self, monkeypatch):
-        # at order 1e-150 the Q side starts at j = 0 with its weight scaled
-        # by y^order e^-y / Gamma(order) ~ 1e-150; two steps on, the weight
-        # has fallen by x^2 / 2 ~ 1e-201 and underflows, so that term is
-        # exactly 0 and the march stops there, every term that counts summed
-        order, a, b, want = FROZEN_MARCUM_UNDERFLOW
-        calls = spy_scaled_gamma_side(monkeypatch)
-        assert_marcum_matches([FROZEN_MARCUM_UNDERFLOW])
-        assert calls == [(order, 0.5 * b * b, True)]
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         order=st.floats(0.5, 1e5),
@@ -923,20 +908,20 @@ GAMMA_REJECTIONS = [
     ((math.nan, 1.0), "order must be finite, got nan"),
     ((math.inf, 1.0), "order must be finite, got inf"),
     ((-math.inf, 1.0), "order must be finite, got -inf"),
-    ((0.0, 1.0), "order must be > 0, got 0.0"),
-    ((-2.0, 1.0), "order must be > 0, got -2.0"),
+    ((0.0, 1.0), "order must be >= 0.01, got 0.0"),
+    ((-2.0, 1.0), "order must be >= 0.01, got -2.0"),
     ((1.0, math.nan), "x must be finite, got nan"),
     ((1.0, math.inf), "x must be finite, got inf"),
     ((1.0, -math.inf), "x must be finite, got -inf"),
     ((1.0, -0.5), "x must be >= 0, got -0.5"),
-    ((0, -1), "order must be > 0, got 0.0"),
+    ((0, -1), "order must be >= 0.01, got 0.0"),
 ]
 MARCUM_REJECTIONS = [
     ((math.nan, 1.0, 1.0), "order must be finite, got nan"),
     ((math.inf, 1.0, 1.0), "order must be finite, got inf"),
     ((-math.inf, 1.0, 1.0), "order must be finite, got -inf"),
-    ((0.0, 1.0, 1.0), "order must be > 0, got 0.0"),
-    ((-1.0, 1.0, 1.0), "order must be > 0, got -1.0"),
+    ((0.0, 1.0, 1.0), "order must be >= 0.01, got 0.0"),
+    ((-1.0, 1.0, 1.0), "order must be >= 0.01, got -1.0"),
     ((1.0, math.nan, 1.0), "a must be finite, got nan"),
     ((1.0, math.inf, 1.0), "a must be finite, got inf"),
     ((1.0, 1.0, math.nan), "b must be finite, got nan"),
@@ -944,6 +929,60 @@ MARCUM_REJECTIONS = [
     ((1.0, -0.1, 1.0), "a and b must be >= 0, got a=-0.1, b=1.0"),
     ((1.0, 1.0, -0.1), "a and b must be >= 0, got a=1.0, b=-0.1"),
 ]
+
+
+# Calls below the order floor that returned a wrong value or raised before
+# orders had one (true values from 40-digit mpmath); each now names order.
+TINY_ORDER_CALLS = [
+    (reg_upper_gamma, (1e-16, 5e-7)),  # was 0.0, true 1.39e-15
+    (reg_lower_gamma, (1e-16, 5e-7)),
+    (marcum_q, (1e-16, 1e-97, 1e-3)),  # was 5.0e-195, true 1.39e-15
+    (marcum_q, (1e-160, 1e-50, 1e-30)),  # was 6.3e-15, true 5e-101
+    (marcum_q, (1e-150, 1e-50, 1e-30)),  # its second weight underflowed
+    (marcum_q, (3.8462885865202914e-299, 7.5057647570367445, 9.969471733838)),  # was 0.0
+    (marcum_q, (1e-290, 1e-139, 1e-130)),  # raised ZeroDivisionError
+    (marcum_q, (3.3606524944569367e-282, 6.296423525373085, 13.859707111664381)),
+    (reg_upper_gamma, (math.nextafter(0.01, 0.0), 1.0)),
+]
+
+
+class TestOrderFloor:
+    """Orders below 0.01 are refused; from the floor to the pinned range's
+    0.5, Q = 1 - P in the series region loses about 5e-15 / order, and
+    both functions still match 40-digit mpmath."""
+
+    @pytest.mark.parametrize(
+        "function, args", TINY_ORDER_CALLS,
+        ids=[f"{f.__name__}{list(args)}" for f, args in TINY_ORDER_CALLS])
+    def test_tiny_order_rejected(self, function, args):
+        message = f"order must be >= 0.01, got {args[0]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(*args)
+
+    def test_gamma_pair_from_the_floor(self):
+        rng = np.random.default_rng(61)
+        orders = [0.01, *np.exp(rng.uniform(math.log(0.01), math.log(0.5), 79))]
+        for order in orders:
+            # x log-uniform, or next to the series/fraction switch at order + 1
+            for x in [math.exp(rng.uniform(math.log(1e-8), math.log(60.0))),
+                      order + 1.0 + rng.uniform(-0.5, 0.5)]:
+                with mpmath.workdps(40):
+                    want_p = float(mpmath.gammainc(order, 0, x, regularized=True))
+                    want_q = float(mpmath.gammainc(order, x, mpmath.inf, regularized=True))
+                for got, want in [(reg_lower_gamma(order, x), want_p),
+                                  (reg_upper_gamma(order, x), want_q)]:
+                    assert abs(got - want) <= 1e-11 * want, (order, x, got, want)
+
+    def test_marcum_from_the_floor(self):
+        rng = np.random.default_rng(62)
+        points = []
+        for order in [0.01, *np.exp(rng.uniform(math.log(0.01), math.log(0.5), 23))]:
+            x = math.exp(rng.uniform(math.log(1e-6), math.log(100.0)))
+            # y on either side of the mean, within 8 standard deviations
+            y = max(x + order + rng.uniform(-8.0, 8.0) * math.sqrt(order + 2.0 * x), 1e-9)
+            a, b = math.sqrt(2.0 * x), math.sqrt(2.0 * y)
+            points.append((order, a, b, mpmath_marcum(order, a, b)))
+        assert_marcum_matches(points)
 
 
 @pytest.mark.parametrize(
