@@ -58,6 +58,12 @@ class VarianceBracket:
             raise ValueError(
                 f"bracket requires low <= high, got [{self.low!r}, {self.high!r}]"
             )
+        # the enhanced schemes normalize by the mean, 0.5 * (low + high)
+        if self.low + self.high == math.inf:
+            raise ValueError(
+                "bracket low + high must be a finite double, got "
+                f"[{self.low!r}, {self.high!r}]"
+            )
 
     @property
     def mean(self) -> float:

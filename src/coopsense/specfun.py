@@ -17,7 +17,10 @@ real work:
     * otherwise the classic split: power series for the lower function
       when x < u + 1, Lentz-style continued fraction for the upper function
       otherwise (its denominators stay at least 2, so no zero guards), each
-      O(sqrt(u)) iterations near the transition. At an integer order u < 100
+      O(sqrt(u)) iterations near the transition. Below u + 1 the upper side
+      is decided in O(1): where a geometric bound puts P under half of
+      2^-54, Q = 1 - P rounds to exactly 1, and 1 is returned without the
+      series (P itself is always summed). At an integer order u < 100
       (every order the closed forms take is one: the sample count, and u + j
       in the Marcum series) the continued fraction terminates and is summed
       exactly, u - 1 steps of a nested finite sum. Their callers scale both
@@ -77,6 +80,9 @@ TERM_TOLERANCE = 1e-14
 # 5e-15 / order relative (Q there is ~order E1(order + 1)), and at far
 # smaller orders the Marcum series' weights underflow or its ratios divide by 0.
 _MIN_ORDER = 0.01
+# 1 - exp(t) rounds to 1 below this (half an ulp under 1, 2^-54): the
+# decided side of the classic split and of the Marcum mixture.
+_LOG_ROUNDS_TO_ONE = -54.0 * math.log(2.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -98,7 +104,7 @@ def _lower_series(order: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * TERM_TOLERANCE:
+        if term < total * TERM_TOLERANCE:  # every term is positive
             return total
     raise ConvergenceError(
         f"lower gamma series did not converge for order={order}, x={x}"
@@ -118,9 +124,11 @@ def _upper_continued_fraction(order: float, x: float) -> float:
     the fraction.
     """
     if order < _TEMME_MIN_ORDER and order % 1.0 == 0.0:
-        h = 1.0
-        for i in range(1, int(order)):
+        # i counts as a float: float * int takes CPython's slow generic path
+        h = i = 1.0
+        while i < order:
             h = 1.0 + h * i / x
+            i += 1.0
         return h / x
     b = x + 1.0 - order
     c = math.inf
@@ -271,7 +279,9 @@ def _temme_side(order: float, x: float, upper: bool) -> float:
     each side directly, no complement. One Horner loop and one erfc."""
     coefficients, root_2pi_order, root_half_order = _temme_constants(order)
     sigma = (x - order) / order
-    half_eta_sq = max(sigma - math.log1p(sigma), 0.0)
+    # >= 0 already for a log1p within an ulp (the true log1p(sigma) lies
+    # below sigma); abs only keeps sqrt's argument non-negative on any libm
+    half_eta_sq = abs(sigma - math.log1p(sigma))
     eta = math.copysign(math.sqrt(2.0 * half_eta_sq), sigma)
     total = 0.0
     for c in coefficients:
@@ -326,6 +336,16 @@ def _classic_side(order: float, x: float, upper: bool) -> float:
             return 0.0 if x > order else 1.0
         return 1.0 if x > order else 0.0
     if x < order + 1.0:
+        # Q = 1 - P is decided without the series when P is far below 2^-54.
+        # The series' ratios x / (order + n) are at most r = x / (order + 1)
+        # < 1, so P <= exp(log_pref) / order / (1 - r). The p the series
+        # would give exceeds that bound by under 1e-8 relative (exp is within
+        # an ulp, and the n-th of at most MAX_ITERATIONS terms within about
+        # n^2 / 2 ulps, its denominators drifting by one ulp a step), so below
+        # half of 2^-54 it leaves p < 2^-54, and 1 - p rounds to exactly 1.
+        if upper and (log_pref - math.log(order) - math.log1p(-x / (order + 1.0))
+                      < _LOG_ROUNDS_TO_ONE - math.log(2.0)):
+            return 1.0
         p = math.exp(log_pref) * _lower_series(order, x) / order
         return 1.0 - p if upper else p
     q = math.exp(log_pref) * _upper_continued_fraction(order, x)
@@ -387,10 +407,8 @@ def reg_upper_gamma(order: float, x: float) -> float:
 # x s is the index where the mixture's summands peak, and the contour of
 # the far field crosses the real axis next to s.
 
-# exp(t) rounds to 0 below this (half the least subnormal, 2^-1075) ...
+# exp(t) rounds to 0 below this (half the least subnormal, 2^-1075)
 _LOG_ROUNDS_TO_ZERO = -1075.0 * math.log(2.0)
-# ... and 1 - exp(t) rounds to 1 below this (half an ulp under 1, 2^-54)
-_LOG_ROUNDS_TO_ONE = -54.0 * math.log(2.0)
 # The series stops once its remaining terms are bounded by this share of
 # its sum, well below the rounding of the result.
 _SERIES_TOLERANCE = 2.0**-56
@@ -461,18 +479,20 @@ def _marcum_series(order: float, x: float, y: float, mode: int, upper: bool,
         ratio = x * y / ((mode + 1.0) * (order + mode + 1.0))
     if ratio < 1.0:
         fall = -math.log(ratio) if ratio > 0.0 else math.inf
-        reach = min(reach, int(_SERIES_LOG_TOLERANCE / fall))
+        within = int(_SERIES_LOG_TOLERANCE / fall)
+        if within < reach:
+            reach = within
     while reach <= MAX_ITERATIONS:
-        start = max(mode - reach, 0) if upper else mode + reach
+        start = (mode - reach if mode > reach else 0) if upper else mode + reach
         # G(n, y) and D(n) are carried divided by y^n e^-y / Gamma(n), the
         # weights times it over exp(log_bound), so no start can underflow
         n = order + start
         log_pref = _log_prefactor(n, y)
         g = _scaled_gamma_side(n, y, log_pref, upper)
         e = 1.0 / n
-        log_weight = -x if start == 0 else _log_prefactor(start, x) - math.log(start)
-        w = math.exp(log_weight + log_pref - log_bound)
         j = float(start)
+        log_weight = -x if start == 0 else _log_prefactor(j, x) - math.log(j)
+        w = math.exp(log_weight + log_pref - log_bound)
 
         if upper:
             first = total = w * g

@@ -120,6 +120,18 @@ class TestValidation:
         diagnostics = validate_spec(path)
         assert any("trials" in d for d in diagnostics)
 
+    def test_overflowing_bracket_mean_is_one_diagnostic(self, write_spec):
+        # 1e308 + 1.5e308 is past the largest double, so the mean the
+        # enhanced schemes divide by would be inf
+        document = spec_document(**{
+            "scenario.noise": {"nominal_variance": 1e308, "bracket": [1e308, 1.5e308]},
+            "scenario.detector.sample_count": 1,
+        })
+        assert validate_spec(write_spec(document)) == [
+            "scenario.noise: bracket low + high must be a finite double, "
+            "got [1e+308, 1.5e+308]"
+        ]
+
     def test_zero_receivers_diagnosed(self, write_spec):
         path = write_spec(spec_document(**{"scenario.fusion.num_sus": 0}))
         diagnostics = validate_spec(path)

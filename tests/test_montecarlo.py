@@ -695,6 +695,49 @@ class TestScenarioValidation:
         )
         assert scenario.detector.sample_count * scenario.noise.bracket.high < math.inf
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(AnalyticFamily),
+        sample_count=st.one_of(st.integers(1, 10**4), st.integers(1, 10**310)),
+        ends=st.lists(st.floats(0.0, sys.float_info.max, exclude_min=True),
+                      min_size=2, max_size=2),
+        where=st.floats(0.0, 1.0),
+        threshold=st.floats(0.0, sys.float_info.max),
+        snr_db=st.floats(-3100.0, 3100.0),
+        num_sus=st.integers(1, 3),
+        prior_h0=st.sampled_from([0.0, 0.5, 1.0]),
+        report_error=st.sampled_from([0.0, 0.1]),
+        n=st.integers(1, 8),
+    )
+    def test_every_accepted_scenario_decides_finite_quotients(
+        self, family, sample_count, ends, where, threshold, snr_db, num_sus,
+        prior_h0, report_error, n,
+    ):
+        # draws up to the float range; whatever Scenario accepts runs its
+        # block with no invalid operation (inf / inf, inf * 0) and divides
+        # by finite sample_count * normalizer only; an energy past the
+        # largest double may round to inf
+        low, high = sorted(ends)
+        try:
+            scenario = Scenario(
+                detector=DetectorConfig(sample_count=sample_count, threshold=threshold),
+                noise=NoiseUncertaintyModel(
+                    min(max(low + where * (high - low), low), high),
+                    VarianceBracket(low, high)),
+                fusion=FusionConfig(num_sus=num_sus, vote_threshold=1,
+                                    prior_h0=prior_h0, report_error=report_error),
+                snr_db=snr_db, trials=n, seed=7, family=family,
+            )
+        except ValueError:
+            return
+        noise = scenario.noise
+        for normalizer in (noise.nominal_variance, noise.bracket.mean, low, high):
+            assert sample_count * normalizer < math.inf, normalizer
+        with np.errstate(invalid="raise", over="ignore"):
+            tallies = _simulate_block(scenario, _block_rng(7, 0), n)
+        for tally in tallies:
+            assert tally.trials_h1 <= n and 0 <= tally.su_detections <= n * num_sus
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             chi_square_scenario(trials=0)

@@ -1,6 +1,8 @@
 """Tests for the noise-power bracket and its calibration."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -91,3 +93,13 @@ class TestNoiseUncertaintyModel:
             VarianceBracket(low=2.0, high=1.0)
         with pytest.raises(ValueError):
             VarianceBracket(low=0.0, high=1.0)
+
+    def test_mean_must_be_finite(self):
+        # low + high past the largest double made the mean, which the
+        # enhanced schemes divide by, inf; the engine then raised
+        # "normalizer must be finite" on a scenario that had validated
+        with pytest.raises(ValueError, match=re.escape(
+                "bracket low + high must be a finite double, got [1e+308, 1.5e+308]")):
+            VarianceBracket(low=1e308, high=1.5e308)
+        largest = VarianceBracket(low=1.0, high=sys.float_info.max)
+        assert largest.mean == 0.5 * sys.float_info.max

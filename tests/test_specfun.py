@@ -397,6 +397,87 @@ class TestGammaEnvelope:
                     assert abs(a - b) <= 1e-12 * b, (order, x)
 
 
+# The classic split returns Q = 1 without the lower series once this bound
+# on log P falls below half of 2^-54.
+DECIDED_CUTOFF = specfun._LOG_ROUNDS_TO_ONE - math.log(2.0)
+
+
+def decided_bound(order, x):
+    """log of P(order, x) <= exp(log prefactor) / order / (1 - x / (order + 1)),
+    the bound that decides Q = 1 for x < order + 1."""
+    return (specfun._log_prefactor(order, x) - math.log(order)
+            - math.log1p(-x / (order + 1.0)))
+
+
+def x_at_bound(order, target):
+    """The largest double x with decided_bound(order, x) below ``target``
+    (the bound rises with x on (0, order + 1)), or None where even the
+    least positive double lies above it."""
+    lo, hi = 5e-324, order + 1.0
+    if decided_bound(order, lo) >= target:
+        return None
+    while math.nextafter(lo, hi) < hi:
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        mid = min(max(mid, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        if decided_bound(order, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# fig2's nominal p_d at -2 dB, outside Temme's window (x / order = 0.65)
+FIG2_PD_MINUS_2_DB = 2000 * 1.062 / (1 + 10 ** (-2 / 10))
+
+
+class TestDecidedUpperTail:
+    """Where the lower series would give a P that 1 - P rounds away, the
+    classic split returns Q = 1 from a bound, with the series' own bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        order=st.floats(0.01, 1e4),
+        share=st.floats(0.0, 1.0, exclude_max=True),
+        offset=st.one_of(st.none(), st.floats(-3.0, 3.0)),
+        steps=st.integers(-3, 3),
+    )
+    def test_shortcut_keeps_the_series_bits(self, order, share, offset, steps):
+        # x uniform below the series' bound order + 1, or where the bound
+        # lies `offset` from the cutoff, moved by `steps` doubles
+        x = share * (order + 1.0)
+        edge = None if offset is None else x_at_bound(order, DECIDED_CUTOFF + offset)
+        if edge is not None:
+            x = edge
+            for _ in range(abs(steps)):
+                x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+        assert x < order + 1.0
+        decided = [specfun._classic_side(order, x, True), reg_upper_gamma(order, x)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_LOG_ROUNDS_TO_ONE", -math.inf)  # never decided
+            summed = [specfun._classic_side(order, x, True), reg_upper_gamma(order, x)]
+        assert [v.hex() for v in decided] == [v.hex() for v in summed], (order, x)
+
+    @pytest.mark.parametrize("x", [1399.0, FIG2_PD_MINUS_2_DB])
+    def test_decided_points_skip_the_series(self, monkeypatch, x):
+        calls = []
+        real = specfun._lower_series
+
+        def spy(order, x):
+            calls.append((order, x))
+            return real(order, x)
+
+        monkeypatch.setattr(specfun, "_lower_series", spy)
+        assert decided_bound(2000.0, x) < DECIDED_CUTOFF
+        assert reg_upper_gamma(2000, x) == 1.0
+        assert calls == []
+        # the small side itself is never decided: P still sums the series
+        p = reg_lower_gamma(2000, x)
+        assert calls == [(2000.0, x)]
+        with mpmath.workdps(40):
+            want = float(mpmath.gammainc(2000, 0, x, regularized=True))
+        assert abs(p - want) <= 1e-12 * want, (x, p, want)
+
+
 def mpmath_upper(order, x):
     """Q(order, x) at 40 significant digits, rounded to double."""
     with mpmath.workdps(40):
