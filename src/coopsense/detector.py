@@ -1,21 +1,26 @@
-"""Single-receiver energy detector: configuration and chi-square closed forms.
+"""Single-receiver energy detector: configuration and both closed-form families.
 
 The threshold test itself (H1 when the statistic is >= the threshold) has
 one implementation, ``montecarlo.decide_scheme``.
 
 Both closed-form families describe one detector, whose order u is its
 sample count (u = TW in Digham, Alouini and Simon, IEEE Trans. Commun.
-55(1), 2007). ``analytic_pf`` and ``analytic_pd`` are the chi-square
-family: they describe the accumulated statistic 2 * sum|y|^2 / sigma^2 of
-a window of u complex samples and a constant-envelope signal. The
-exponential family (Gaussian signaling, normalized statistic) needs no
-function of its own: its rates are ``reg_upper_gamma(u, u * threshold)``
-and the same at the threshold divided by 1 + SNR, evaluated in
-``montecarlo.nominal_rates``.
+55(1), 2007). A scenario declares its ``AnalyticFamily``, and
+``receiver_rates`` gives that family's per-receiver (p_f, p_d):
+
+* ``chi_square`` - the configured threshold lives on the accumulated
+  energy scale (2 * sum|y|^2 / power), signaling is constant-envelope, and
+  the SNR is the linear ratio accumulated over the whole window. Its rates
+  are ``analytic_pf`` and ``analytic_pd``.
+* ``exponential`` - the threshold lives on the normalized scale
+  (energy / (u * power)), signaling is Gaussian, and the SNR is per
+  sample. Its rates are ``reg_upper_gamma(u, u * threshold)`` and the same
+  at the threshold divided by 1 + SNR.
 
 SNR is linear everywhere in this module; dB conversion belongs to the CLI.
 """
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -23,10 +28,17 @@ from .fusion import integer
 from .specfun import marcum_q, reg_upper_gamma
 
 __all__ = [
+    "AnalyticFamily",
     "DetectorConfig",
     "analytic_pf",
     "analytic_pd",
+    "receiver_rates",
 ]
+
+
+class AnalyticFamily(str, enum.Enum):
+    CHI_SQUARE = "chi_square"
+    EXPONENTIAL = "exponential"
 
 
 @dataclass(frozen=True)
@@ -79,3 +91,13 @@ def analytic_pd(order: float, snr: float, threshold: float) -> float:
     a = math.sqrt(2.0 * snr) if snr < 8e307 else math.sqrt(2.0) * math.sqrt(snr)
     return marcum_q(order, a, math.sqrt(threshold))
 
+
+def receiver_rates(family: AnalyticFamily, sample_count: int, threshold: float,
+                   snr: float) -> tuple[float, float]:
+    """Per-receiver (p_f, p_d) of ``family`` at ``threshold`` on its scale
+    and linear ``snr``; an unknown family is a ``ValueError``."""
+    u = sample_count
+    if AnalyticFamily(family) == AnalyticFamily.CHI_SQUARE:
+        return analytic_pf(u, threshold), analytic_pd(u, snr, threshold)
+    x = u * threshold
+    return reg_upper_gamma(u, x), reg_upper_gamma(u, x / (1.0 + snr))

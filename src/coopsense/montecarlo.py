@@ -51,18 +51,14 @@ its lifetime.
 ``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
 closed forms at the nominal operating point; they depend on neither the
 scheme nor the draws, so a sweep evaluates them once per sweep value. A
-scenario declares which analytic family both use:
-
-* ``chi_square`` - the configured threshold lives on the accumulated
-  energy scale (2 * sum|y|^2 / power), signaling is constant-envelope, and
-  the scenario SNR is the linear ratio accumulated over the whole window.
-* ``exponential`` - the threshold lives on the normalized scale
-  (energy / (k * power)), signaling is Gaussian, and the scenario SNR is
-  per sample.
+scenario's ``family`` (``detector.AnalyticFamily``; the ``detector``
+docstring states both families) picks the law the kernel draws energies
+from and the closed form, ``detector.receiver_rates``, that
+``nominal_rates`` fuses.
 
 Only the block kernel and ``decide_scheme`` use numpy, and each imports it
-where it is called, so numpy loads at the first draw: importing the
-package, validating a spec and the closed forms load no numpy. A pooled
+where it is called, so numpy loads at the first draw: importing any
+module, validating a spec and the closed forms load no numpy. A pooled
 run imports ``numpy.random``, a lazy submodule, before its pool forks, so
 forked workers inherit it.
 """
@@ -74,13 +70,11 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import TYPE_CHECKING, NamedTuple
 
-from .detector import DetectorConfig, analytic_pd, analytic_pf
+from .detector import AnalyticFamily, DetectorConfig, receiver_rates
 from .fusion import CooperativeRates, FusionConfig, cooperative_rates, integer
-from .noise_model import NoiseUncertaintyModel
-from .specfun import reg_upper_gamma
+from .noise_model import NoiseUncertaintyModel, two_sided_kappa
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -88,7 +82,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "AnalyticFamily",
     "SchemeKind",
     "decide_scheme",
     "BLOCK_TRIALS",
@@ -110,11 +103,6 @@ STREAM_VERSION = 1
 # Energy draws (~60 ms of work) in a share of a pooled sweep, which has at least
 # four shares per worker, so the pool's queue evens out and can be cancelled.
 _SHARE_DRAWS = 2**19
-
-
-class AnalyticFamily(str, enum.Enum):
-    CHI_SQUARE = "chi_square"
-    EXPONENTIAL = "exponential"
 
 
 class SchemeKind(str, enum.Enum):
@@ -180,16 +168,22 @@ class Scenario:
                 f"10^(snr_db / 10), got {self.snr_db!r}"
             )
         # each threshold test divides by sample_count * normalizer, and every
-        # normalizer lies in the bracket (a spec block that failed is None)
+        # normalizer lies in the bracket; the exponential closed forms take
+        # sample_count * threshold (a spec block that failed is None)
+        factors = {}
         if self.detector is not None and self.noise is not None:
-            count, high = self.detector.sample_count, self.noise.bracket.high
+            factors["noise.bracket.high"] = self.noise.bracket.high
+        if self.detector is not None and self.family == AnalyticFamily.EXPONENTIAL:
+            factors["detector.threshold"] = self.detector.threshold
+        for name, factor in factors.items():
+            count = self.detector.sample_count
             try:
-                finite = count * high < math.inf
+                finite = count * factor < math.inf
             except OverflowError:  # a sample count beyond the float range
                 finite = False
             if not finite:
-                raise ValueError("detector.sample_count * noise.bracket.high must be "
-                                 f"a finite double, got {count!r} * {high!r}")
+                raise ValueError(f"detector.sample_count * {name} must be a finite "
+                                 f"double, got {count!r} * {factor!r}")
         if integer(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if not 0 <= integer(self.seed, "seed") < 2**64:
@@ -223,7 +217,7 @@ class ScenarioEstimate:
     seed: int
 
 
-_WILSON_Z = NormalDist().inv_cdf(0.975)
+_WILSON_Z = two_sided_kappa(0.95)
 
 
 def wilson_interval(successes: int, observations: int) -> tuple[float, float]:
@@ -379,16 +373,9 @@ def nominal_rates(scenario: Scenario) -> CooperativeRates:
     """Family-matched closed forms at the configured operating point
     (nominal normalization, no uncertainty), fused by ``cooperative_rates``.
     They do not depend on the scheme, the trial count or the seed."""
-    u = scenario.detector.sample_count
-    threshold = scenario.detector.threshold
-    snr = scenario.snr_linear
-    if scenario.family == AnalyticFamily.CHI_SQUARE:
-        p_f = analytic_pf(u, threshold)
-        p_d = analytic_pd(u, snr, threshold)
-    else:
-        p_f = reg_upper_gamma(u, u * threshold)
-        p_d = reg_upper_gamma(u, u * threshold / (1.0 + snr))
-    return cooperative_rates(scenario.fusion, p_f, p_d)
+    detector = scenario.detector
+    return cooperative_rates(scenario.fusion, *receiver_rates(
+        scenario.family, detector.sample_count, detector.threshold, scenario.snr_linear))
 
 
 class SweepDraws:

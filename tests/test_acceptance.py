@@ -14,15 +14,9 @@ import pytest
 from scipy import integrate
 
 from coopsense.cli_experiments import CSV_COLUMNS, resolve_spec_path, run_experiment
-from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
+from coopsense.detector import AnalyticFamily, DetectorConfig, analytic_pd, analytic_pf
 from coopsense.fusion import FusionConfig, cooperative_rates, optimize_vote_count
-from coopsense.montecarlo import (
-    AnalyticFamily,
-    Scenario,
-    SchemeKind,
-    SweepDraws,
-    estimate,
-)
+from coopsense.montecarlo import Scenario, SchemeKind, SweepDraws, estimate
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
 

@@ -30,7 +30,8 @@ from coopsense.cli_experiments import (
     run_experiment,
     validate_spec,
 )
-from coopsense.montecarlo import AnalyticFamily, Scenario, SchemeKind, nominal_rates
+from coopsense.detector import AnalyticFamily
+from coopsense.montecarlo import Scenario, SchemeKind, nominal_rates
 from coopsense.specfun import ConvergenceError
 
 
@@ -149,6 +150,22 @@ class TestValidation:
             "scenario: detector.sample_count * noise.bracket.high must be a "
             "finite double, got 4 * 1e+308"
         ]
+
+    # the exponential closed forms take sample_count * threshold, which
+    # passed validation and then failed the run in nominal_rates
+    def test_overflowing_exponential_threshold_is_one_diagnostic(self, write_spec):
+        reason = ("detector.sample_count * detector.threshold must be a finite "
+                  "double, got 10000000000 * 1e+300")
+        given = {"scenario.detector.sample_count": 10**10,
+                 "scenario.noise": {"nominal_variance": 1.0, "bracket": [1.0, 1.0]}}
+        document = spec_document(**given, **{"scenario.detector.threshold": 1e300})
+        assert validate_spec(write_spec(document)) == [f"scenario: {reason}"]
+        swept = spec_document(**given, **{
+            "sweep": {"axis": "threshold", "values": [1.0, 1e300]},
+            "scenario.detector.threshold": ...,
+            "scenario.snr_db": 0.0,
+        })
+        assert validate_spec(write_spec(swept)) == [f"sweep.values: {reason}"]
 
     def test_vote_threshold_above_receivers_diagnosed(self, write_spec):
         path = write_spec(spec_document(**{"scenario.fusion.vote_threshold": 9}))

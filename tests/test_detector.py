@@ -14,9 +14,17 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from coopsense.detector import DetectorConfig, analytic_pd, analytic_pf
+from coopsense.detector import (
+    AnalyticFamily,
+    DetectorConfig,
+    analytic_pd,
+    analytic_pf,
+    receiver_rates,
+)
 from coopsense.montecarlo import decide_scheme, wilson_interval
 from coopsense.specfun import reg_upper_gamma
 
@@ -79,6 +87,33 @@ class TestAnalyticPd:
         arguments = {"snr": 0.1, "threshold": 30.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
             analytic_pd(5.0, **arguments)
+
+
+class TestReceiverRates:
+    """``receiver_rates``, the one family dispatch of the closed forms."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from([*AnalyticFamily, *(f.value for f in AnalyticFamily)]),
+        order=st.integers(1, 5000),
+        threshold=st.floats(1e-3, 1e3),
+        snr_db=st.floats(-100.0, 100.0),
+    )
+    def test_each_family_is_its_closed_forms_bit_for_bit(
+        self, family, order, threshold, snr_db
+    ):
+        snr = 10.0 ** (snr_db / 10.0)
+        if AnalyticFamily(family) == AnalyticFamily.CHI_SQUARE:
+            want = analytic_pf(order, threshold), analytic_pd(order, snr, threshold)
+        else:
+            want = (reg_upper_gamma(order, order * threshold),
+                    reg_upper_gamma(order, order * threshold / (1.0 + snr)))
+        assert receiver_rates(family, order, threshold, snr) == want
+
+    @pytest.mark.parametrize("family", ["gaussian", None, 0])
+    def test_unknown_family_raises(self, family):
+        with pytest.raises(ValueError, match="is not a valid AnalyticFamily"):
+            receiver_rates(family, 5, 30.0, 0.1)
 
 
 class TestPfPmFromPdf:

@@ -6,7 +6,7 @@ import pickle
 import re
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from itertools import product
 
 import numpy as np
@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from coopsense import montecarlo
 from coopsense.cli_experiments import load_spec, resolve_spec_path
-from coopsense.detector import DetectorConfig, analytic_pf
+from coopsense.detector import AnalyticFamily, DetectorConfig, analytic_pf
 from coopsense.fusion import FusionConfig
 from coopsense.montecarlo import (
     BLOCK_TRIALS,
-    AnalyticFamily,
     Scenario,
     SchemeKind,
     SweepDraws,
@@ -688,6 +687,17 @@ class TestScenarioValidation:
                 fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=1.0),
             )
 
+    # an exponential closed form at sample_count * threshold = inf failed in
+    # nominal_rates with "x must be finite"; chi-square takes no such product
+    def test_rejects_an_overflowing_exponential_threshold(self):
+        detector = DetectorConfig(sample_count=10**10, threshold=1e300)
+        with pytest.raises(ValueError, match=re.escape(
+                "detector.sample_count * detector.threshold must be a finite "
+                "double, got 10000000000 * 1e+300")):
+            uncertain_scenario(detector=detector)
+        rates = nominal_rates(chi_square_scenario(detector=detector))
+        assert 0.0 <= rates.p_f <= rates.p_d
+
     def test_accepts_the_largest_finite_denominator(self):
         scenario = uncertain_scenario(
             detector=DetectorConfig(sample_count=1, threshold=1.0),
@@ -715,8 +725,8 @@ class TestScenarioValidation:
     ):
         # draws up to the float range; whatever Scenario accepts runs its
         # block with no invalid operation (inf / inf, inf * 0) and divides
-        # by finite sample_count * normalizer only; an energy past the
-        # largest double may round to inf
+        # by finite sample_count * normalizer only, and its closed forms
+        # give rates; an energy past the largest double may round to inf
         low, high = sorted(ends)
         try:
             scenario = Scenario(
@@ -737,6 +747,7 @@ class TestScenarioValidation:
             tallies = _simulate_block(scenario, _block_rng(7, 0), n)
         for tally in tallies:
             assert tally.trials_h1 <= n and 0 <= tally.su_detections <= n * num_sus
+        assert all(0.0 <= rate <= 1.0 for rate in astuple(nominal_rates(scenario)))
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

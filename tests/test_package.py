@@ -1,7 +1,6 @@
-"""Export hygiene: ``__all__`` lists and the package namespace stay in step,
-and importing the package stays light."""
+"""Export hygiene: every ``__all__`` name exists, each module loads only the
+modules it reads, and importing the package stays light."""
 
-import ast
 import importlib
 import multiprocessing
 import os
@@ -26,20 +25,6 @@ def test_every_exported_name_exists():
         assert not missing, f"{module.__name__}.__all__ lists missing names: {missing}"
 
 
-def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(coopsense.__file__).read_text(encoding="utf-8"))
-    stale = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"coopsense.{node.module}")
-            stale += [
-                f"{node.module}.{alias.name}"
-                for alias in node.names
-                if alias.name not in module.__all__
-            ]
-    assert not stale, f"coopsense/__init__.py imports unexported names: {stale}"
-
-
 def fresh_python(code):
     """Standard output of ``code`` run in a fresh interpreter that imports
     this checkout's coopsense."""
@@ -55,12 +40,29 @@ def fresh_python(code):
     return result.stdout
 
 
+# the package exports no name, so a module loads only the modules it reads:
+# the closed forms load no engine
+LOADED_BY = {
+    "coopsense.specfun": ["coopsense", "coopsense.specfun"],
+    "coopsense.detector": ["coopsense", "coopsense.detector", "coopsense.fusion",
+                           "coopsense.specfun"],
+}
+
+
+@pytest.mark.parametrize("module", LOADED_BY)
+def test_module_loads_only_the_modules_it_reads(module):
+    probe = (f"import sys, {module}\n"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'coopsense'))")
+    assert fresh_python(probe).strip() == repr(LOADED_BY[module])
+
+
 def test_import_loads_neither_numpy_random_nor_a_process_pool():
     # a serial run imports numpy at its first draw and only a pooled run
-    # needs concurrent.futures; importing the package needs neither
+    # needs concurrent.futures; importing every module needs neither
     heavy = {"numpy", "numpy.random", "concurrent.futures",
              "concurrent.futures.process"}
-    probe = f"import sys, coopsense; print(sorted({heavy!r} & set(sys.modules)))"
+    probe = ("import sys, coopsense.cli_experiments\n"
+             f"print(sorted({heavy!r} & set(sys.modules)))")
     assert fresh_python(probe).strip() == "[]"
 
 
