@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_MAX_SAMPLE_COUNT, _MAX_THRESHOLD = 2**53, 1e100  # proved safe in montecarlo.Scenario
+
+
 class AnalyticFamily(str, enum.Enum):
     CHI_SQUARE = "chi_square"
     EXPONENTIAL = "exponential"
@@ -43,18 +46,19 @@ class AnalyticFamily(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Static parameters of one energy detector: ``sample_count`` complex
-    samples per sensing window, which is also the order u of both
-    families' closed forms, and the decision ``threshold``."""
+    """Static parameters of one energy detector: ``sample_count`` in [1, 2**53]
+    complex samples per sensing window, which is also the order u of both
+    families' closed forms, and the decision ``threshold`` in [0, 1e100]."""
 
     sample_count: int
     threshold: float
 
     def __post_init__(self):
-        if integer(self.sample_count, "sample_count") < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count!r}")
-        if self.threshold < 0.0 or not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold!r}")
+        if not 1 <= integer(self.sample_count, "sample_count") <= _MAX_SAMPLE_COUNT:
+            raise ValueError(
+                f"sample_count must lie in [1, 2**53], got {self.sample_count!r}")
+        if not 0.0 <= self.threshold <= _MAX_THRESHOLD:
+            raise ValueError(f"threshold must lie in [0, 1e100], got {self.threshold!r}")
 
 
 def analytic_pf(order: float, threshold: float) -> float:

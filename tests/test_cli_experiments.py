@@ -123,13 +123,13 @@ class TestValidation:
 
     def test_overflowing_bracket_mean_is_one_diagnostic(self, write_spec):
         # 1e308 + 1.5e308 is past the largest double, so the mean the
-        # enhanced schemes divide by would be inf
+        # enhanced schemes divide by would be inf; both ends lie past 1e100
         document = spec_document(**{
             "scenario.noise": {"nominal_variance": 1e308, "bracket": [1e308, 1.5e308]},
             "scenario.detector.sample_count": 1,
         })
         assert validate_spec(write_spec(document)) == [
-            "scenario.noise: bracket low + high must be a finite double, "
+            "scenario.noise: bracket requires 1e-100 <= low <= high <= 1e100, "
             "got [1e+308, 1.5e+308]"
         ]
 
@@ -139,7 +139,8 @@ class TestValidation:
         assert any("num_sus" in d for d in diagnostics)
 
     def test_overflowing_denominator_is_one_diagnostic(self, write_spec):
-        # sample_count * bracket.high = 4 * 1e308 is past the largest double
+        # sample_count * bracket.high = 4 * 1e308 is past the largest double;
+        # the bracket's high end lies past 1e100
         document = spec_document(**{
             "scenario.detector.sample_count": 4,
             "scenario.noise": {"nominal_variance": 1e307, "bracket": [1.0, 1e308]},
@@ -147,19 +148,19 @@ class TestValidation:
             "scenario.fusion.prior_h0": 1.0,
         })
         assert validate_spec(write_spec(document)) == [
-            "scenario: detector.sample_count * noise.bracket.high must be a "
-            "finite double, got 4 * 1e+308"
+            "scenario.noise: bracket requires 1e-100 <= low <= high <= 1e100, "
+            "got [1.0, 1e+308]"
         ]
 
     # the exponential closed forms take sample_count * threshold, which
-    # passed validation and then failed the run in nominal_rates
+    # passed validation and then failed the run in nominal_rates; the
+    # threshold lies past 1e100
     def test_overflowing_exponential_threshold_is_one_diagnostic(self, write_spec):
-        reason = ("detector.sample_count * detector.threshold must be a finite "
-                  "double, got 10000000000 * 1e+300")
+        reason = "threshold must lie in [0, 1e100], got 1e+300"
         given = {"scenario.detector.sample_count": 10**10,
                  "scenario.noise": {"nominal_variance": 1.0, "bracket": [1.0, 1.0]}}
         document = spec_document(**given, **{"scenario.detector.threshold": 1e300})
-        assert validate_spec(write_spec(document)) == [f"scenario: {reason}"]
+        assert validate_spec(write_spec(document)) == [f"scenario.detector: {reason}"]
         swept = spec_document(**given, **{
             "sweep": {"axis": "threshold", "values": [1.0, 1e300]},
             "scenario.detector.threshold": ...,
@@ -336,7 +337,7 @@ class TestValidation:
             "scenario.fusion.prior_h0": 2.0,
         })
         assert validate_spec(write_spec(document)) == [
-            "scenario.detector: sample_count must be >= 1, got 0",
+            "scenario.detector: sample_count must lie in [1, 2**53], got 0",
             "scenario.noise: confidence must lie in (0, 1), got 1.5",
             "scenario.fusion: prior_h0 must lie in [0, 1], got 2.0",
             "scenario: trials must be >= 1, got 0",
@@ -386,7 +387,7 @@ class TestValidation:
             write_spec(with_leaf(document, ("sweep", "values", 1), token))
         )
         assert diagnostics == [
-            f"sweep.values: threshold must be finite and >= 0, got {float(token)!r}"
+            f"sweep.values: threshold must lie in [0, 1e100], got {float(token)!r}"
         ]
 
     @pytest.mark.parametrize(
@@ -400,25 +401,24 @@ class TestValidation:
         leaf = ("scenario", "detector", field)
         document = spec_document(**{".".join(leaf): 1.0})
         diagnostics = validate_spec(write_spec(with_leaf(document, leaf, token)))
-        assert len(diagnostics) == 1
-        assert diagnostics[0].startswith(f"scenario.detector: {field} must be finite")
+        assert diagnostics == [
+            f"scenario.detector: {field} must lie in [0, 1e100], got {float(token)!r}"
+        ]
 
     @pytest.mark.parametrize("name", ["fig2", "fig3"])
     def test_overflowing_snr_sweep_rejected(self, write_spec, name):
-        # 10^(3100 / 10) is past the largest double
+        # 10^(3100 / 10) is past the largest double, and 3100 dB past 1000 dB
         document = json.loads(resolve_spec_path(name).read_text(encoding="utf-8"))
         document["sweep"]["values"] = [-10, 3100]
         assert validate_spec(write_spec(document)) == [
-            "sweep.values: snr_db must be finite, with a finite linear SNR "
-            "10^(snr_db / 10), got 3100.0"
+            "sweep.values: snr_db must be finite and at most 1000 dB, got 3100.0"
         ]
 
     def test_overflowing_scenario_snr_rejected(self, write_spec):
         document = spec_document(**{"scenario.snr_db": 3100})
         document["sweep"] = {"axis": "num_sus", "values": [3, 5]}
         assert validate_spec(write_spec(document)) == [
-            "scenario: snr_db must be finite, with a finite linear SNR "
-            "10^(snr_db / 10), got 3100.0"
+            "scenario: snr_db must be finite and at most 1000 dB, got 3100.0"
         ]
 
     @pytest.mark.parametrize(
@@ -666,7 +666,8 @@ class TestMainEntry:
             (with_leaf(spec_document(**{"scenario.noise": {
                 "nominal_variance": 1.0, "bracket": [1.0, 1.02]}}),
                 ("scenario", "noise", "bracket", 0), "NaN"),
-             "scenario.noise: bracket endpoints must be finite"),
+             "scenario.noise: bracket requires 1e-100 <= low <= high <= 1e100, "
+             "got [nan, 1.02]"),
         ],
         ids=["no-vote-key", "top-level-list", "no-scheme", "nan-bracket"],
     )
@@ -790,8 +791,8 @@ class TestMainEntry:
         assert out.exists()
         assert multiprocessing.active_children() == []
 
-    # 3082 dB is the largest whole dB whose linear SNR is a finite double
-    @pytest.mark.parametrize("snr_db", [80, 400, 3082])
+    # 1000 dB is the largest SNR a scenario accepts
+    @pytest.mark.parametrize("snr_db", [80, 400, 1000])
     def test_high_snr_cells_run_with_certain_detection(
         self, write_spec, tmp_path, capsys, snr_db
     ):
@@ -1073,20 +1074,134 @@ class TestUnreadKeys:
         assert diagnostics == [f"{'.'.join((*block, key))}: has no effect, remove it"]
 
 
+BRACKET_RANGE = "bracket requires 1e-100 <= low <= high <= 1e100"
+
+
+def bracket_noise(low, high):
+    return {"nominal_variance": 1.0, "bracket": [low, high]}
+
+
+class TestRangeEdges:
+    """Each scenario field has one range: its edge validates, and the next
+    value past it is one diagnostic naming its block (or ``sweep.values``
+    as a swept value)."""
+
+    @pytest.mark.parametrize(
+        "path, edge, past, diagnostic",
+        [
+            ("scenario.detector.sample_count", 1, 0,
+             "scenario.detector: sample_count must lie in [1, 2**53], got 0"),
+            ("scenario.detector.sample_count", 2**53, 2**53 + 1,
+             "scenario.detector: sample_count must lie in [1, 2**53], "
+             "got 9007199254740993"),
+            ("scenario.detector.threshold", 0.0, -5e-324,
+             "scenario.detector: threshold must lie in [0, 1e100], got -5e-324"),
+            ("scenario.detector.threshold", 1e100, math.nextafter(1e100, math.inf),
+             "scenario.detector: threshold must lie in [0, 1e100], "
+             "got 1.0000000000000002e+100"),
+            ("scenario.noise", bracket_noise(1e-100, 1.02),
+             bracket_noise(math.nextafter(1e-100, 0.0), 1.02),
+             f"scenario.noise: {BRACKET_RANGE}, got [{math.nextafter(1e-100, 0.0)!r}, 1.02]"),
+            ("scenario.noise", bracket_noise(1.0, 1e100),
+             bracket_noise(1.0, math.nextafter(1e100, math.inf)),
+             f"scenario.noise: {BRACKET_RANGE}, got [1.0, 1.0000000000000002e+100]"),
+            ("scenario.snr_db", 1000.0, math.nextafter(1000.0, math.inf),
+             "scenario: snr_db must be finite and at most 1000 dB, "
+             "got 1000.0000000000001"),
+        ],
+        ids=["count-low", "count-high", "threshold-low", "threshold-high",
+             "bracket-low", "bracket-high", "snr-high"],
+    )
+    def test_edge_validates_and_past_it_is_one_diagnostic(
+        self, write_spec, path, edge, past, diagnostic
+    ):
+        # a num_sus sweep leaves scenario.snr_db a field of its own
+        sweep = {"axis": "num_sus", "values": [3, 5]}
+        document = spec_document(**{"sweep": sweep, "scenario.snr_db": -10.0, path: edge})
+        assert validate_spec(write_spec(document)) == []
+        document = spec_document(**{"sweep": sweep, "scenario.snr_db": -10.0, path: past})
+        assert validate_spec(write_spec(document)) == [diagnostic]
+
+    @pytest.mark.parametrize(
+        "axis, edge, past, reason",
+        [
+            ("threshold", 1e100, math.nextafter(1e100, math.inf),
+             "threshold must lie in [0, 1e100], got 1.0000000000000002e+100"),
+            ("threshold", 0.0, -5e-324, "threshold must lie in [0, 1e100], got -5e-324"),
+            ("snr_db", 1000.0, math.nextafter(1000.0, math.inf),
+             "snr_db must be finite and at most 1000 dB, got 1000.0000000000001"),
+        ],
+        ids=["threshold-high", "threshold-low", "snr-high"],
+    )
+    def test_swept_edge_validates_and_past_it_is_one_diagnostic(
+        self, write_spec, axis, edge, past, reason
+    ):
+        document = spec_document(**{"sweep": {"axis": axis, "values": [1.0, edge]}})
+        if axis == "threshold":  # the sweep replaces the field it names
+            document["scenario"]["snr_db"] = -10.0
+            del document["scenario"]["detector"]["threshold"]
+        assert validate_spec(write_spec(document)) == []
+        document["sweep"]["values"] = [1.0, past]
+        assert validate_spec(write_spec(document)) == [f"sweep.values: {reason}"]
+
+    # scenarios whose kernel decided on an overflowed value before the
+    # ranges: an exponential signal past the largest double read p_d 1.0
+    # against the exact 0.905, its chi-square twin 1.0 against 0.0, and a
+    # chi-square 2 * sample_count of inf with 0.5 * variance of 0 drew NaN
+    # energies; each field past its range is named
+    @pytest.mark.parametrize(
+        "family, sample_count, threshold, variance, snr_db, diagnostics",
+        [
+            ("exponential", 1, 1e307, 10.0, 3080.0, [
+                "scenario.detector: threshold must lie in [0, 1e100], got 1e+307",
+                "scenario: snr_db must be finite and at most 1000 dB, got 3080.0",
+            ]),
+            ("chi_square", 5, 1e300, 1e10, 2980.0, [
+                "scenario.detector: threshold must lie in [0, 1e100], got 1e+300",
+                "scenario: snr_db must be finite and at most 1000 dB, got 2980.0",
+            ]),
+            ("chi_square", int(1.26e308), 0.0, 5e-324, 0.0, [
+                f"scenario.detector: sample_count must lie in [1, 2**53], "
+                f"got {int(1.26e308)}",
+                f"scenario.noise: {BRACKET_RANGE}, got [5e-324, 5e-324]",
+            ]),
+        ],
+        ids=["exponential-signal", "chi-square-signal", "chi-square-degrees"],
+    )
+    def test_overflowing_kernel_reproductions_rejected_by_name(
+        self, write_spec, family, sample_count, threshold, variance, snr_db,
+        diagnostics,
+    ):
+        document = spec_document(**{
+            "sweep": {"axis": "num_sus", "values": [1, 2]},
+            "scenario.family": family,
+            "scenario.snr_db": snr_db,
+            "scenario.detector": {"sample_count": sample_count, "threshold": threshold},
+            "scenario.noise": {"nominal_variance": variance,
+                               "bracket": [variance, variance]},
+            "scenario.fusion.prior_h0": 0.0,
+        })
+        assert validate_spec(write_spec(document)) == diagnostics
+
+
 class TestNominalRange:
     @settings(max_examples=150, deadline=None)
     @given(
         snr_db=st.one_of(
             st.floats(-300.0, 300.0),
             st.floats(-4000.0, 4000.0),
-            st.sampled_from([3079.5, 3082.5, 3082.6]),
+            st.sampled_from([999.5, 1000.0, math.nextafter(1000.0, math.inf)]),
         ),
-        threshold=st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e308)),
+        threshold=st.one_of(
+            st.floats(0.0, 100.0),
+            st.floats(0.0, 1e308),
+            st.sampled_from([1e100, math.nextafter(1e100, math.inf)]),
+        ),
     )
     def test_every_validated_fig3_cell_evaluates(self, snr_db, threshold):
         """No SNR or threshold that validation admits takes the closed forms
-        out of [0, 1] or into an error; it rejects only an overflowing
-        linear SNR."""
+        out of [0, 1] or into an error; it rejects exactly an SNR above
+        1000 dB or a threshold above 1e100."""
         document = copy.deepcopy(BUNDLED["fig3"])
         document["sweep"]["values"] = [snr_db]
         document["scenario"]["detector"]["threshold"] = threshold
@@ -1094,11 +1209,18 @@ class TestNominalRange:
             spec_path = Path(tmp) / "fig3.json"
             spec_path.write_text(json.dumps(document), encoding="utf-8")
             diagnostics = validate_spec(spec_path)
-            if diagnostics:
-                assert snr_db > 3082.0
-                (diagnostic,) = diagnostics
-                assert diagnostic.startswith("sweep.values: snr_db")
+            # a failed block stops validation before the sweep's cells
+            if threshold > 1e100:
+                assert diagnostics == [
+                    f"scenario.detector: threshold must lie in [0, 1e100], got {threshold!r}"
+                ]
                 return
+            if snr_db > 1000.0:
+                assert diagnostics == [
+                    f"sweep.values: snr_db must be finite and at most 1000 dB, got {snr_db!r}"
+                ]
+                return
+            assert diagnostics == []
             spec = load_spec(spec_path)
         (cell,) = spec.cells
         assert cell.snr_db == snr_db

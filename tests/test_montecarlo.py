@@ -661,26 +661,38 @@ class TestEstimate:
         assert convex.q_e.value <= fixed.q_e.value
 
 
+# each range's edges and the doubles just past them: the bracket ends, then
+# the threshold's
+RANGE_EDGES = [1e-100, math.nextafter(1e-100, 0.0), 0.0, 1e100,
+               math.nextafter(1e100, math.inf)]
+
+
 class TestScenarioValidation:
     def test_rejects_nonfinite_snr(self):
         with pytest.raises(ValueError):
             chi_square_scenario(snr_db=math.inf)
 
     def test_rejects_overflowing_linear_snr(self):
-        # 10^(3100 / 10) is past the largest double, 10^(3082 / 10) is not
+        # 10^(3100 / 10) is past the largest double; 1000 dB, a linear SNR of
+        # 1e100, is the largest a scenario accepts
         base = load_spec(resolve_spec_path("fig2")).base
-        with pytest.raises(ValueError, match="finite linear SNR"):
-            replace(base, snr_db=3100.0)
-        assert math.isfinite(replace(base, snr_db=3082.0).snr_linear)
+        for snr_db in (3100.0, math.nextafter(1000.0, math.inf)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"snr_db must be finite and at most 1000 dB, got {snr_db!r}")):
+                replace(base, snr_db=snr_db)
+        assert replace(base, snr_db=1000.0).snr_linear == 1e100
 
     # the reproduction of an overflowed normalized statistic: with
     # 4 * 1e308 = inf, every enhanced quotient was 0 or NaN, and
     # `expectation` read p_f 0.0 against 0.865 under `fixed`
-    @pytest.mark.parametrize("sample_count", [4, 10**400], ids=["4", "10**400"])
-    def test_rejects_an_overflowing_denominator(self, sample_count):
-        with pytest.raises(ValueError, match=re.escape(
-                "detector.sample_count * noise.bracket.high must be a finite "
-                f"double, got {sample_count!r} * 1e+308")):
+    @pytest.mark.parametrize(
+        "sample_count, reason",
+        [(4, "bracket requires 1e-100 <= low <= high <= 1e100, got [1.0, 1e+308]"),
+         (10**400, f"sample_count must lie in [1, 2**53], got {10**400}")],
+        ids=["4", "10**400"],
+    )
+    def test_rejects_an_overflowing_denominator(self, sample_count, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
             uncertain_scenario(
                 detector=DetectorConfig(sample_count=sample_count, threshold=1.0),
                 noise=NoiseUncertaintyModel(1e307, VarianceBracket(1.0, 1e308)),
@@ -688,32 +700,41 @@ class TestScenarioValidation:
             )
 
     # an exponential closed form at sample_count * threshold = inf failed in
-    # nominal_rates with "x must be finite"; chi-square takes no such product
+    # nominal_rates with "x must be finite"; 1e100 is the largest threshold,
+    # and both families' closed forms take it
     def test_rejects_an_overflowing_exponential_threshold(self):
-        detector = DetectorConfig(sample_count=10**10, threshold=1e300)
         with pytest.raises(ValueError, match=re.escape(
-                "detector.sample_count * detector.threshold must be a finite "
-                "double, got 10000000000 * 1e+300")):
-            uncertain_scenario(detector=detector)
-        rates = nominal_rates(chi_square_scenario(detector=detector))
-        assert 0.0 <= rates.p_f <= rates.p_d
+                "threshold must lie in [0, 1e100], got 1e+300")):
+            DetectorConfig(sample_count=10**10, threshold=1e300)
+        detector = DetectorConfig(sample_count=10**10, threshold=1e100)
+        for rates in (nominal_rates(uncertain_scenario(detector=detector)),
+                      nominal_rates(chi_square_scenario(detector=detector))):
+            assert 0.0 <= rates.p_f <= rates.p_d <= 1.0
 
     def test_accepts_the_largest_finite_denominator(self):
         scenario = uncertain_scenario(
-            detector=DetectorConfig(sample_count=1, threshold=1.0),
-            noise=NoiseUncertaintyModel(1e307, VarianceBracket(1.0, sys.float_info.max)),
+            detector=DetectorConfig(sample_count=2**53, threshold=1.0),
+            noise=NoiseUncertaintyModel(1e100, VarianceBracket(1e-100, 1e100)),
         )
-        assert scenario.detector.sample_count * scenario.noise.bracket.high < math.inf
+        assert scenario.detector.sample_count * scenario.noise.bracket.high == 2**53 * 1e100
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         family=st.sampled_from(AnalyticFamily),
-        sample_count=st.one_of(st.integers(1, 10**4), st.integers(1, 10**310)),
-        ends=st.lists(st.floats(0.0, sys.float_info.max, exclude_min=True),
-                      min_size=2, max_size=2),
+        sample_count=st.one_of(st.integers(1, 10**4), st.integers(1, 2**53),
+                               st.integers(1, 10**310),
+                               st.sampled_from([2**53, 2**53 + 1])),
+        ends=st.lists(
+            st.one_of(st.floats(0.0, sys.float_info.max, exclude_min=True),
+                      st.floats(1e-100, 1e100),
+                      st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e),
+                      st.sampled_from(RANGE_EDGES)),
+            min_size=2, max_size=2),
         where=st.floats(0.0, 1.0),
-        threshold=st.floats(0.0, sys.float_info.max),
-        snr_db=st.floats(-3100.0, 3100.0),
+        threshold=st.one_of(st.floats(0.0, sys.float_info.max), st.floats(0.0, 1e100),
+                            st.sampled_from(RANGE_EDGES[2:])),
+        snr_db=st.one_of(st.floats(-3100.0, 3100.0), st.floats(-1000.0, 1000.0),
+                         st.sampled_from([1000.0, math.nextafter(1000.0, math.inf)])),
         num_sus=st.integers(1, 3),
         prior_h0=st.sampled_from([0.0, 0.5, 1.0]),
         report_error=st.sampled_from([0.0, 0.1]),
@@ -723,11 +744,14 @@ class TestScenarioValidation:
         self, family, sample_count, ends, where, threshold, snr_db, num_sus,
         prior_h0, report_error, n,
     ):
-        # draws up to the float range; whatever Scenario accepts runs its
-        # block with no invalid operation (inf / inf, inf * 0) and divides
-        # by finite sample_count * normalizer only, and its closed forms
-        # give rates; an energy past the largest double may round to inf
+        # draws up to the float range; Scenario accepts exactly the fields
+        # in their ranges, and whatever it accepts runs its block with no
+        # overflow, invalid operation (inf / inf, inf * 0) or division by
+        # zero, divides by finite sample_count * normalizer only, and its
+        # closed forms give rates
         low, high = sorted(ends)
+        in_range = (sample_count <= 2**53 and threshold <= 1e100
+                    and 1e-100 <= low and high <= 1e100 and snr_db <= 1000.0)
         try:
             scenario = Scenario(
                 detector=DetectorConfig(sample_count=sample_count, threshold=threshold),
@@ -739,11 +763,13 @@ class TestScenarioValidation:
                 snr_db=snr_db, trials=n, seed=7, family=family,
             )
         except ValueError:
+            assert not in_range
             return
+        assert in_range
         noise = scenario.noise
         for normalizer in (noise.nominal_variance, noise.bracket.mean, low, high):
             assert sample_count * normalizer < math.inf, normalizer
-        with np.errstate(invalid="raise", over="ignore"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             tallies = _simulate_block(scenario, _block_rng(7, 0), n)
         for tally in tallies:
             assert tally.trials_h1 <= n and 0 <= tally.su_detections <= n * num_sus
@@ -776,6 +802,41 @@ class TestScenarioValidation:
 
     def test_snr_conversion(self):
         assert chi_square_scenario(snr_db=-10.0).snr_linear == pytest.approx(0.1)
+
+
+class TestRangeCorners:
+    # degenerate brackets at the corners of the scenario ranges, where the
+    # nominal closed forms are the exact rates: every count lies within
+    # |z| < 4 of them, or equals its bound where the rate is 0 or 1 (the
+    # chi-square cases at 1000 dB)
+    @pytest.mark.parametrize(
+        "family, sample_count, threshold, variance, snr_db",
+        [
+            (AnalyticFamily.EXPONENTIAL, 1, 1e100, 1e99, 1000.0),
+            (AnalyticFamily.EXPONENTIAL, 2**53, 1.0, 1e100, -80.0),
+            (AnalyticFamily.CHI_SQUARE, 5, 1e100, 1e-100, 1000.0),
+            (AnalyticFamily.CHI_SQUARE, 5, 1e100, 1e100, 1000.0),
+            (AnalyticFamily.CHI_SQUARE, 5, 10.0, 1e-100, 5.0),
+            (AnalyticFamily.CHI_SQUARE, 5, 10.0, 1e100, 5.0),
+        ],
+    )
+    def test_monte_carlo_matches_the_closed_form(
+        self, family, sample_count, threshold, variance, snr_db
+    ):
+        scenario = Scenario(
+            detector=DetectorConfig(sample_count=sample_count, threshold=threshold),
+            noise=NoiseUncertaintyModel(variance, VarianceBracket(variance, variance)),
+            fusion=FusionConfig(num_sus=1, vote_threshold=1, prior_h0=0.5),
+            snr_db=snr_db, trials=20_000, seed=11, family=family,
+        )
+        exact = nominal_rates(scenario)
+        result = estimate(scenario)
+        for rate, p in ((result.p_f, exact.p_f), (result.p_d, exact.p_d)):
+            n = rate.observations
+            if p in (0.0, 1.0):
+                assert rate.successes == p * n
+            else:
+                assert abs(rate.successes - n * p) < 4.0 * math.sqrt(n * p * (1.0 - p))
 
 
 class TestWilsonInterval:

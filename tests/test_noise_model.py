@@ -2,7 +2,6 @@
 
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -97,9 +96,11 @@ class TestNoiseUncertaintyModel:
     def test_mean_must_be_finite(self):
         # low + high past the largest double made the mean, which the
         # enhanced schemes divide by, inf; the engine then raised
-        # "normalizer must be finite" on a scenario that had validated
+        # "normalizer must be finite" on a scenario that had validated; the
+        # bracket's range, [1e-100, 1e100], rejects it
         with pytest.raises(ValueError, match=re.escape(
-                "bracket low + high must be a finite double, got [1e+308, 1.5e+308]")):
+                "bracket requires 1e-100 <= low <= high <= 1e100, "
+                "got [1e+308, 1.5e+308]")):
             VarianceBracket(low=1e308, high=1.5e308)
-        largest = VarianceBracket(low=1.0, high=sys.float_info.max)
-        assert largest.mean == 0.5 * sys.float_info.max
+        largest = VarianceBracket(low=1.0, high=1e100)
+        assert largest.mean == 0.5 * (1.0 + 1e100)

@@ -312,13 +312,14 @@ class TestKernelProperties:
     ):
         # the engine counts two-step's second steps as count(H1 at low) -
         # count(H1 at high), exact only because the decisions nest:
-        # E / (k * high) <= E / (k * mean) <= E / (k * low) in floating point
-        bracket = VarianceBracket(low=low, high=low + width)
+        # E / (k * high) <= E / (k * mean) <= E / (k * low) in floating point;
+        # plain normalizers keep the domain past a bracket's 1e100 range
+        high = low + width
+        mean = 0.5 * (low + high)  # VarianceBracket.mean
         # a quotient past the largest double rounds to inf, which still nests
         with np.errstate(over="ignore"):
             at_high, at_mean, at_low = (
-                decide_scheme(energies, k, threshold, end)
-                for end in (bracket.high, bracket.mean, bracket.low)
+                decide_scheme(energies, k, threshold, end) for end in (high, mean, low)
             )
         assert np.all(at_mean[at_high]) and np.all(at_low[at_mean])
         assert np.count_nonzero(at_low) - np.count_nonzero(at_high) == np.count_nonzero(
