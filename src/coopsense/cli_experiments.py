@@ -640,7 +640,9 @@ def main(argv=None) -> int:
     try:
         n_star, q_e_star = optimize_vote_count(args.k, args.pf, args.pd, args.alpha)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        # each message starts with the parameter it names; show the flag
+        flag = {"num_sus": "--k", "p_f": "--pf", "p_d": "--pd", "prior_h0": "--alpha"}
+        print(f"{flag[str(exc).split()[0]]}: {exc}", file=sys.stderr)
         return 2
     print(f"n_star={n_star} q_e_star={q_e_star!r} "
           f"n_star_complement={args.k - n_star}")

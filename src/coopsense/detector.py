@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .fusion import integer
-from .specfun import marcum_q, reg_upper_gamma
+from .specfun import MAX_ORDER, marcum_q, reg_upper_gamma
 
 __all__ = [
     "AnalyticFamily",
@@ -36,7 +36,11 @@ __all__ = [
 ]
 
 
-_MAX_SAMPLE_COUNT, _MAX_THRESHOLD = 2**53, 1e100  # proved safe in montecarlo.Scenario
+_MAX_THRESHOLD = 1e100  # proved safe in montecarlo.Scenario
+# analytic_pd's largest snr and threshold: sqrt(2 * 5e299) and sqrt(1e300)
+# round to marcum_q's largest a and b, 1e150, and the next doubles above
+# these bounds round past it
+_MAX_PD_SNR, _MAX_PD_THRESHOLD = 5e299, 1e300
 
 
 class AnalyticFamily(str, enum.Enum):
@@ -54,7 +58,7 @@ class DetectorConfig:
     threshold: float
 
     def __post_init__(self):
-        if not 1 <= integer(self.sample_count, "sample_count") <= _MAX_SAMPLE_COUNT:
+        if not 1 <= integer(self.sample_count, "sample_count") <= MAX_ORDER:
             raise ValueError(
                 f"sample_count must lie in [1, 2**53], got {self.sample_count!r}")
         if not 0.0 <= self.threshold <= _MAX_THRESHOLD:
@@ -81,19 +85,19 @@ def analytic_pd(order: float, snr: float, threshold: float) -> float:
 
     Args:
         order: sample count u of the sensing window.
-        snr: linear signal-to-noise ratio accumulated over the window.
-        threshold: decision threshold on the accumulated-energy scale.
+        snr: linear signal-to-noise ratio accumulated over the window, in
+            [0, 5e299].
+        threshold: decision threshold on the accumulated-energy scale, in
+            [0, 1e300].
 
     Returns:
         Marcum Q_order(sqrt(2 * snr), sqrt(threshold)).
     """
-    if not 0.0 <= snr < math.inf:
-        raise ValueError(f"snr must be finite and >= 0, got {snr!r}")
-    if not 0.0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-    # 2 * snr overflows above half the largest double; sqrt(2) sqrt(snr) does not
-    a = math.sqrt(2.0 * snr) if snr < 8e307 else math.sqrt(2.0) * math.sqrt(snr)
-    return marcum_q(order, a, math.sqrt(threshold))
+    if not 0.0 <= snr <= _MAX_PD_SNR:
+        raise ValueError(f"snr must lie in [0, 5e299], got {snr!r}")
+    if not 0.0 <= threshold <= _MAX_PD_THRESHOLD:
+        raise ValueError(f"threshold must lie in [0, 1e300], got {threshold!r}")
+    return marcum_q(order, math.sqrt(2.0 * snr), math.sqrt(threshold))
 
 
 def receiver_rates(family: AnalyticFamily, sample_count: int, threshold: float,

@@ -1,6 +1,9 @@
 """Special functions used by the closed-form detection probabilities.
 
-Everything here is scalar, pure and double precision. Two primitives do the
+Everything here is scalar, pure and double precision. The orders admitted
+are the integers 1 to 2^53 (``MAX_ORDER``), an int or an integral float:
+every order the closed forms take is one, the sample count u (a scenario
+holds at most 2^53) and u + j in the Marcum series. Two primitives do the
 real work:
 
 ``reg_upper_gamma``
@@ -20,13 +23,12 @@ real work:
       O(sqrt(u)) iterations near the transition. Below u + 1 the upper side
       is decided in O(1): where a geometric bound puts P under half of
       2^-54, Q = 1 - P rounds to exactly 1, and 1 is returned without the
-      series (P itself is always summed). At an integer order u < 100
-      (every order the closed forms take is one: the sample count, and u + j
-      in the Marcum series) the continued fraction terminates and is summed
-      exactly, u - 1 steps of a nested finite sum. Their callers scale both
-      by x^u e^-x / Gamma(u), taken in log space so large arguments neither
-      overflow nor lose the leading digits; at u >= 100 the Stirling series
-      cancels the large terms of that log analytically.
+      series (P itself is always summed). Below order 100 the continued
+      fraction terminates and is summed exactly, u - 1 steps of a nested
+      finite sum. Their callers scale both by x^u e^-x / Gamma(u), taken
+      in log space so large arguments neither overflow nor lose the
+      leading digits; at u >= 100 the Stirling series cancels the large
+      terms of that log analytically.
 
 ``marcum_q``
     Generalized Marcum Q-function Q_u(a, b), the tail of a noncentral
@@ -47,11 +49,12 @@ real work:
       at a P-side start it never needs the continued fraction;
     * far field, x s > 400: the trapezoidal rule on the contour integral
       through the saddle, a Gaussian of width 1/sqrt(2 x s + u) times a
-      slow phase, with a fixed number (about 20) of nodes;
-    * a or b above 1e150: the normal law of the chi-square.
+      slow phase, with a fixed number (about 20) of nodes.
 
-    The series runs only while x s <= 400, so no call's cost grows with x,
-    and no call in its pinned range reaches a ``ConvergenceError``.
+    It admits a and b in [0, 1e150], far above the sqrt(2 snr) <= 1.5e50
+    and sqrt(threshold) <= 1e50 a scenario reaches. The series runs only
+    while x s <= 400, so no call's cost grows with x, and no call in its
+    pinned range reaches a ``ConvergenceError``.
 
 Each public function admits a valid call by one chained comparison, which
 NaN fails too; only a call that fails it runs the checks that name the
@@ -65,6 +68,7 @@ import math
 import operator
 
 __all__ = [
+    "MAX_ORDER",
     "MAX_ITERATIONS",
     "TERM_TOLERANCE",
     "ConvergenceError",
@@ -73,13 +77,12 @@ __all__ = [
     "marcum_q",
 ]
 
+# Largest order admitted, also the largest sample count (``DetectorConfig``);
+# a float, which the hot guards compare fastest.
+MAX_ORDER = 2.0**53
 # Iteration budget and term tolerance for all series / continued fractions.
 MAX_ITERATIONS = 10_000
 TERM_TOLERANCE = 1e-14
-# Least order admitted. Below it Q = 1 - P in the series region loses about
-# 5e-15 / order relative (Q there is ~order E1(order + 1)), and at far
-# smaller orders the Marcum series' weights underflow or its ratios divide by 0.
-_MIN_ORDER = 0.01
 # 1 - exp(t) rounds to 1 below this (half an ulp under 1, 2^-54): the
 # decided side of the classic split and of the Marcum mixture.
 _LOG_ROUNDS_TO_ONE = -54.0 * math.log(2.0)
@@ -87,11 +90,6 @@ _LOG_ROUNDS_TO_ONE = -54.0 * math.log(2.0)
 
 class ConvergenceError(RuntimeError):
     """A series or continued fraction failed to reach tolerance in budget."""
-
-
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _lower_series(order: float, x: float) -> float:
@@ -116,14 +114,13 @@ def _upper_continued_fraction(order: float, x: float) -> float:
     valid for x >= order + 1; the caller applies the prefactor. Where it
     runs, c and 1/d stay at least 2, so it needs no zero guards.
 
-    At an integer order n below ``_TEMME_MIN_ORDER`` the fraction
-    terminates (a_i = -i (i - n) is 0 at i = n) and is summed as the exact
+    Every order is an integer n, so the fraction terminates: a_i = -i (i - n)
+    is 0 at i = n. Below ``_TEMME_LEAST_ORDER`` it is summed as the exact
     nested sum CF = h / x, h = 1 + (n-1)/x (1 + (n-2)/x (... (1 + 1/x))),
-    in n - 1 steps. Above that order the finite sum would take n steps
-    where the fraction takes a few dozen, so real and large orders keep
-    the fraction.
+    in n - 1 steps. From that order on the finite sum would take n steps
+    where the fraction takes a few dozen, so those orders keep it.
     """
-    if order < _TEMME_MIN_ORDER and order % 1.0 == 0.0:
+    if order < _TEMME_LEAST_ORDER:
         # i counts as a float: float * int takes CPython's slow generic path
         h = i = 1.0
         while i < order:
@@ -155,9 +152,9 @@ def _upper_continued_fraction(order: float, x: float) -> float:
 #   Q(a, x) = erfc(eta sqrt(a/2)) / 2 + R,  P(a, x) = erfc(-eta sqrt(a/2)) / 2 - R,
 #   R = exp(-a eta^2 / 2) / sqrt(2 pi a) * sum_k c_k(eta) a^-k,
 #   c_k(eta) = sum_n d_{k,n} eta^n.
-# It serves orders >= _TEMME_MIN_ORDER with |sigma| < _TEMME_MAX_SIGMA, where
+# It serves orders >= _TEMME_LEAST_ORDER with |sigma| < _TEMME_MAX_SIGMA, where
 # the classic series and continued fraction need O(sqrt(a)) iterations.
-_TEMME_MIN_ORDER = 100.0
+_TEMME_LEAST_ORDER = 100.0
 _TEMME_MAX_SIGMA = 0.3
 # Terms of sum_k c_k a^-k (about -1/3 in the window) below this are dropped.
 _TEMME_TOLERANCE = 1e-17
@@ -239,7 +236,7 @@ def _temme_rows():
         2.0 * (-_TEMME_MAX_SIGMA - math.log1p(-_TEMME_MAX_SIGMA)))
     rows = []
     for k, row in enumerate(_TEMME_D):
-        floor = _TEMME_TOLERANCE * _TEMME_MIN_ORDER**k
+        floor = _TEMME_TOLERANCE * _TEMME_LEAST_ORDER**k
         last = max(n for n, d in enumerate(row) if abs(d) * eta_max**n >= floor)
         # plain left-to-right adds (sum() compensates from 3.12 on), so every
         # reach is the same on every Python version
@@ -296,13 +293,13 @@ def _temme_side(order: float, x: float, upper: bool) -> float:
 def _log_prefactor(order: float, x: float) -> float:
     """log(x^order e^-x / Gamma(order)) for x > 0.
 
-    From _TEMME_MIN_ORDER on (where the Temme regime starts too),
+    From _TEMME_LEAST_ORDER on (where the Temme regime starts too),
     Stirling's series replaces lgamma (its tail
     1/(12a) - 1/(360a^3) + 1/(1260a^5) - 1/(1680a^7) is exact to 1e-21
     there) and cancels the terms of size a log a analytically; the direct
     form loses ~2e-11 relative by order 1e4.
     """
-    if order < _TEMME_MIN_ORDER:
+    if order < _TEMME_LEAST_ORDER:
         return order * math.log(x) - x - math.lgamma(order)
     sigma = (x - order) / order
     if sigma >= -0.5:
@@ -352,14 +349,16 @@ def _classic_side(order: float, x: float, upper: bool) -> float:
     return q if upper else 1.0 - q
 
 
+def _reject_order(order: float) -> None:
+    """Raise the ValueError that names an order outside the admitted integers."""
+    if not (1.0 <= order <= MAX_ORDER and order.is_integer()):
+        raise ValueError(f"order must be an integer in [1, 2**53], got {order!r}")
+
+
 def _reject_gamma_args(order: float, x: float) -> None:
     """Raise the ValueError that names the first invalid argument."""
-    _require_finite("order", order)
-    _require_finite("x", x)
-    if order < _MIN_ORDER:
-        raise ValueError(f"order must be >= {_MIN_ORDER}, got {order!r}")
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
+    _reject_order(order)
+    raise ValueError(f"x must be finite and >= 0, got {x!r}")
 
 
 def _regularized_gamma(order: float, x: float, upper: bool) -> float:
@@ -367,9 +366,9 @@ def _regularized_gamma(order: float, x: float, upper: bool) -> float:
     in its window (order >= 100, |x - order| < 0.3 order), else the classic split."""
     order = float(order)
     x = float(x)
-    if not (_MIN_ORDER <= order < math.inf and 0.0 <= x < math.inf):
+    if not (1.0 <= order <= MAX_ORDER and order.is_integer() and 0.0 <= x < math.inf):
         _reject_gamma_args(order, x)
-    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+    if order >= _TEMME_LEAST_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
         g = _temme_side(order, x, upper)
     else:
         g = _classic_side(order, x, upper)
@@ -382,18 +381,17 @@ def reg_lower_gamma(order: float, x: float) -> float:
 
 
 def reg_upper_gamma(order: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(order, x) in [0, 1].
+    """Regularized upper incomplete gamma Q(order, x) in [0, 1], for an
+    integer order in [1, 2**53] and a finite x >= 0.
 
-    Pinned in the test suite for order in [0.5, 1e4] and x / order in
+    Pinned in the test suite for order in [1, 1e4] and x / order in
     [e^-6, e^2.5]: P and Q are each within 1e-11 relative of the reference
     wherever it is at least 1e-290. The reference is scipy.special, except
     at order >= 200 with |x - order| > 0.4 order, where scipy is itself
     only good to ~2e-11 and frozen 40-digit mpmath values stand in. At
-    integer orders 1 to 99 with x from order + 1 to 40 (order + 1), the
-    finite sum's region, Q is within 1e-11 relative of 40-digit mpmath
-    too. Also within 1e-8 absolute of adaptive quadrature for order <= 200,
-    x <= 400. Orders below 0.01 raise ``ValueError``; from 0.01 to 0.5, P
-    and Q are within 1e-11 relative of 40-digit mpmath.
+    orders 1 to 99 with x from order + 1 to 40 (order + 1), the finite
+    sum's region, Q is within 1e-11 relative of 40-digit mpmath too. Also
+    within 1e-8 absolute of adaptive quadrature for order <= 200, x <= 400.
     """
     return _regularized_gamma(order, x, True)
 
@@ -417,8 +415,8 @@ _SERIES_LOG_TOLERANCE = -math.log(_SERIES_TOLERANCE)
 _FAR_FIELD_MODE = 400.0
 # Below this x or y the mixture reduces to its central term.
 _NEGLIGIBLE = 1e-280
-# Beyond this a or b the normal law of the chi-square is exact to rounding.
-_NORMAL_LIMIT = 1e150
+# Largest a and b admitted.
+_MAX_MARCUM_ARG = 1e150
 # The far-field contour keeps its crossing at least this many saddle
 # widths away from the pole at s = 1.
 _CONTOUR_MIN_ZETA = 3.0
@@ -435,7 +433,7 @@ def _scaled_gamma_side(order: float, x: float, log_pref: float, upper: bool) -> 
     exp(log_pref) = x^order e^-x / Gamma(order), the factor the series and
     the continued fraction leave to their caller."""
     # Temme's window, as in _regularized_gamma
-    if order >= _TEMME_MIN_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
+    if order >= _TEMME_LEAST_ORDER and abs(x - order) < _TEMME_MAX_SIGMA * order:
         g = _temme_side(order, x, upper)
     elif x < order + 1.0:
         p = _lower_series(order, x) / order
@@ -601,13 +599,9 @@ def _marcum_contour(order: float, x: float, delta: float, log_bound: float,
 
 def _reject_marcum_args(order: float, a: float, b: float) -> None:
     """Raise the ValueError that names the first invalid argument."""
-    _require_finite("order", order)
-    _require_finite("a", a)
-    _require_finite("b", b)
-    if order < _MIN_ORDER:
-        raise ValueError(f"order must be >= {_MIN_ORDER}, got {order!r}")
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"a and b must be >= 0, got a={a!r}, b={b!r}")
+    _reject_order(order)
+    name, value = ("a", a) if not 0.0 <= a <= _MAX_MARCUM_ARG else ("b", b)
+    raise ValueError(f"{name} must lie in [0, 1e150], got {value!r}")
 
 
 def marcum_q(order: float, a: float, b: float) -> float:
@@ -615,33 +609,27 @@ def marcum_q(order: float, a: float, b: float) -> float:
 
     Equals the probability that the square root of a noncentral chi-square
     variate with 2*order degrees of freedom and noncentrality a**2 exceeds
-    b. Supports any real order >= 0.01 and any finite a, b >= 0; the module
-    docstring gives the regions (decisive tail, series, far field, normal
-    limit).
+    b. Admits an integer order in [1, 2**53] and a, b in [0, 1e150]; the
+    module docstring gives the regions (decisive tail, series, far field).
 
     Pinned in the test suite: 40-digit mpmath values in every region
     (fig3's 21 nominal points, a sample of the order-2000 grid, both sides
-    of the decisive bounds, the far field at orders 0.5 to 5000 and
-    x = 1e3, 3e4, a sample of orders 0.01 to 0.5) within 1e-12 relative
-    wherever they are at least 1e-290 (within 1e-290 absolute below);
-    exactly 0 or 1 where a 40-digit
+    of the decisive bounds, the far field at orders 1 to 5000 and
+    x = 1e3, 3e4) within 1e-12 relative wherever they are at least 1e-290
+    (within 1e-290 absolute below); exactly 0 or 1 where a 40-digit
     Chernoff bound puts the answer within rounding of it; absolute error
     against scipy.stats.ncx2.sf below 1e-8 for order <= 50, a, b <= 30,
-    and below 1e-10 for order in [0.5, 5000] with a**2 <= order + 50 and
+    and below 1e-10 for order in [1, 5000] with a**2 <= order + 50 and
     b**2 within 8 standard deviations of the mean 2 * order + a**2; and
-    under 1 ms per call for orders 0.5 to 5000 with x up to the largest
-    double and y from 0 to 100 times the mean.
+    under 1 ms per call for orders 1 to 5000 with a and b from 0 to 1e150
+    (x and y up to 5e299, y up to 100 times the mean).
     """
     order = float(order)
     a = float(a)
     b = float(b)
-    if not (_MIN_ORDER <= order < math.inf and 0.0 <= a < math.inf and 0.0 <= b < math.inf):
+    if not (1.0 <= order <= MAX_ORDER and order.is_integer()
+            and 0.0 <= a <= _MAX_MARCUM_ARG and 0.0 <= b <= _MAX_MARCUM_ARG):
         _reject_marcum_args(order, a, b)
-    if a > _NORMAL_LIMIT or b > _NORMAL_LIMIT:
-        # b^2 against mean 2 order + a^2 and standard deviation
-        # 2 sqrt(order + a^2); the skewness is O(1/a)
-        z = (0.5 * (b - a) * (b + a) - order) / math.hypot(a, math.sqrt(order))
-        return 0.5 * math.erfc(z / math.sqrt(2.0))
     x = 0.5 * a * a
     y = 0.5 * b * b
     if x < _NEGLIGIBLE:

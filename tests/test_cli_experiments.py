@@ -680,13 +680,16 @@ class TestMainEntry:
         assert captured.err.splitlines() == [diagnostic]
         assert captured.out == ""
 
-    def test_optimize_n_without_receivers(self, capsys):
-        code = main(
-            ["optimize-n", "--k", "0", "--pf", "0.1", "--pd", "0.9",
-             "--alpha", "0.5"]
-        )
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "--k: num_sus must be >= 1, got 0"),
+        ("--alpha", "1.5", "--alpha: prior_h0 must lie in [0, 1], got 1.5"),
+    ])
+    def test_optimize_n_names_the_flag(self, capsys, flag, value, message):
+        # the diagnostic names the flag the user typed
+        args = {"--k": "10", "--pf": "0.1", "--pd": "0.9", "--alpha": "0.5", flag: value}
+        code = main(["optimize-n", *(part for pair in args.items() for part in pair)])
         assert code == 2
-        assert capsys.readouterr().err.splitlines() == ["num_sus must be >= 1, got 0"]
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_output_error_leaves_no_temp_file(self, write_spec, tmp_path, capsys):
         path = write_spec(spec_document(**{"scenario.trials": 100}))
@@ -1224,6 +1227,44 @@ class TestNominalRange:
             spec = load_spec(spec_path)
         (cell,) = spec.cells
         assert cell.snr_db == snr_db
+        rates = nominal_rates(cell)
+        for rate in (rates.p_f, rates.p_d, rates.q_f, rates.q_m, rates.q_e):
+            assert 0.0 <= rate <= 1.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["chi_square", "exponential"]),
+        sample_count=st.one_of(
+            st.integers(1, 2**53),
+            st.integers(1, 5000),
+            st.sampled_from([1, 2, 99, 100, 101, 2**53 - 1, 2**53]),
+        ),
+        snr_db=st.one_of(st.floats(-4000.0, 1000.0), st.sampled_from([-4000.0, 1000.0])),
+        threshold=st.one_of(
+            st.floats(0.0, 100.0),
+            st.floats(0.0, 1e100),
+            st.sampled_from([0.0, 1e100]),
+        ),
+    )
+    def test_every_validated_sample_count_evaluates(
+        self, family, sample_count, snr_db, threshold
+    ):
+        """Both families at every sample_count validation admits, [1, 2**53]
+        with both ends, and any admitted SNR and threshold: the closed forms
+        take the cell's order and arguments, so no domain of theirs sits
+        inside a scenario's ranges, and every rate lies in [0, 1]."""
+        document = copy.deepcopy(BUNDLED["fig3"])
+        document["scenario"]["family"] = family
+        document["scenario"]["detector"] = {
+            "sample_count": sample_count, "threshold": threshold}
+        document["sweep"]["values"] = [snr_db]
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = Path(tmp) / "fig3.json"
+            spec_path.write_text(json.dumps(document), encoding="utf-8")
+            assert validate_spec(spec_path) == []
+            spec = load_spec(spec_path)
+        (cell,) = spec.cells
+        assert cell.detector.sample_count == sample_count
         rates = nominal_rates(cell)
         for rate in (rates.p_f, rates.p_d, rates.q_f, rates.q_m, rates.q_e):
             assert 0.0 <= rate <= 1.0

@@ -10,6 +10,7 @@ Frozen oracles:
 """
 
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -81,12 +82,25 @@ class TestAnalyticPd:
             values = [analytic_pd(u, 0.5, g) for g in np.linspace(0.0, 100.0, 60)]
             assert all(a >= b - 1e-13 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("value", [-1.0, -math.inf, math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["snr", "threshold"])
-    def test_invalid_argument_named(self, name, value):
+    @pytest.mark.parametrize("past", [-1.0, -math.inf, math.inf, math.nan, "edge"])
+    @pytest.mark.parametrize("name, bound", [("snr", "5e299"), ("threshold", "1e300")])
+    def test_invalid_argument_named(self, name, bound, past):
+        # past the range marcum_q admits: a = sqrt(2 snr) or b = sqrt(threshold)
+        # above 1e150, which the next double above each bound reaches
+        value = math.nextafter(float(bound), math.inf) if past == "edge" else past
         arguments = {"snr": 0.1, "threshold": 30.0, name: value}
-        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        message = f"{name} must lie in [0, {bound}], got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             analytic_pd(5.0, **arguments)
+
+    @pytest.mark.parametrize("order", [1, 5, 2000, 2**53])
+    def test_range_edges_evaluate(self, order):
+        # the bounds are tight: the next doubles up take a or b past 1e150
+        assert math.sqrt(2.0 * 5e299) == math.sqrt(1e300) == 1e150
+        assert math.sqrt(2.0 * math.nextafter(5e299, math.inf)) > 1e150
+        assert math.sqrt(math.nextafter(1e300, math.inf)) > 1e150
+        for snr, threshold in [(5e299, 0.0), (5e299, 1e300), (0.0, 1e300)]:
+            assert 0.0 <= analytic_pd(order, snr, threshold) <= 1.0
 
 
 class TestReceiverRates:

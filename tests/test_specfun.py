@@ -13,7 +13,7 @@ Frozen oracle values and their provenance:
   significant digits, rounded to double. They cover orders >= 200 with
   |x - order| > 0.4 order, where scipy's cephes ``igam`` forms
   x^a e^-x / Gamma(a) directly and loses up to ~2e-11 relative itself
-  (scipy's Q at (9083.604651023614, 12851.202835207432) is 1.6e-11 off).
+  (scipy's Q at (9084, 12807.734999999999) is 5.8e-12 off).
 
 * FROZEN_MARCUM_*: Q_order(a, b) from mpmath 1.3 at 40 significant digits,
   rounded to double, at the exact doubles a and b listed: the Poisson
@@ -30,9 +30,9 @@ Frozen oracle values and their provenance:
     a = sqrt(2 S), b^2 uniform over [2u - 3 sqrt(4u), 2 (u + 200) +
     3 sqrt(4u + 1600)];
   - TAILS: both sides of the decisive bounds, P near 2^-54 at 8, 9 and 11
-    standard deviations below the mean and Q with Chernoff exponent -600,
-    -660, -700 and -750 above it, at orders 0.5, 5, 2000 and 5000;
-  - FAR: orders 0.5, 5, 2000 and 5000 at x = 1e3 and 3e4 with y at -7,
+    standard deviations below the mean and Q with Chernoff exponent near
+    -600, -660, -700 and -750 above it, at orders 1, 5, 2000 and 5000;
+  - FAR: orders 1, 5, 2000 and 5000 at x = 1e3 and 3e4 with y at -7,
     -0.5, 0, 0.5, 6 and 30 standard deviations from the mean, and both
     sides of the series/contour switch (x s = 400) at orders 5 and 2000;
   - REACH: the two P-side series calls, found by random search, whose
@@ -53,7 +53,6 @@ float literals.
 
 import math
 import re
-import sys
 import time
 from fractions import Fraction
 
@@ -98,8 +97,8 @@ FROZEN_GAMMA_PAIRS = [
     (5000.0, 2900.0000000000005, 1.933140231260345e-273, 1.0),
     (5000.0, 7050.0, 1.0, 8.507137719812044e-147),
     (5000.0, 8000.0, 1.0, 4.890450098507124e-285),
-    (9083.5, 12807.734999999999, 1.0, 1.0609511511155177e-264),
-    (9083.604651023614, 12851.202835207432, 1.0, 3.3456334402022607e-270),
+    (9084.0, 12807.734999999999, 1.0, 1.2599958778080323e-264),
+    (9084.0, 12851.202835207432, 1.0, 3.837982083109876e-270),
 ]
 
 FROZEN_MARCUM_FIG3 = [
@@ -131,11 +130,11 @@ FROZEN_MARCUM_GRID = [
 ]
 FROZEN_MARCUM_TAILS = [
     (5.0, 141.4213562373095, 5.477225575051661, 1.0),
-    (0.5, 4.47213595499958, 0.044721359549995794, 0.9999983697426323),
-    (0.5, 4.47213595499958, 39.14442984956518, 1.0306482155333723e-263),
-    (0.5, 4.47213595499958, 40.83434557442991, 8.42589168528563e-290),
-    (0.5, 4.47213595499958, 41.91858477949424, 3.4308103013692246e-307),
-    (0.5, 4.47213595499958, 43.23123042247186, 0.0),
+    (1.0, 4.47213595499958, 0.044721359549995794, 0.9999999543955359),
+    (1.0, 4.47213595499958, 39.14442984956518, 3.0525188196470487e-263),
+    (1.0, 4.47213595499958, 40.83434557442991, 2.5486782501776845e-289),
+    (1.0, 4.47213595499958, 41.91858477949424, 1.051406750510796e-306),
+    (1.0, 4.47213595499958, 43.23123042247186, 0.0),
     (5.0, 14.142135623730951, 0.044721359549995794, 1.0),
     (5.0, 14.142135623730951, 48.961421007511994, 1.645961111661871e-263),
     (5.0, 14.142135623730951, 50.64860941246484, 1.351108262874261e-289),
@@ -157,18 +156,18 @@ FROZEN_MARCUM_TAILS = [
     (5000.0, 77.45966692414834, 159.4449998897768, 0.0),
 ]
 FROZEN_MARCUM_FAR = [
-    (0.5, 44.721359549995796, 37.07860176451687, 0.9999999999999893),
-    (0.5, 44.721359549995796, 44.22977561133905, 0.6884932500172881),
-    (0.5, 44.721359549995796, 44.73253849269008, 0.49554033999562125),
-    (0.5, 44.721359549995796, 45.22971312500885, 0.305602702139308),
-    (0.5, 44.721359549995796, 50.3758215064248, 7.816760955295765e-09),
-    (0.5, 44.721359549995796, 68.44426171883116, 1.0464038110105362e-124),
-    (0.5, 244.94897427831782, 237.84806089485605, 0.9999999999993803),
-    (0.5, 244.94897427831782, 244.45050624840826, 0.6909229013134917),
-    (0.5, 244.94897427831782, 244.95101551126504, 0.49918566643870993),
-    (0.5, 244.94897427831782, 245.4505041650901, 0.30799912480399805),
-    (0.5, 244.94897427831782, 250.8792537033762, 1.512097942949891e-09),
-    (0.5, 244.94897427831782, 273.30934798102874, 3.1173781433376535e-177),
+    (1.0, 44.721359549995796, 37.07860176451687, 0.9999999999999903),
+    (1.0, 44.721359549995796, 44.22977561133905, 0.69245709103497),
+    (1.0, 44.721359549995796, 44.73253849269008, 0.5000003716646821),
+    (1.0, 44.721359549995796, 45.22971312500885, 0.3095115349343276),
+    (1.0, 44.721359549995796, 50.3758215064248, 8.310428608845278e-09),
+    (1.0, 44.721359549995796, 68.44426171883116, 1.2949746500661392e-124),
+    (1.0, 244.94897427831782, 237.84806089485605, 0.9999999999993896),
+    (1.0, 244.94897427831782, 244.45050624840826, 0.6916424692600873),
+    (1.0, 244.94897427831782, 244.95101551126504, 0.5000000022620417),
+    (1.0, 244.94897427831782, 245.4505041650901, 0.30871685907922525),
+    (1.0, 244.94897427831782, 250.8792537033762, 1.5307840843735237e-09),
+    (1.0, 244.94897427831782, 273.30934798102874, 3.293120862618192e-177),
     (5.0, 44.721359549995796, 37.19030560559207, 0.9999999999999892),
     (5.0, 44.721359549995796, 44.33083321623364, 0.6884988824632103),
     (5.0, 44.721359549995796, 44.83302354291979, 0.4955486803089086),
@@ -279,7 +278,7 @@ class TestRegUpperGamma:
         )
 
     def test_quadrature_grid(self):
-        for order in [0.5, 1.0, 2.5, 5.0, 20.0, 200.0]:
+        for order in [1.0, 2.0, 3.0, 5.0, 20.0, 200.0]:
             for x in [0.0, 0.5, 1.0, 5.0, 15.0, 50.0, 400.0]:
                 assert reg_upper_gamma(order, x) == pytest.approx(
                     quad_reg_upper(order, x), abs=1e-8
@@ -289,7 +288,7 @@ class TestRegUpperGamma:
         # Q(u+1, x) - Q(u, x) = x^u e^-x / Gamma(u+1)
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            u = rng.uniform(0.5, 50.0)
+            u = float(rng.integers(1, 51))
             x = rng.uniform(0.0, 100.0)
             lhs = reg_upper_gamma(u + 1.0, x) - reg_upper_gamma(u, x)
             rhs = 0.0
@@ -300,7 +299,7 @@ class TestRegUpperGamma:
     def test_complement(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
-            u = rng.uniform(0.2, 150.0)
+            u = float(rng.integers(1, 151))
             x = rng.uniform(0.0, 300.0)
             assert reg_lower_gamma(u, x) + reg_upper_gamma(u, x) == pytest.approx(
                 1.0, abs=1e-12
@@ -309,11 +308,12 @@ class TestRegUpperGamma:
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(13)
         for _ in range(500):
-            v = reg_upper_gamma(rng.uniform(0.1, 200), rng.uniform(0, 400))
+            v = reg_upper_gamma(rng.integers(1, 201), rng.uniform(0, 400))
             assert 0.0 <= v <= 1.0
 
     @pytest.mark.parametrize(
-        "order,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)]
+        "order,x", [(0.0, 1.0), (-2.0, 1.0), (0.5, 1.0), (2**53 + 2, 1.0), (1.0, -0.5),
+                    (math.nan, 1.0), (1.0, math.inf)]
     )
     def test_domain(self, order, x):
         with pytest.raises(ValueError):
@@ -321,12 +321,12 @@ class TestRegUpperGamma:
 
 
 def envelope_points(rng, count):
-    """Seeded (order, x) pairs over the pinned envelope: order log-uniform
-    on [0.5, 1e4] plus the bundled specs' order 2000 and the Marcum mode
-    orders 2000 + j; x within 50% of the order for half the points,
-    x / order log-uniform on [e^-6, e^2.5] for the rest."""
+    """Seeded (order, x) pairs over the pinned envelope: integer orders,
+    log-uniform on [1, 1e4] and rounded, plus the bundled specs' order 2000
+    and the Marcum mode orders 2000 + j; x within 50% of the order for half
+    the points, x / order log-uniform on [e^-6, e^2.5] for the rest."""
     orders = np.concatenate([
-        np.exp(rng.uniform(math.log(0.5), math.log(1e4), count - 40)),
+        np.rint(np.exp(rng.uniform(0.0, math.log(1e4), count - 40))),
         np.full(20, 2000.0),
         2000.0 + rng.integers(0, 400, 20),
     ])
@@ -389,8 +389,8 @@ class TestGammaEnvelope:
         assert_pair_matches_scipy(np.full(xs.size, order), xs, 1e-11)
 
     def test_regimes_agree_at_least_order(self):
-        assert specfun._TEMME_MIN_ORDER == 100.0
-        for order in (100.0 * (1.0 - 1e-12), 100.0, 100.0 * (1.0 + 1e-9)):
+        assert specfun._TEMME_LEAST_ORDER == 100.0
+        for order in (99.0, 100.0, 101.0):
             for sigma in np.linspace(-0.29, 0.29, 13):
                 x = order * (1.0 + sigma)
                 for a, b in zip(temme_pair(order, x), classic_pair(order, x)):
@@ -436,7 +436,7 @@ class TestDecidedUpperTail:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        order=st.floats(0.01, 1e4),
+        order=st.integers(1, 10**4).map(float),
         share=st.floats(0.0, 1.0, exclude_max=True),
         offset=st.one_of(st.none(), st.floats(-3.0, 3.0)),
         steps=st.integers(-3, 3),
@@ -485,8 +485,8 @@ def mpmath_upper(order, x):
 
 
 class TestIntegerOrder:
-    """Below order 100 an integer order's continued fraction terminates and
-    is summed as a finite sum; a real order keeps the fraction."""
+    """Below order 100 the continued fraction terminates and is summed as a
+    finite sum; an order that is not an integer is refused."""
 
     def test_finite_sum_matches_mpmath(self):
         # x from order + 1 (the fraction's least x) to 40 (order + 1), past
@@ -501,12 +501,15 @@ class TestIntegerOrder:
                     assert abs(got - want) <= 1e-290, (order, x, got, want)
                 assert reg_lower_gamma(order, float(x)) == 1.0 - got
 
-    @pytest.mark.parametrize("order", [4.5, 5.0 - 1e-9, 5.0 + 1e-9, 98.5])
-    def test_real_order_keeps_the_fraction(self, order):
+    @pytest.mark.parametrize("order", [0.5, 4.5, 5.0 - 1e-9, 5.0 + 1e-9, 98.5, 1e4 + 0.5])
+    @pytest.mark.parametrize("function, args", [
+        (reg_upper_gamma, (10.0,)), (reg_lower_gamma, (10.0,)), (marcum_q, (2.0, 3.0))])
+    def test_real_order_rejected(self, order, function, args):
         # a finite sum of int(order) terms would be off by ~1e-9 relative
         # or more at these orders
-        xs = (order + 1.0) * np.exp(np.linspace(0.0, 2.5, 26))
-        assert_pair_matches_scipy(np.full(xs.size, order), xs, 1e-11)
+        message = f"order must be an integer in [1, 2**53], got {order!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(order, *args)
 
     def test_marcum_series_at_integer_orders(self):
         rng = np.random.default_rng(50)
@@ -623,7 +626,7 @@ class TestTemmeCoefficients:
         exact = temme_coefficients(rows + 1, columns + 4)
         eta_max = math.sqrt(-0.6 - 2.0 * math.log1p(-0.3))
         for k, row in enumerate(exact):
-            scale = specfun._TEMME_MIN_ORDER ** -k
+            scale = specfun._TEMME_LEAST_ORDER ** -k
             for n, d in enumerate(row):
                 if k == rows or n >= columns:
                     assert abs(float(d)) * eta_max**n * scale < specfun._TEMME_TOLERANCE
@@ -632,7 +635,7 @@ class TestTemmeCoefficients:
         # the evaluation stops at the first row out of reach
         reach = [r for r, _ in specfun._TEMME_ROWS]
         assert reach == sorted(reach, reverse=True)
-        assert reach[-1] >= specfun._TEMME_MIN_ORDER
+        assert reach[-1] >= specfun._TEMME_LEAST_ORDER
 
     def test_row_reach_pinned_on_every_python(self):
         # the reaches are plain left-to-right sums: the same bits whether or
@@ -702,7 +705,7 @@ class TestTemmePolynomial:
 
 def _order_and_boundary(data):
     """An order and one x where the gamma pair switches regime or method."""
-    order = data.draw(st.floats(0.5, 1e4), label="order")
+    order = float(data.draw(st.integers(1, 10**4), label="order"))
     if order >= 100.0:
         sigma = data.draw(st.sampled_from([-0.5, -0.3, 0.3]), label="sigma")
         return order, order * (1.0 + sigma)
@@ -711,7 +714,7 @@ def _order_and_boundary(data):
 
 class TestGammaProperties:
     @settings(max_examples=150, deadline=None)
-    @given(order=st.floats(0.5, 1e4), log_ratio=st.floats(-6.0, 2.5))
+    @given(order=st.integers(1, 10**4), log_ratio=st.floats(-6.0, 2.5))
     def test_lower_plus_upper_is_one(self, order, log_ratio):
         x = order * math.exp(log_ratio)
         assert abs(reg_lower_gamma(order, x) + reg_upper_gamma(order, x) - 1.0) <= 1e-15
@@ -729,7 +732,7 @@ class TestGammaProperties:
             assert a <= b * (1.0 + 1e-15)
 
     @settings(max_examples=150, deadline=None)
-    @given(order=st.floats(0.5, 1e4), b=st.floats(0.0, 200.0))
+    @given(order=st.integers(1, 10**4), b=st.floats(0.0, 200.0))
     def test_marcum_at_zero_noncentrality_is_gamma_tail(self, order, b):
         assert marcum_q(order, 0.0, b) == reg_upper_gamma(order, b * b / 2.0)
 
@@ -742,10 +745,10 @@ class TestMarcumQ:
         assert marcum_q(3.0, 1.5, 0.0) == 1.0
 
     # b = 0 has no branch of its own: a = 0 and a tiny a take the central
-    # term Q(order, 0), a moderate a the P side 1 - e^-x P(order, 0), and a
-    # huge a the normal limit
-    @pytest.mark.parametrize("a", [0.0, 1e-150, 0.5, 1e200])
-    @pytest.mark.parametrize("order", [0.5, 5.0, 2000.0, 1e300])
+    # term Q(order, 0), and a larger a, up to the largest admitted, the P
+    # side 1 - e^-x P(order, 0)
+    @pytest.mark.parametrize("a", [0.0, 1e-150, 0.5, 1e150])
+    @pytest.mark.parametrize("order", [1.0, 5.0, 2000.0, 2.0**53])
     def test_zero_threshold_through_every_branch(self, order, a):
         assert marcum_q(order, a, 0.0) == 1.0
 
@@ -753,7 +756,7 @@ class TestMarcumQ:
         assert abs(marcum_q(2.0, 1.0, 2.0) - MC_MARCUM_2_1_2) <= 4 * MC_MARCUM_2_1_2_SE
 
     def test_reduction_identity_grid(self):
-        for u in [0.5, 1.0, 2.0, 7.5, 50.0]:
+        for u in [1.0, 2.0, 3.0, 8.0, 50.0]:
             for b in [0.0, 0.5, 2.0, 10.0, 30.0]:
                 assert marcum_q(u, 0.0, b) == pytest.approx(
                     reg_upper_gamma(u, b * b / 2.0), abs=1e-9
@@ -761,14 +764,14 @@ class TestMarcumQ:
 
     def test_monotone_in_a(self):
         grid_a = np.linspace(0.0, 20.0, 41)
-        for u in [0.5, 1.0, 5.0, 20.0]:
+        for u in [1.0, 2.0, 5.0, 20.0]:
             for b in [0.5, 3.0, 10.0]:
                 values = [marcum_q(u, float(a), b) for a in grid_a]
                 assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
 
     def test_monotone_in_b(self):
         grid_b = np.linspace(0.0, 20.0, 41)
-        for u in [0.5, 1.0, 5.0, 20.0]:
+        for u in [1.0, 2.0, 5.0, 20.0]:
             for a in [0.0, 1.0, 8.0]:
                 values = [marcum_q(u, a, float(b)) for b in grid_b]
                 assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
@@ -776,19 +779,20 @@ class TestMarcumQ:
     def test_against_noncentral_chisquare_tail(self):
         rng = np.random.default_rng(21)
         for _ in range(400):
-            u = rng.uniform(0.3, 50.0)
+            u = float(rng.integers(1, 51))
             a = rng.uniform(0.01, 30.0)
             b = rng.uniform(0.0, 30.0)
             ref = stats.ncx2.sf(b * b, 2.0 * u, a * a)
             assert marcum_q(u, a, b) == pytest.approx(ref, abs=1e-8)
 
     def test_against_noncentral_chisquare_tail_to_order_5000(self):
-        """The pinned envelope: order log-uniform on [0.5, 5000] (and the
-        bundled specs' 2000), a^2 uniform on [0, order + 50], b^2 within
-        8 standard deviations of the mean 2 order + a^2."""
+        """The pinned envelope: integer orders, log-uniform on [1, 5000] and
+        rounded (and the bundled specs' 2000), a^2 uniform on
+        [0, order + 50], b^2 within 8 standard deviations of the mean
+        2 order + a^2."""
         rng = np.random.default_rng(23)
         orders = np.concatenate(
-            [np.exp(rng.uniform(math.log(0.5), math.log(5000.0), 300)),
+            [np.rint(np.exp(rng.uniform(0.0, math.log(5000.0), 300))),
              np.full(20, 2000.0)])
         lam = rng.uniform(0.0, orders + 50.0)
         mean = 2.0 * orders + lam
@@ -802,18 +806,14 @@ class TestMarcumQ:
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(22)
         for _ in range(500):
-            v = marcum_q(rng.uniform(0.3, 50), rng.uniform(0, 30), rng.uniform(0, 30))
+            v = marcum_q(rng.integers(1, 51), rng.uniform(0, 30), rng.uniform(0, 30))
             assert 0.0 <= v <= 1.0
-
-    def test_half_integer_orders(self):
-        for u in [0.5, 1.5, 2.5, 10.5]:
-            ref = stats.ncx2.sf(9.0, 2.0 * u, 4.0)
-            assert marcum_q(u, 2.0, 3.0) == pytest.approx(ref, abs=1e-9)
 
     @pytest.mark.parametrize(
         "order,a,b",
-        [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -0.1, 1.0), (1.0, 1.0, -0.1),
-         (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)],
+        [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (5.5, 1.0, 1.0), (1.0, -0.1, 1.0),
+         (1.0, 1.0, -0.1), (5.0, 1e151, 1.0), (5.0, 1.0, 1e151), (math.nan, 1.0, 1.0),
+         (1.0, math.inf, 1.0)],
     )
     def test_domain(self, order, a, b):
         with pytest.raises(ValueError):
@@ -866,7 +866,7 @@ class TestMarcumFrozen:
             (5.0, math.sqrt(2e6), math.sqrt(30.0), 1.0),
             (5.0, math.sqrt(2e8), math.sqrt(30.0), 1.0),
             (5.0, math.sqrt(2e40), math.sqrt(30.0), 1.0),
-            (0.5, 3.0, 50.0, 0.0),
+            (1.0, 3.0, 50.0, 0.0),
             (2000.0, 20.0, 100.0, 0.0),
             (5000.0, 1e4, 9.9e3, 1.0),
         ],
@@ -909,7 +909,7 @@ class TestMarcumSeries:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        order=st.floats(0.5, 1e5),
+        order=st.integers(1, 10**5),
         x=st.floats(1e-3, 400.0),
         z=st.floats(0.0, 8.0),
     )
@@ -924,7 +924,7 @@ class TestMarcumSeries:
             value = marcum_q(order, math.sqrt(2.0 * x), math.sqrt(2.0 * y))
         assert 0.0 <= value <= 1.0
         for n, y_arg, upper in calls:
-            temme = (n >= specfun._TEMME_MIN_ORDER
+            temme = (n >= specfun._TEMME_LEAST_ORDER
                      and abs(y_arg - n) < specfun._TEMME_MAX_SIGMA * n)
             assert upper or temme or y_arg < n + 1.0, (n, y_arg)
 
@@ -939,11 +939,11 @@ class TestIterationBudget:
             reg_lower_gamma(5.0, 5.0)
 
     def test_continued_fraction(self, monkeypatch):
-        # a real order keeps the fraction
+        # from order 100 on, outside Temme's window, the fraction runs
         monkeypatch.setattr(specfun, "MAX_ITERATIONS", 1)
         with pytest.raises(specfun.ConvergenceError, match=re.escape(
-                "upper gamma continued fraction did not converge for order=4.5, x=10.0")):
-            reg_upper_gamma(4.5, 10.0)
+                "upper gamma continued fraction did not converge for order=250.0, x=400.0")):
+            reg_upper_gamma(250, 400.0)
 
     @pytest.mark.parametrize("budget, starts", [(4, 0), (20, 1)])
     def test_marcum_series(self, monkeypatch, budget, starts):
@@ -959,22 +959,22 @@ class TestIterationBudget:
 
 class TestMarcumCost:
     def test_every_call_under_a_millisecond(self):
-        """Orders 0.5 to 5000, x log-spaced up to the largest double (a
-        spec's linear SNR), y from 0 to 100 times the mean: the slowest
-        call, best of three, stays under 1 ms."""
-        largest = sys.float_info.max
+        """Orders 1 to 5000, x log-spaced up to 5e299 (a = 1e150, the largest
+        admitted), y from 0 to 100 times the mean and at most 5e299: the
+        slowest call, best of three, stays under 1 ms."""
+        largest = 5e299  # sqrt(2 * 5e299) = 1e150
         slowest = 0.0
-        for order in (0.5, 5.0, 2000.0, 5000.0):
+        for order in (1.0, 5.0, 2000.0, 5000.0):
             step = (math.log(largest) - math.log(1e-3)) / 47
             for k in range(48):
                 lam = largest * math.exp((k - 47) * step)
-                mean = min(order + lam, largest / 100.0)
-                sd = math.sqrt(order + 2.0 * min(lam, largest / 4.0))
+                mean = order + lam
+                sd = math.sqrt(order + 2.0 * lam)
                 ys = [mean * f for f in (0.0, 1e-6, 0.5, 0.99, 1.0, 1.01, 2.0, 100.0)]
                 ys += [mean + z * sd for z in (-40.0, -9.0, -1.0, 0.0, 1.0, 9.0, 40.0)]
-                a = math.sqrt(2.0) * math.sqrt(lam)
+                a = math.sqrt(2.0 * lam)
                 for y in ys:
-                    b = math.sqrt(2.0) * math.sqrt(max(y, 0.0))
+                    b = math.sqrt(2.0 * min(max(y, 0.0), largest))
                     best = math.inf
                     for _ in range(3):
                         start = time.perf_counter()
@@ -985,35 +985,47 @@ class TestMarcumCost:
         assert slowest < 1e-3
 
 
+ORDER_RULE = "order must be an integer in [1, 2**53], got "
 GAMMA_REJECTIONS = [
-    ((math.nan, 1.0), "order must be finite, got nan"),
-    ((math.inf, 1.0), "order must be finite, got inf"),
-    ((-math.inf, 1.0), "order must be finite, got -inf"),
-    ((0.0, 1.0), "order must be >= 0.01, got 0.0"),
-    ((-2.0, 1.0), "order must be >= 0.01, got -2.0"),
-    ((1.0, math.nan), "x must be finite, got nan"),
-    ((1.0, math.inf), "x must be finite, got inf"),
-    ((1.0, -math.inf), "x must be finite, got -inf"),
-    ((1.0, -0.5), "x must be >= 0, got -0.5"),
-    ((0, -1), "order must be >= 0.01, got 0.0"),
+    ((math.nan, 1.0), ORDER_RULE + "nan"),
+    ((math.inf, 1.0), ORDER_RULE + "inf"),
+    ((-math.inf, 1.0), ORDER_RULE + "-inf"),
+    ((0.0, 1.0), ORDER_RULE + "0.0"),
+    ((-2.0, 1.0), ORDER_RULE + "-2.0"),
+    ((0.5, 1.0), ORDER_RULE + "0.5"),
+    ((2**53 + 2, 1.0), ORDER_RULE + "9007199254740994.0"),
+    ((1e300, 1.0), ORDER_RULE + "1e+300"),
+    ((1.0, math.nan), "x must be finite and >= 0, got nan"),
+    ((1.0, math.inf), "x must be finite and >= 0, got inf"),
+    ((1.0, -math.inf), "x must be finite and >= 0, got -inf"),
+    ((1.0, -0.5), "x must be finite and >= 0, got -0.5"),
+    ((0, -1), ORDER_RULE + "0.0"),
 ]
 MARCUM_REJECTIONS = [
-    ((math.nan, 1.0, 1.0), "order must be finite, got nan"),
-    ((math.inf, 1.0, 1.0), "order must be finite, got inf"),
-    ((-math.inf, 1.0, 1.0), "order must be finite, got -inf"),
-    ((0.0, 1.0, 1.0), "order must be >= 0.01, got 0.0"),
-    ((-1.0, 1.0, 1.0), "order must be >= 0.01, got -1.0"),
-    ((1.0, math.nan, 1.0), "a must be finite, got nan"),
-    ((1.0, math.inf, 1.0), "a must be finite, got inf"),
-    ((1.0, 1.0, math.nan), "b must be finite, got nan"),
-    ((1.0, 1.0, -math.inf), "b must be finite, got -inf"),
-    ((1.0, -0.1, 1.0), "a and b must be >= 0, got a=-0.1, b=1.0"),
-    ((1.0, 1.0, -0.1), "a and b must be >= 0, got a=1.0, b=-0.1"),
+    ((math.nan, 1.0, 1.0), ORDER_RULE + "nan"),
+    ((math.inf, 1.0, 1.0), ORDER_RULE + "inf"),
+    ((-math.inf, 1.0, 1.0), ORDER_RULE + "-inf"),
+    ((0.0, 1.0, 1.0), ORDER_RULE + "0.0"),
+    ((-1.0, 1.0, 1.0), ORDER_RULE + "-1.0"),
+    ((5.5, 1.0, 1.0), ORDER_RULE + "5.5"),
+    ((2**53 + 2, 1.0, 1.0), ORDER_RULE + "9007199254740994.0"),
+    ((1e300, 1.0, 0.0), ORDER_RULE + "1e+300"),
+    ((1.0, math.nan, 1.0), "a must lie in [0, 1e150], got nan"),
+    ((1.0, math.inf, 1.0), "a must lie in [0, 1e150], got inf"),
+    ((1.0, 1.0, math.nan), "b must lie in [0, 1e150], got nan"),
+    ((1.0, 1.0, -math.inf), "b must lie in [0, 1e150], got -inf"),
+    ((1.0, -0.1, 1.0), "a must lie in [0, 1e150], got -0.1"),
+    ((1.0, 1.0, -0.1), "b must lie in [0, 1e150], got -0.1"),
+    ((5.0, 1e200, 0.0), "a must lie in [0, 1e150], got 1e+200"),
+    ((5.0, 1e151, 1.0), "a must lie in [0, 1e150], got 1e+151"),
+    ((5.0, 1.0, 1e151), "b must lie in [0, 1e150], got 1e+151"),
+    ((5.0, math.nextafter(1e150, math.inf), 1e200),
+     "a must lie in [0, 1e150], got 1.0000000000000002e+150"),
 ]
 
 
-# Calls below the order floor that returned a wrong value or raised before
-# orders had one (true values from 40-digit mpmath); each now names order.
+# Calls below the least order that returned a wrong value or raised before
+# orders had a floor (true values from 40-digit mpmath); each now names order.
 TINY_ORDER_CALLS = [
     (reg_upper_gamma, (1e-16, 5e-7)),  # was 0.0, true 1.39e-15
     (reg_lower_gamma, (1e-16, 5e-7)),
@@ -1023,47 +1035,29 @@ TINY_ORDER_CALLS = [
     (marcum_q, (3.8462885865202914e-299, 7.5057647570367445, 9.969471733838)),  # was 0.0
     (marcum_q, (1e-290, 1e-139, 1e-130)),  # raised ZeroDivisionError
     (marcum_q, (3.3606524944569367e-282, 6.296423525373085, 13.859707111664381)),
-    (reg_upper_gamma, (math.nextafter(0.01, 0.0), 1.0)),
+    (reg_upper_gamma, (0.01, 1.0)),
+    (reg_upper_gamma, (math.nextafter(1.0, 0.0), 1.0)),
 ]
 
 
-class TestOrderFloor:
-    """Orders below 0.01 are refused; from the floor to the pinned range's
-    0.5, Q = 1 - P in the series region loses about 5e-15 / order, and
-    both functions still match 40-digit mpmath."""
+class TestOrderDomain:
+    """Only the integer orders 1 to 2**53 are admitted, both ends included."""
 
     @pytest.mark.parametrize(
         "function, args", TINY_ORDER_CALLS,
         ids=[f"{f.__name__}{list(args)}" for f, args in TINY_ORDER_CALLS])
     def test_tiny_order_rejected(self, function, args):
-        message = f"order must be >= 0.01, got {args[0]!r}"
+        message = ORDER_RULE + repr(args[0])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             function(*args)
 
-    def test_gamma_pair_from_the_floor(self):
-        rng = np.random.default_rng(61)
-        orders = [0.01, *np.exp(rng.uniform(math.log(0.01), math.log(0.5), 79))]
-        for order in orders:
-            # x log-uniform, or next to the series/fraction switch at order + 1
-            for x in [math.exp(rng.uniform(math.log(1e-8), math.log(60.0))),
-                      order + 1.0 + rng.uniform(-0.5, 0.5)]:
-                with mpmath.workdps(40):
-                    want_p = float(mpmath.gammainc(order, 0, x, regularized=True))
-                    want_q = float(mpmath.gammainc(order, x, mpmath.inf, regularized=True))
-                for got, want in [(reg_lower_gamma(order, x), want_p),
-                                  (reg_upper_gamma(order, x), want_q)]:
-                    assert abs(got - want) <= 1e-11 * want, (order, x, got, want)
-
-    def test_marcum_from_the_floor(self):
-        rng = np.random.default_rng(62)
-        points = []
-        for order in [0.01, *np.exp(rng.uniform(math.log(0.01), math.log(0.5), 23))]:
-            x = math.exp(rng.uniform(math.log(1e-6), math.log(100.0)))
-            # y on either side of the mean, within 8 standard deviations
-            y = max(x + order + rng.uniform(-8.0, 8.0) * math.sqrt(order + 2.0 * x), 1e-9)
-            a, b = math.sqrt(2.0 * x), math.sqrt(2.0 * y)
-            points.append((order, a, b, mpmath_marcum(order, a, b)))
-        assert_marcum_matches(points)
+    @pytest.mark.parametrize("order", [1, 1.0, 2**53, 2.0**53, 2**53 + 1])
+    def test_both_ends_admitted(self, order):
+        # 2**53 + 1 rounds to the double 2**53
+        for value in (reg_upper_gamma(order, 2.0**53), reg_lower_gamma(order, 1.0),
+                      marcum_q(order, 1e150, 1e150), marcum_q(order, 0.0, 1e150)):
+            assert 0.0 <= value <= 1.0
+        assert specfun.MAX_ORDER == 2**53
 
 
 @pytest.mark.parametrize(
