@@ -31,7 +31,10 @@ states the paper's rules) tests the same window energy against the same
 threshold and differs only in the noise power it divides by: the nominal
 power for ``fixed`` and the bracket mean for every other scheme. So a
 sweep value is drawn once, each block is decided once per distinct
-normalizer by ``decide_scheme``, the one threshold comparison. Each
+normalizer by ``decide_scheme``, the one threshold comparison. It divides
+no energy: each energy is compared with one cutoff per normalizer, the
+least energy whose quotient by sample count times normalizer clears the
+threshold, which gives the quotient's decisions bit for bit. Each
 normalizer's tally is made of whole-array totals, over all trials and over
 the H1 trials, of its decisions and of the trials whose one vote count
 (reported decisions summed per trial) reaches the threshold. The
@@ -69,6 +72,7 @@ import enum
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -100,8 +104,9 @@ __all__ = [
 BLOCK_TRIALS = 512
 STREAM_VERSION = 1
 
-# Energy draws (~60 ms of work) in a share of a pooled sweep, which has at least
-# four shares per worker, so the pool's queue evens out and can be cancelled.
+# Energy draws (30-60 ms of work on the bundled figures) in a share of a pooled
+# sweep, which has at least four shares per worker, so the pool's queue evens
+# out and can be cancelled.
 _SHARE_DRAWS = 2**19
 
 _MAX_SNR_DB = 1000.0  # a linear SNR of 1e100, proved safe in Scenario
@@ -265,10 +270,13 @@ def _merge(a: tuple[_Tally, _Tally], b: tuple[_Tally, _Tally]) -> tuple[_Tally, 
 def decide_scheme(energies, sample_count: int, threshold: float, normalizer: float):
     """Decisions for window energies of any shape: a receiver decides H1
     (``True``) when ``energy / (sample_count * normalizer) >= threshold``.
-    Returns boolean decisions shaped like ``energies``. This comparison is
-    every scheme's one decision rule; the schemes differ only in the
-    normalizer, and two-step's second steps are the receivers decided H1
-    at the bracket's low end and not at its high end (``_simulate_block``).
+    Returns boolean decisions shaped like ``energies``. The quotient is never
+    formed: the rule is energy >= the least energy whose quotient clears the
+    threshold (``_energy_cutoff``), which decides every energy, -0.0, inf and
+    NaN included, as the quotient does. This comparison is every scheme's one
+    decision rule; the schemes differ only in the normalizer, and two-step's
+    second steps are the receivers decided H1 at the bracket's low end and
+    not at its high end (``_simulate_block``).
     """
     import numpy as np
 
@@ -276,7 +284,56 @@ def decide_scheme(energies, sample_count: int, threshold: float, normalizer: flo
         raise ValueError(f"sample_count must be an integer >= 1, got {sample_count!r}")
     if not math.isfinite(normalizer) or normalizer <= 0.0:
         raise ValueError(f"normalizer must be finite and > 0, got {normalizer!r}")
-    return np.asarray(energies, dtype=float) / (sample_count * normalizer) >= threshold
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must not be NaN, got {threshold!r}")
+    divisor = sample_count * normalizer
+    if divisor == math.inf:
+        raise ValueError(f"sample_count * normalizer must be finite, got "
+                         f"{sample_count!r} * {normalizer!r}")
+    return np.asarray(energies, dtype=float) >= _energy_cutoff(divisor, float(threshold))
+
+
+_INF_KEY = 0x7FF0000000000000  # +inf's bit pattern, the largest ordered key
+
+
+def _energy_cutoff(divisor: float, threshold: float) -> float:
+    """The least double ``e``, in value order, with ``e / divisor >= threshold``,
+    for a finite ``divisor > 0`` and a threshold that is not NaN. Pure
+    Python, so it needs no numpy."""
+    # IEEE division rounds correctly and e -> e / divisor increases for a
+    # divisor > 0, so the rounded quotient never decreases as e grows: the
+    # doubles whose quotient clears the threshold are all those from one
+    # least double on. So ``energy >= cutoff`` is the quotient's decision for
+    # every energy: -0.0 and 0.0 are equal in both forms, inf clears (its
+    # quotient is inf) and NaN clears neither. A normal product lies within
+    # an ulp or two of that double; a few steps settle it.
+    energy = threshold * divisor
+    for _ in range(4):
+        if energy / divisor >= threshold:
+            below = math.nextafter(energy, -math.inf)
+            if not below / divisor >= threshold:
+                return energy
+            energy = below
+        else:
+            energy = math.nextafter(energy, math.inf)
+    # the steps did not settle (t = 0 or subnormal, a quotient that
+    # underflows or overflows): bisect over the ordered bit patterns, keys
+    # from -inf's to +inf's; +inf always clears, and ``low`` starts one key
+    # below -inf, as if it failed
+    low, high = -_INF_KEY - 1, _INF_KEY
+    while high - low > 1:
+        middle = (low + high) // 2
+        if _ordered_double(middle) / divisor >= threshold:
+            high = middle
+        else:
+            low = middle
+    return _ordered_double(high)
+
+
+def _ordered_double(key: int) -> float:
+    """The double whose magnitude's bit pattern is ``|key|``, with the sign
+    of ``key``: keys in value order, 0 for both zeros."""
+    return math.copysign(struct.unpack("<d", struct.pack("<Q", abs(key)))[0], key)
 
 
 def _simulate_block(
@@ -305,16 +362,21 @@ def _simulate_block(
         threshold = threshold / (2.0 * k)
         # noncentrality 0 is the central law: 0.5 * v * chi2(2k) = v * Gamma(k)
         noncentrality = np.where(h1, 2.0 * signal, 0.0)[:, None] / variances
-        energies = 0.5 * variances * rng.noncentral_chisquare(2.0 * k, noncentrality)
+        # in place, the same products in the same order: (0.5 * v) * X
+        energies = variances
+        energies *= 0.5
+        energies *= rng.noncentral_chisquare(2.0 * k, noncentrality)
     else:
-        scale = variances + np.where(h1, signal, 0.0)[:, None]
-        energies = scale * rng.standard_gamma(k, size=shape)
+        energies = variances  # in place: (v + s) * G
+        energies += np.where(h1, signal, 0.0)[:, None]
+        energies *= rng.standard_gamma(k, size=shape)
 
     nominal = decide_scheme(energies, k, threshold, noise.nominal_variance)
     mean = decide_scheme(energies, k, threshold, bracket.mean)
     # two-step's second steps: E / (k * high) <= E / (k * low) for E >= 0
-    # (IEEE multiply and divide are monotone), so every H1 at the high end
-    # is H1 at the low end, and the difference counts the straddles
+    # (IEEE multiply and divide are monotone), so every energy at or above
+    # the high end's cutoff is at or above the low end's, and the
+    # difference of the two counts is the straddles
     h1_low, h1_high = (np.count_nonzero(decide_scheme(energies, k, threshold, end))
                        for end in (bracket.low, bracket.high))
     reported = (nominal, mean)

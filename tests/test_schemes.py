@@ -3,6 +3,7 @@ one decision kernel, ``montecarlo.decide_scheme``."""
 
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsense.detector import analytic_pf
-from coopsense.montecarlo import SchemeKind, decide_scheme
+from coopsense.montecarlo import SchemeKind, _energy_cutoff, decide_scheme
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket
 
 
@@ -233,6 +234,8 @@ class TestDecideEnhanced:
             ((1.0, True, 1.0, 1.0), "sample_count must be an integer"),
             ((1.0, math.inf, 1.0, 1.0), "sample_count must be an integer"),
             ((1.0, math.nan, 1.0, 1.0), "sample_count must be an integer"),
+            ((1.0, 1, math.nan, 1.0), "threshold must not be NaN"),
+            ((1.0, 2**53, 1.0, 1e300), r"sample_count \* normalizer must be finite"),
         ],
     )
     def test_invalid_arguments_named(self, args, name):
@@ -325,6 +328,65 @@ class TestKernelProperties:
         assert np.count_nonzero(at_low) - np.count_nonzero(at_high) == np.count_nonzero(
             at_low & ~at_high
         )
+
+
+def quotient_rule(energies, k, threshold, normalizer):
+    """The rule as the quotient form states it, the reference for the
+    cutoff: H1 when energy / (k * normalizer) >= threshold."""
+    with np.errstate(over="ignore"):  # a huge negative energy's quotient is -inf
+        return np.asarray(energies, dtype=float) / (k * normalizer) >= threshold
+
+
+class TestEnergyCutoff:
+    """``decide_scheme`` compares each energy with one cutoff, the least
+    double whose quotient clears the threshold; its decisions are the
+    quotient form's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 2**53),
+        normalizer=st.floats(1e-100, 1e100),
+        threshold=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, sys.float_info.min, exclude_max=True),  # subnormal
+            st.floats(0.0, 1e100),
+        ),
+        negative=st.floats(-1e300, -5e-324),
+    )
+    def test_decides_as_the_quotient_at_the_boundary(self, k, normalizer, threshold,
+                                                     negative):
+        cutoff = _energy_cutoff(k * normalizer, threshold)
+        energies = [0.0, -0.0, negative, -math.inf, math.inf, math.nan]
+        # the cutoff, the product t * k * c, and two doubles on each side of both
+        for start in (cutoff, threshold * (k * normalizer)):
+            energies.append(start)
+            for direction in (-math.inf, math.inf):
+                energy = start
+                for _ in range(2):
+                    energy = math.nextafter(energy, direction)
+                    energies.append(energy)
+        decisions = decide_scheme(energies, k, threshold, normalizer)
+        assert np.array_equal(decisions, quotient_rule(energies, k, threshold, normalizer))
+        assert decisions[energies.index(cutoff)]
+        assert not decisions[energies.index(math.nextafter(cutoff, -math.inf))]
+
+    @pytest.mark.parametrize("threshold", [0.0, 5e-324])
+    def test_bisects_where_the_product_is_far(self, threshold):
+        # at t = 0 or a subnormal t, the quotients near the cutoff are
+        # subnormal and the product t * k * c lies hundreds of doubles from
+        # the cutoff, so the nextafter steps do not settle and the search bisects
+        k, normalizer = 2000, 1.01
+        divisor = k * normalizer
+        cutoff = _energy_cutoff(divisor, threshold)
+        energy = threshold * divisor
+        for _ in range(4):
+            energy = math.nextafter(energy, cutoff)
+        assert energy != cutoff
+        energies = [cutoff, math.nextafter(cutoff, -math.inf),
+                    math.nextafter(cutoff, math.inf), 0.0, -0.0, 5e-324, -5e-324]
+        decisions = decide_scheme(energies, k, threshold, normalizer)
+        assert np.array_equal(decisions, quotient_rule(energies, k, threshold, normalizer))
+        assert decisions[0] and not decisions[1]
 
 
 def test_help_explains_every_scheme():
