@@ -41,6 +41,7 @@ from .montecarlo import (
     SweepDraws,
     estimate,
     nominal_rates,
+    wilson_interval,
 )
 from .noise_model import NoiseUncertaintyModel, VarianceBracket, confidence_bracket
 from .specfun import ConvergenceError
@@ -447,25 +448,14 @@ def validate_spec(path) -> list[str]:
 def _csv_row(
     value, scheme: SchemeKind, result: ScenarioEstimate, nominal: CooperativeRates
 ) -> str:
-    cells = [
-        str(value),
-        scheme.value,
-        repr(float(result.p_d.value)),
-        repr(float(result.p_d.lower)),
-        repr(float(result.p_d.upper)),
-        repr(float(result.p_f.value)),
-        repr(float(result.p_f.lower)),
-        repr(float(result.p_f.upper)),
-        repr(float(result.q_f.value)),
-        repr(float(result.q_m.value)),
-        repr(float(result.q_e.value)),
-        repr(float(nominal.p_d)),
-        repr(float(nominal.p_f)),
-        repr(float(nominal.q_e)),
-        repr(float(result.steps_mean)),
-        str(result.trials),
-        str(result.seed),
-    ]
+    # in CSV_COLUMNS' order; only the per-receiver rates print their bounds
+    numbers = []
+    for rate in (result.p_d, result.p_f):
+        numbers += [rate.value, *wilson_interval(rate.successes, rate.observations)]
+    numbers += [result.q_f.value, result.q_m.value, result.q_e.value,
+                nominal.p_d, nominal.p_f, nominal.q_e, result.steps_mean]
+    cells = [str(value), scheme.value, *(repr(float(number)) for number in numbers),
+             str(result.trials), str(result.seed)]
     return ",".join(cells)
 
 

@@ -8,7 +8,8 @@ checked by ``FusionConfig`` alone. Each binomial term is formed in log
 space, and each rate sums the terms of its own side of the split (q_f the
 vote counts l >= n, q_m those below n) and never subtracts from 1, so
 neither loses its digits to cancellation. ``optimize_vote_count`` scans
-every threshold in one pass over the same terms. The simulated vote count
+every threshold in one pass over the same terms and returns the closed
+form's own total error at the threshold it picks. The simulated vote count
 and report flips live in the Monte Carlo engine only.
 """
 
@@ -133,30 +134,30 @@ def optimize_vote_count(
 ) -> tuple[int, float]:
     """Exhaustive argmin of the total error over vote thresholds 1..K.
 
-    The K + 1 binomial terms of each rate are computed once: Q_f(n) is the
-    suffix sum from l = K down to n and Q_m(n) the prefix sum over l < n,
-    each the directly summed side as in :func:`cooperative_rates`. Ties
-    break toward the smaller threshold (the OR-leaning rule).
+    The K + 1 binomial terms of each rate are computed once, and the scan
+    takes Q_f(n) as the suffix sum from l = K down to n and Q_m(n) as the
+    prefix sum over l < n. Ties break toward the smaller threshold (the
+    OR-leaning rule). The Q_e returned is :func:`cooperative_rates`' own at
+    the chosen n, bit for bit: its Q_f is summed again in increasing l.
     """
-    if integer(num_sus, "num_sus") < 1:
-        raise ValueError(f"num_sus must be >= 1, got {num_sus!r}")
+    prior_h0 = float(FusionConfig(num_sus, 1, prior_h0).prior_h0)
     p_f = probability(p_f, "p_f")
     p_d = probability(p_d, "p_d")
-    prior_h0 = probability(prior_h0, "prior_h0")
     outcomes = range(num_sus + 1)
     false_alarm_terms = _binomial_terms(num_sus, outcomes, p_f)
     detect_terms = _binomial_terms(num_sus, outcomes, p_d)
     q_f = [0.0] * (num_sus + 2)
     for l in reversed(outcomes):
         q_f[l] = q_f[l + 1] + false_alarm_terms[l]
-    best_n, best_qe = 1, math.inf
+    best_n, best_qe, best_qm = 1, math.inf, 0.0
     q_m = 0.0
     for n in range(1, num_sus + 1):
         q_m += detect_terms[n - 1]
         qe = prior_h0 * min(q_f[n], 1.0) + (1.0 - prior_h0) * min(q_m, 1.0)
         if qe < best_qe:
-            best_n, best_qe = n, qe
-    return best_n, best_qe
+            best_n, best_qe, best_qm = n, qe, q_m
+    best_qf = min(functools.reduce(operator.add, false_alarm_terms[best_n:], 0.0), 1.0)
+    return best_n, prior_h0 * best_qf + (1.0 - prior_h0) * min(best_qm, 1.0)
 
 
 def effective_rate(p: float, flip_probability: float) -> float:

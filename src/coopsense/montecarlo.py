@@ -51,9 +51,12 @@ order, into shares of equal energy draws (trials x receivers). The engine
 never makes a pool of its own, and a ``SweepDraws`` keeps nothing past
 its lifetime.
 
-``estimate`` returns Monte Carlo rates only. ``nominal_rates`` holds the
-closed forms at the nominal operating point; they depend on neither the
-scheme nor the draws, so a sweep evaluates them once per sweep value. A
+``estimate`` returns Monte Carlo rates only, each a ``RateEstimate``: the
+rate and the two counts it is formed from, with no interval; the CSV
+writer forms the two it prints, the per-receiver bounds, from the counts.
+``nominal_rates`` holds the closed forms at the nominal operating point;
+they depend on neither the scheme nor the draws, so a sweep evaluates them
+once per sweep value. A
 scenario's ``family`` (``detector.AnalyticFamily``; the ``detector``
 docstring states both families) picks the law the kernel draws energies
 from and the closed form, ``detector.receiver_rates``, that
@@ -191,11 +194,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Empirical rate with its Wilson 95% interval."""
+    """Empirical rate and the counts it is formed from (NaN when there are no
+    observations); ``wilson_interval`` of the counts gives its interval."""
 
     value: float
-    lower: float
-    upper: float
     successes: int
     observations: int
 
@@ -236,9 +238,8 @@ def wilson_interval(successes: int, observations: int) -> tuple[float, float]:
 
 
 def _rate(successes: int, observations: int) -> RateEstimate:
-    lower, upper = wilson_interval(successes, observations)
     value = successes / observations if observations > 0 else math.nan
-    return RateEstimate(value, lower, upper, successes, observations)
+    return RateEstimate(value, successes, observations)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

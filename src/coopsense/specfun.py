@@ -40,7 +40,9 @@ real work:
 
     * decisive tail: when the Chernoff bound exp(psi*) on the small side
       (Q above the mean u + x, P = 1 - Q below it) puts the answer within
-      rounding of 0 or 1, that answer, in O(1);
+      rounding of 0 or 1, that answer, in O(1); a tiny b, 0 included, is
+      decided here like any other input (only a tiny a, where the mixture
+      is its central term Q(u, y), is taken apart);
     * series, where the summands peak at j = x s <= 400: the small side
       summed in its stable direction only (Q terms upward, P terms
       downward), from a start just past the summands' tail, at a few
@@ -376,7 +378,8 @@ def _regularized_gamma(order: float, x: float, upper: bool) -> float:
 
 
 def reg_lower_gamma(order: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(order, x) in [0, 1]."""
+    """Regularized lower incomplete gamma P(order, x) in [0, 1], the public
+    P side of ``reg_upper_gamma``'s body; no closed form here calls it."""
     return _regularized_gamma(order, x, False)
 
 
@@ -413,7 +416,7 @@ _SERIES_TOLERANCE = 2.0**-56
 _SERIES_LOG_TOLERANCE = -math.log(_SERIES_TOLERANCE)
 # Summand peak x s beyond which the contour integral replaces the series.
 _FAR_FIELD_MODE = 400.0
-# Below this x or y the mixture reduces to its central term.
+# Below this x the mixture reduces to its central term.
 _NEGLIGIBLE = 1e-280
 # Largest a and b admitted.
 _MAX_MARCUM_ARG = 1e150
@@ -635,9 +638,9 @@ def marcum_q(order: float, a: float, b: float) -> float:
     if x < _NEGLIGIBLE:
         # the mixture's central term; the others add x y / order relatively
         return reg_upper_gamma(order, y)
-    if y < _NEGLIGIBLE:
-        # P(order + j, y) <= y^j P(order, y): only the central term counts
-        return 1.0 - math.exp(-x) * reg_lower_gamma(order, y)
+    # A y below _NEGLIGIBLE (b = 0 too) needs no branch: with x at least
+    # that, sqrt(x y) < x, so delta < -1/2 below, the saddle is under
+    # y / order < 1e-280, and log_bound < -643 decides Q = 1 exactly.
     excess = 0.5 * (b - a) * (b + a) - order  # y - x - order, sign of the small side
     half_root = math.hypot(0.5 * order, 0.5 * a * b)  # sqrt(order^2 + 4 x y) / 2
     # s - 1 = excess / (sqrt(order^2 + 4 x y) / 2 + order / 2 + x), all

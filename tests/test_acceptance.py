@@ -16,7 +16,7 @@ from scipy import integrate
 from coopsense.cli_experiments import CSV_COLUMNS, resolve_spec_path, run_experiment
 from coopsense.detector import AnalyticFamily, DetectorConfig, analytic_pd, analytic_pf
 from coopsense.fusion import FusionConfig, cooperative_rates, optimize_vote_count
-from coopsense.montecarlo import Scenario, SchemeKind, SweepDraws, estimate
+from coopsense.montecarlo import Scenario, SchemeKind, SweepDraws, estimate, wilson_interval
 from coopsense.noise_model import NoiseUncertaintyModel, VarianceBracket, two_sided_kappa
 from coopsense.specfun import marcum_q, reg_upper_gamma
 
@@ -115,8 +115,10 @@ def test_criterion_2_closed_form_vs_simulation():
         result = estimate(scenario, SchemeKind.FIXED, draws=draws)
     pf_ref = analytic_pf(5.0, 30.0)
     pd_ref = analytic_pd(5.0, 0.1, 30.0)
-    half_f = (result.p_f.upper - result.p_f.lower) / 2.0
-    half_d = (result.p_d.upper - result.p_d.lower) / 2.0
+    lower_f, upper_f = wilson_interval(result.p_f.successes, result.p_f.observations)
+    lower_d, upper_d = wilson_interval(result.p_d.successes, result.p_d.observations)
+    half_f = (upper_f - lower_f) / 2.0
+    half_d = (upper_d - lower_d) / 2.0
     pf_ok = abs(result.p_f.value - pf_ref) <= 4.0 * half_f
     pd_ok = abs(result.p_d.value - pd_ref) <= 4.0 * half_d
     report(

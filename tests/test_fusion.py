@@ -210,6 +210,19 @@ class TestOptimizeVoteCount:
             assert abs(qe_star - best) <= 1e-14 * best + 1e-300
             assert abs(scan[n_star - 1] - best) <= 1e-14 * best + 1e-300
 
+    def test_q_e_is_the_closed_form_at_n_star(self):
+        # the suffix sums only choose n_star; the q_e returned is
+        # cooperative_rates' own there, q_f summed in increasing l
+        cases = [(19, 0.8656948075596191, 0.8783683562240424, 0.14997394169076372)]
+        rng = np.random.default_rng(710)
+        cases += [(int(rng.integers(1, 61)), *(float(v) for v in rng.random(3)))
+                  for _ in range(500)]
+        for num_sus, p_f, p_d, alpha in cases:
+            n_star, qe_star = optimize_vote_count(num_sus, p_f, p_d, alpha)
+            config = FusionConfig(num_sus, n_star, alpha)
+            assert qe_star == cooperative_rates(config, p_f, p_d).q_e
+        assert optimize_vote_count(*cases[0]) == (1, 0.1499739416907637)
+
 
 class TestReportingErrors:
     def test_effective_rate(self):

@@ -371,8 +371,10 @@ class TestEstimate:
     def test_closed_form_self_consistency(self):
         scenario = chi_square_scenario(trials=2 * 10**5, seed=314)
         result = estimate(scenario)
-        half_f = (result.p_f.upper - result.p_f.lower) / 2.0
-        half_d = (result.p_d.upper - result.p_d.lower) / 2.0
+        lower_f, upper_f = wilson_interval(result.p_f.successes, result.p_f.observations)
+        lower_d, upper_d = wilson_interval(result.p_d.successes, result.p_d.observations)
+        half_f = (upper_f - lower_f) / 2.0
+        half_d = (upper_d - lower_d) / 2.0
         nominal = nominal_rates(scenario)
         assert abs(result.p_f.value - nominal.p_f) <= 4 * half_f
         assert abs(result.p_d.value - nominal.p_d) <= 4 * half_d
@@ -398,11 +400,12 @@ class TestEstimate:
         result = estimate(uncertain_scenario(trials=1), SchemeKind.EXPECTATION)
         assert result.trials == 1
         for rate in [result.p_d, result.p_f, result.q_f, result.q_m]:
+            lower, upper = wilson_interval(rate.successes, rate.observations)
             if rate.observations == 0:
                 assert math.isnan(rate.value)
-                assert (rate.lower, rate.upper) == (0.0, 1.0)
+                assert (lower, upper) == (0.0, 1.0)
             else:
-                assert 0.0 <= rate.lower <= rate.value <= rate.upper <= 1.0
+                assert 0.0 <= lower <= rate.value <= upper <= 1.0
 
     def test_fixed_truth_modes(self):
         h0_run = estimate(only("h0", trials=4000), SchemeKind.EXPECTATION)
@@ -641,7 +644,8 @@ class TestEstimate:
         covered = 0
         for seed in range(100):
             result = estimate(replace(scenario, seed=seed))
-            covered += result.p_f.lower <= target <= result.p_f.upper
+            lower, upper = wilson_interval(result.p_f.successes, result.p_f.observations)
+            covered += lower <= target <= upper
         assert covered >= 90
 
     def test_steps_mean_tracks_two_step_usage(self):

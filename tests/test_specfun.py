@@ -745,12 +745,20 @@ class TestMarcumQ:
         assert marcum_q(3.0, 1.5, 0.0) == 1.0
 
     # b = 0 has no branch of its own: a = 0 and a tiny a take the central
-    # term Q(order, 0), and a larger a, up to the largest admitted, the P
-    # side 1 - e^-x P(order, 0)
+    # term Q(order, 0), and a larger a, up to the largest admitted, the
+    # general path, whose Chernoff bound decides Q = 1
     @pytest.mark.parametrize("a", [0.0, 1e-150, 0.5, 1e150])
     @pytest.mark.parametrize("order", [1.0, 5.0, 2000.0, 2.0**53])
     def test_zero_threshold_through_every_branch(self, order, a):
         assert marcum_q(order, a, 0.0) == 1.0
+
+    # nor has a tiny b: wherever b^2 / 2 < 1e-280 and a^2 / 2 >= 1e-280,
+    # the general path's bound returns exactly 1
+    @pytest.mark.parametrize("b", [0.0, 5e-324, 1e-200, 1e-141])
+    @pytest.mark.parametrize("order", [1.0, 5.0, 100.0, 2000.0, 2.0**53])
+    def test_tiny_threshold_is_exactly_one(self, order, b):
+        for a in np.geomspace(math.sqrt(2e-280), 1e150, 40):
+            assert marcum_q(order, float(a), b) == 1.0
 
     def test_frozen_monte_carlo_oracle(self):
         assert abs(marcum_q(2.0, 1.0, 2.0) - MC_MARCUM_2_1_2) <= 4 * MC_MARCUM_2_1_2_SE
